@@ -74,9 +74,11 @@ impl Poller {
         sys::sys_epoll_del(self.epfd, fd)
     }
 
-    /// Wait for readiness, appending into `events`. `None` blocks
-    /// indefinitely. Returns the number of events delivered; `EINTR`
-    /// is swallowed and reported as zero events.
+    /// Wait for readiness, replacing the contents of `events` with the
+    /// events of this wake: the buffer is cleared first, so a caller
+    /// reusing one `Vec` across iterations never sees an earlier batch
+    /// again. `None` blocks indefinitely. Returns the number of events
+    /// delivered; `EINTR` is swallowed and reported as zero events.
     pub fn wait(
         &mut self,
         events: &mut Vec<Event>,
@@ -90,6 +92,7 @@ impl Poller {
                 .min(i32::MAX as u128) as i32,
             None => -1,
         };
+        events.clear();
         let n = match sys::sys_epoll_wait(self.epfd, &mut self.buf, timeout_ms) {
             Ok(n) => n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => 0,

@@ -24,7 +24,6 @@ fn wait_for(
         if now >= deadline {
             return None;
         }
-        events.clear();
         poller
             .wait(&mut events, Some(deadline - now))
             .expect("epoll_wait");
@@ -103,6 +102,30 @@ fn waker_interrupts_a_blocked_wait() {
         "drained waker must stay quiet"
     );
     handle.join().unwrap();
+}
+
+#[test]
+fn consecutive_waits_do_not_redeliver_a_batch() {
+    let mut poller = Poller::new().unwrap();
+    let waker = Waker::new().unwrap();
+    poller.add(waker.fd(), 7, interest::READ).unwrap();
+    waker.wake();
+
+    // One buffer reused across waits, as an event loop does.
+    let mut events = Vec::new();
+    let n = poller
+        .wait(&mut events, Some(Duration::from_secs(5)))
+        .unwrap();
+    assert_eq!(n, 1);
+    assert_eq!(events.len(), 1);
+    assert_eq!(events[0].token, 7);
+    waker.drain();
+
+    let n = poller
+        .wait(&mut events, Some(Duration::from_millis(50)))
+        .unwrap();
+    assert_eq!(n, 0);
+    assert!(events.is_empty(), "first batch redelivered: {events:?}");
 }
 
 #[test]

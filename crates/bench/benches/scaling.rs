@@ -5,13 +5,12 @@
 //!   producer–consumer capacity;
 //! * serial vs. parallel frontier expansion (the `parallel` feature of
 //!   `tpn-reach`) on the widest parametric families;
-//! * decision-graph rate solving: dense-kernel vs. dense-fixed vs.
-//!   sparse-fixed elimination on lossy forwarding chains (the sparse
-//!   representation is the ablation called out in DESIGN.md).
+//! * decision-graph rate solving (GTH reduction over the decision
+//!   nodes) on lossy forwarding chains.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use tpn_core::{solve_rates_with, DecisionGraph, RateMethod};
+use tpn_core::{solve_rates, DecisionGraph};
 use tpn_protocols::families;
 use tpn_rational::Rational;
 use tpn_reach::{build_trg, NumericDomain, TrgOptions};
@@ -85,40 +84,36 @@ fn bench_trg_parallel(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_rate_solvers(c: &mut Criterion) {
+fn bench_rate_solver(c: &mut Criterion) {
     let domain = NumericDomain::new();
     let opts = TrgOptions::default();
-    // 32 hops (65 decision edges) is the largest chain whose exact
-    // elimination stays inside i128 with 1/10 loss probabilities;
-    // beyond that the coefficient growth of exact arithmetic overflows
-    // (a documented limitation of the checked-i128 rational substrate).
+    // Exact rates stay inside the checked-i128 rational substrate up to
+    // 38 hops with 1/10 loss probabilities; at 40 hops the coefficient
+    // growth overflows (as it did for the edge-level null-space solve
+    // this replaced), and so does a net of two independent lossy loops
+    // (33 decision nodes).
+    let mut g = c.benchmark_group("scaling/rate_solver");
     for hops in [4usize, 16, 32] {
         let (net, _) = families::lossy_chain(hops, Rational::new(1, 10), Rational::from_int(2));
         let trg = build_trg(&net, &domain, &opts).unwrap();
         let dg = DecisionGraph::from_trg(&trg, &domain).unwrap();
         eprintln!(
-            "[scaling] lossy_chain({hops}): {} states, {} decision edges",
+            "[scaling] lossy_chain({hops}): {} states, {} decision nodes, {} decision edges",
             trg.num_states(),
+            dg.num_nodes(),
             dg.num_edges()
         );
-        let mut g = c.benchmark_group(format!("scaling/rate_solver_{hops}_hops"));
-        for (name, method) in [
-            ("dense_kernel", RateMethod::DenseKernel),
-            ("dense_fixed", RateMethod::DenseFixed),
-            ("sparse_fixed", RateMethod::SparseFixed),
-        ] {
-            g.bench_function(name, |b| {
-                b.iter(|| black_box(solve_rates_with(&dg, 0, method).unwrap()))
-            });
-        }
-        g.finish();
+        g.bench_with_input(BenchmarkId::from_parameter(hops), &dg, |b, dg| {
+            b.iter(|| black_box(solve_rates(dg, 0).unwrap()))
+        });
     }
+    g.finish();
 }
 
 criterion_group!(
     benches,
     bench_trg_scaling,
     bench_trg_parallel,
-    bench_rate_solvers
+    bench_rate_solver
 );
 criterion_main!(benches);

@@ -9,7 +9,7 @@
 //!
 //! * `cold_miss` appends a fresh (unused) place per request, so every
 //!   request is a distinct digest and runs the whole exact pipeline
-//!   (TRG → decision graph → rational null-space rates → JSON);
+//!   (TRG → decision graph → exact rational rates → JSON);
 //! * `warm_hit` repeats the identical request, so after the first
 //!   iteration every request is answered from the cache — the residual
 //!   cost is parse + digest + shard lookup.

@@ -19,10 +19,10 @@ pub enum CoreError {
     /// terminal state), so there is no steady state to analyse.
     NoCycle,
     /// The rate equations do not have a one-dimensional solution space:
-    /// dimension 0 means probability leaks out of the cycle (terminal
-    /// paths); dimension > 1 means several independent recurrent classes.
+    /// the decision graph has several closed classes (independent
+    /// recurrent cycles), one solution dimension each.
     NotErgodic {
-        /// Dimension of the computed solution space.
+        /// Dimension of the solution space: the number of closed classes.
         kernel_dim: usize,
     },
     /// The reference edge for normalisation has rate zero.

@@ -13,9 +13,9 @@
 //!    its branching probability times the total rate into its source
 //!    node. The system is homogeneous and (for an ergodic protocol
 //!    cycle) has a one-dimensional solution space; [`solve_rates`]
-//!    extracts it by exact null-space computation over the probability
-//!    field and normalises against a reference edge, exactly as the
-//!    paper does with "assuming r = 1".
+//!    reduces it to one unknown per decision node, solves that exactly
+//!    over the probability field and normalises against a reference
+//!    edge, exactly as the paper does with "assuming r = 1".
 //! 4. Form performance measures from `wᵢ = rᵢ·dᵢ`: [`Performance`]
 //!    exposes throughput of any transition, mean cycle time, edge time
 //!    shares and place utilisation. In the symbolic domain every measure
@@ -36,4 +36,4 @@ pub use error::CoreError;
 pub use exprs::ExprTarget;
 pub use measures::Performance;
 pub use opt::{OptCertificate, OptGoal, Optimum};
-pub use rates::{solve_rates, solve_rates_with, RateMethod, Rates};
+pub use rates::{solve_rates, Rates};

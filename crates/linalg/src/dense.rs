@@ -268,9 +268,7 @@ impl<F: Field> Matrix<F> {
         Ok(out)
     }
 
-    /// A basis of the null space `{x : A·x = 0}`. The rate equations of a
-    /// decision graph are homogeneous with a one-dimensional kernel; this
-    /// is how the canonical rates are extracted before normalisation.
+    /// A basis of the null space `{x : A·x = 0}`.
     pub fn null_space(&self) -> Vec<Vec<F>> {
         let mut work = self.clone();
         let pivots = work.rref();

@@ -1,9 +1,9 @@
 //! Property tests for exact linear algebra: solver correctness against
-//! matrix–vector multiplication, dense/sparse agreement, and algebraic
-//! identities of rank/determinant/inverse.
+//! matrix–vector multiplication and algebraic identities of
+//! rank/determinant/inverse.
 
 use proptest::prelude::*;
-use tpn_linalg::{LinalgError, Matrix, SparseMatrix};
+use tpn_linalg::{LinalgError, Matrix};
 use tpn_rational::Rational;
 
 fn small() -> impl Strategy<Value = Rational> {
@@ -33,19 +33,6 @@ proptest! {
                 prop_assert_eq!(a.determinant().unwrap(), Rational::ZERO);
             }
             Err(e) => return Err(TestCaseError::fail(format!("unexpected {e}"))),
-        }
-    }
-
-    #[test]
-    fn sparse_agrees_with_dense(a in square(4), b in vector(4)) {
-        let s = SparseMatrix::from_dense(&a);
-        prop_assert_eq!(s.to_dense(), a.clone());
-        match (a.solve(&b), s.solve(&b)) {
-            (Ok(xd), Ok(xs)) => prop_assert_eq!(xd, xs),
-            (Err(LinalgError::Singular), Err(LinalgError::Singular)) => {}
-            (d, sres) => {
-                return Err(TestCaseError::fail(format!("dense {d:?} vs sparse {sres:?}")));
-            }
         }
     }
 

@@ -60,7 +60,7 @@ pub use stats::{Stage, StageCounters, StageSnapshot, STAGES};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use tpn_core::{solve_rates_with, DecisionGraph, ExprTarget, Performance, RateMethod, Rates};
+use tpn_core::{solve_rates, DecisionGraph, ExprTarget, Performance, Rates};
 use tpn_eval::Compiled;
 use tpn_net::{symbols, Frequency, TimedPetriNet, TimingAssignment};
 use tpn_rational::Rational;
@@ -322,13 +322,11 @@ impl Session {
     }
 
     /// The traversal rates of [`Session::decision_graph`], normalised
-    /// against reference edge 0 and solved with the configured
-    /// [`SessionOptions::rate_method`].
+    /// against reference edge 0.
     pub fn rates(&self) -> Result<Arc<Rates<Rational>>, SessionError> {
         demand(&self.counters, Stage::Rates, &self.rates, || {
             let dg = self.decision_graph()?;
-            solve_rates_with(&dg, 0, self.options.rate_method_or_default())
-                .map_err(|e| SessionError::new(Stage::Rates, e))
+            solve_rates(&dg, 0).map_err(|e| SessionError::new(Stage::Rates, e))
         })
     }
 
@@ -365,13 +363,7 @@ impl Session {
         let trg =
             build_trg(&self.net, &domain, &self.options.trg_options()).map_err(|e| err(&e))?;
         let dg = DecisionGraph::from_trg(&trg, &domain).map_err(|e| err(&e))?;
-        // The symbolic solve always uses the sparse fixed-reference
-        // eliminator: every elementary operation over the lifted field
-        // allocates, so the dense kernel's full-matrix sweeps cost an
-        // order of magnitude more for the same (exactly agreeing)
-        // rates. Non-ergodic graphs still fail: fixing one equation of
-        // a system with a ≥2-dimensional null space leaves it singular.
-        let rates = solve_rates_with(&dg, 0, RateMethod::SparseFixed).map_err(|e| err(&e))?;
+        let rates = solve_rates(&dg, 0).map_err(|e| err(&e))?;
         let perf = Performance::new(&dg, rates, &domain).map_err(|e| err(&e))?;
         Ok(LiftedArtifacts {
             swept: swept.to_vec(),

@@ -1,6 +1,5 @@
 //! Session configuration.
 
-use tpn_core::RateMethod;
 use tpn_reach::TrgOptions;
 
 /// Every knob of a [`Session`](crate::Session), with a builder API.
@@ -27,7 +26,6 @@ pub struct SessionOptions {
     trg_threads: usize,
     threads: usize,
     max_points: u64,
-    rate_method: RateMethod,
 }
 
 impl Default for SessionOptions {
@@ -37,7 +35,6 @@ impl Default for SessionOptions {
             trg_threads: TrgOptions::default().threads,
             threads: 4,
             max_points: 1_000_000,
-            rate_method: RateMethod::default(),
         }
     }
 }
@@ -77,14 +74,6 @@ impl SessionOptions {
         self
     }
 
-    /// How the homogeneous rate system is solved — the pipeline's one
-    /// genuine algorithm choice (dense kernel, dense fixed-reference or
-    /// sparse fixed-reference; all agree exactly).
-    pub fn rate_method(mut self, m: RateMethod) -> SessionOptions {
-        self.rate_method = m;
-        self
-    }
-
     /// The configured TRG state limit.
     pub fn max_states_or_default(&self) -> usize {
         self.max_states
@@ -103,11 +92,6 @@ impl SessionOptions {
     /// The configured sweep point cap.
     pub fn max_points_or_default(&self) -> u64 {
         self.max_points
-    }
-
-    /// The configured rate-solving method.
-    pub fn rate_method_or_default(&self) -> RateMethod {
-        self.rate_method
     }
 
     /// The `TrgOptions` this session hands to `build_trg`.

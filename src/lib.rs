@@ -14,7 +14,7 @@
 //! |---|---|---|
 //! | [`rational`] | `tpn-rational` | exact rational arithmetic |
 //! | [`symbolic`] | `tpn-symbolic` | symbols, affine expressions, polynomials, rational functions, Fourier–Motzkin timing constraints |
-//! | [`linalg`] | `tpn-linalg` | exact dense/sparse linear algebra over generic fields |
+//! | [`linalg`] | `tpn-linalg` | exact dense linear algebra over generic fields |
 //! | [`net`] | `tpn-net` | the Timed Petri Net model, builder, validation, `.tpn` format |
 //! | [`reach`] | `tpn-reach` | timed reachability graphs (numeric §2 and symbolic §3) |
 //! | [`core`] | `tpn-core` | decision graphs, traversal rates, performance expressions |
@@ -76,8 +76,8 @@ pub use tpn_symbolic as symbolic;
 /// The commonly used names, for glob import.
 pub mod prelude {
     pub use tpn_core::{
-        solve_rates, solve_rates_with, DecisionGraph, ExprTarget, OptCertificate, OptGoal, Optimum,
-        Performance, RateMethod, Rates,
+        solve_rates, DecisionGraph, ExprTarget, OptCertificate, OptGoal, Optimum, Performance,
+        Rates,
     };
     pub use tpn_eval::{argbest_f64, sweep_exact, sweep_f64, Axis, Compiled, Grid, SweepOptions};
     pub use tpn_net::{Bag, Marking, NetBuilder, TimedPetriNet, TimingAssignment};
