@@ -1,8 +1,8 @@
 //! E10 — scaling ablations beyond the paper's example: how the
 //! construction and the rate solvers behave as the model grows.
 //!
-//! * TRG construction vs. cycle length, fork/join width and
-//!   producer–consumer capacity;
+//! * TRG construction vs. cycle length, fork/join width,
+//!   producer–consumer capacity and lossy-chain length;
 //! * serial vs. parallel frontier expansion (the `parallel` feature of
 //!   `tpn-reach`) on the widest parametric families;
 //! * decision-graph rate solving (GTH reduction over the decision
@@ -41,6 +41,18 @@ fn bench_trg_scaling(c: &mut Criterion) {
     for cap in [1u32, 4, 16, 64] {
         let net = families::producer_consumer(cap, Rational::from_int(2), Rational::from_int(5));
         g.bench_with_input(BenchmarkId::from_parameter(cap), &net, |b, net| {
+            b.iter(|| build_trg(black_box(net), &domain, &opts).unwrap())
+        });
+    }
+    g.finish();
+
+    // Many transitions, one token: 2·hops + 1 transitions but at most
+    // one clock live per state, the shape where per-state storage
+    // proportional to |T| would dominate construction.
+    let mut g = c.benchmark_group("scaling/trg_lossy_chain");
+    for hops in [8usize, 16, 32] {
+        let (net, _) = families::lossy_chain(hops, Rational::new(1, 10), Rational::from_int(2));
+        g.bench_with_input(BenchmarkId::from_parameter(hops), &net, |b, net| {
             b.iter(|| build_trg(black_box(net), &domain, &opts).unwrap())
         });
     }

@@ -1,10 +1,12 @@
 //! Construction and queries of timed reachability graphs — the paper's
 //! Figure-3 procedure, domain-generic.
 
+use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt::Write as _;
+use std::hash::{BuildHasher, Hash};
 
-use tpn_net::{ConflictSetId, TimedPetriNet, TransId};
+use tpn_net::{ConflictSetId, Marking, TimedPetriNet, TransId};
 
 use crate::{AnalysisDomain, ReachError, TimedState};
 
@@ -177,14 +179,11 @@ impl<D: AnalysisDomain> TimedReachabilityGraph<D> {
         FT: FnMut(&D::Time) -> Option<D2::Time>,
         FP: FnMut(&D::Prob) -> Option<D2::Prob>,
     {
-        let map_slots = |slots: &[Option<D::Time>], time: &mut FT| {
-            slots
+        let map_clocks = |clocks: &[(TransId, D::Time)], time: &mut FT| {
+            clocks
                 .iter()
-                .map(|s| match s {
-                    Some(x) => time(x).map(Some),
-                    None => Some(None),
-                })
-                .collect::<Option<Vec<Option<D2::Time>>>>()
+                .map(|(t, x)| Some((*t, time(x)?)))
+                .collect::<Option<Vec<_>>>()
         };
         let states = self
             .states
@@ -192,8 +191,8 @@ impl<D: AnalysisDomain> TimedReachabilityGraph<D> {
             .map(|s| {
                 Some(TimedState {
                     marking: s.marking.clone(),
-                    ret: map_slots(&s.ret, &mut time)?,
-                    rft: map_slots(&s.rft, &mut time)?,
+                    ret: map_clocks(&s.ret, &mut time)?,
+                    rft: map_clocks(&s.rft, &mut time)?,
                 })
             })
             .collect::<Option<Vec<_>>>()?;
@@ -265,28 +264,19 @@ impl<D: AnalysisDomain> TimedReachabilityGraph<D> {
         let mut times = Vec::new();
         let mut probs = Vec::new();
         for (si, s) in self.states.iter().enumerate() {
-            let mut slot_patches = |slots: &[Option<D::Time>], ret: bool, times: &mut Vec<_>| {
-                for (ti, slot) in slots.iter().enumerate() {
-                    if let Some(x) = slot {
-                        if time_dependent(x) {
-                            let loc = if ret {
-                                TimeLoc::Ret {
-                                    state: si as u32,
-                                    trans: ti as u32,
-                                }
-                            } else {
-                                TimeLoc::Rft {
-                                    state: si as u32,
-                                    trans: ti as u32,
-                                }
-                            };
-                            times.push((loc, x.clone()));
-                        }
-                    }
+            let state = si as u32;
+            for (slot, (_, x)) in s.ret.iter().enumerate() {
+                if time_dependent(x) {
+                    let slot = slot as u32;
+                    times.push((TimeLoc::Ret { state, slot }, x.clone()));
                 }
-            };
-            slot_patches(&s.ret, true, &mut times);
-            slot_patches(&s.rft, false, &mut times);
+            }
+            for (slot, (_, x)) in s.rft.iter().enumerate() {
+                if time_dependent(x) {
+                    let slot = slot as u32;
+                    times.push((TimeLoc::Rft { state, slot }, x.clone()));
+                }
+            }
         }
         for (si, es) in self.edges.iter().enumerate() {
             for (ei, e) in es.iter().enumerate() {
@@ -371,10 +361,11 @@ impl<D: AnalysisDomain> TimedReachabilityGraph<D> {
 /// Where a point-dependent time label lives inside a graph.
 #[derive(Debug, Clone, Copy)]
 enum TimeLoc {
-    /// A remaining-enabling-time slot of a state.
-    Ret { state: u32, trans: u32 },
-    /// A remaining-firing-time slot of a state.
-    Rft { state: u32, trans: u32 },
+    /// An entry of a state's sparse RET list (position in the list,
+    /// not transition index).
+    Ret { state: u32, slot: u32 },
+    /// An entry of a state's sparse RFT list (position in the list).
+    Rft { state: u32, slot: u32 },
     /// An edge's elapse delay (edge index within its source bucket).
     Delay { state: u32, edge: u32 },
     /// A candidate delay of a recorded minimum resolution.
@@ -413,12 +404,8 @@ impl<D: AnalysisDomain, D2: AnalysisDomain> TrgTemplate<D, D2> {
         for (loc, x) in &self.times {
             let v = time(x)?;
             match *loc {
-                TimeLoc::Ret { state, trans } => {
-                    g.states[state as usize].ret[trans as usize] = Some(v)
-                }
-                TimeLoc::Rft { state, trans } => {
-                    g.states[state as usize].rft[trans as usize] = Some(v)
-                }
+                TimeLoc::Ret { state, slot } => g.states[state as usize].ret[slot as usize].1 = v,
+                TimeLoc::Rft { state, slot } => g.states[state as usize].rft[slot as usize].1 = v,
                 TimeLoc::Delay { state, edge } => g.edges[state as usize][edge as usize].delay = v,
                 TimeLoc::MinCandidate {
                     resolution,
@@ -450,8 +437,8 @@ pub fn build_trg<D: AnalysisDomain>(
     #[cfg(feature = "parallel")]
     {
         // Resolve `threads: 0` (auto) against the machine. With a
-        // single effective worker the fan-out machinery (per-candidate
-        // hashing, pre-resolution) is pure overhead, so anything that
+        // single effective worker the fan-out machinery (per-level
+        // scheduling, pre-resolution) is pure overhead, so anything that
         // resolves to one worker takes the serial path below. Cached:
         // `available_parallelism` walks the cgroup fs on every call.
         static AUTO_THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
@@ -467,38 +454,21 @@ pub fn build_trg<D: AnalysisDomain>(
             return parallel::build_trg_parallel(net, domain, opts, threads);
         }
     }
-    let nt = net.num_transitions();
-    let mut initial = TimedState {
-        marking: net.initial_marking().clone(),
-        ret: vec![None; nt],
-        rft: vec![None; nt],
-    };
-    refresh_enablement(net, domain, &mut initial)?;
-
-    let mut states: Vec<TimedState<D::Time>> = vec![initial.clone()];
+    let mut arena = StateArena::new(initial_state(net, domain)?);
     let mut edges: Vec<Vec<Edge<D>>> = vec![Vec::new()];
-    let mut index: HashMap<TimedState<D::Time>, StateId> = HashMap::new();
-    index.insert(initial, StateId(0));
     let mut min_resolutions = Vec::new();
     let mut queue: VecDeque<StateId> = VecDeque::from([StateId(0)]);
 
     while let Some(sid) = queue.pop_front() {
-        let state = states[sid.index()].clone();
-        let (successors, resolution) = successors_of(net, domain, &state, sid)?;
+        let (successors, resolution) = successors_of(net, domain, &arena.states[sid.index()], sid)?;
         min_resolutions.extend(resolution);
         for (mut edge, succ) in successors {
-            let to = match index.get(&succ) {
-                Some(&id) => id,
+            let hash = arena.hash_of(&succ);
+            let to = match arena.find(hash, &succ) {
+                Some(id) => id,
                 None => {
-                    if states.len() >= opts.max_states {
-                        return Err(ReachError::StateLimitExceeded {
-                            limit: opts.max_states,
-                        });
-                    }
-                    let id = StateId(states.len() as u32);
-                    states.push(succ.clone());
+                    let id = arena.push(hash, succ, opts.max_states)?;
                     edges.push(Vec::new());
-                    index.insert(succ, id);
                     queue.push_back(id);
                     id
                 }
@@ -510,9 +480,92 @@ pub fn build_trg<D: AnalysisDomain>(
     }
 
     Ok(TimedReachabilityGraph {
-        states,
+        states: arena.states,
         edges,
         min_resolutions,
+    })
+}
+
+/// The states discovered so far, each stored once and numbered by its
+/// position (`u32` ids in discovery order), plus the index that finds a
+/// state's id from its contents.
+///
+/// The index maps a 64-bit state hash to the newest id with that hash;
+/// older ids sharing the hash are chained through `next`. A lookup
+/// confirms every candidate against the arena, so a hash collision
+/// costs one comparison and never a wrong id. The hash is keyed per
+/// build, like a default `HashMap`'s, so a net cannot be crafted to
+/// collide. The index is dropped when construction ends: the finished
+/// graph keeps only the states.
+struct StateArena<T> {
+    states: Vec<TimedState<T>>,
+    hasher: RandomState,
+    heads: HashMap<u64, u32>,
+    /// Per id: the next-older id with the same hash, or [`NO_STATE`].
+    next: Vec<u32>,
+}
+
+/// End of a hash chain in [`StateArena::next`].
+const NO_STATE: u32 = u32::MAX;
+
+impl<T: Eq + Hash> StateArena<T> {
+    fn new(initial: TimedState<T>) -> Self {
+        let hasher = RandomState::new();
+        let hash = hasher.hash_one(&initial);
+        StateArena {
+            states: vec![initial],
+            hasher,
+            heads: HashMap::from([(hash, 0)]),
+            next: vec![NO_STATE],
+        }
+    }
+
+    fn hash_of(&self, state: &TimedState<T>) -> u64 {
+        self.hasher.hash_one(state)
+    }
+
+    /// The id of a state equal to `state`, whose hash is `hash`.
+    fn find(&self, hash: u64, state: &TimedState<T>) -> Option<StateId> {
+        let mut id = *self.heads.get(&hash)?;
+        while id != NO_STATE {
+            if self.states[id as usize] == *state {
+                return Some(StateId(id));
+            }
+            id = self.next[id as usize];
+        }
+        None
+    }
+
+    /// Add a state that [`find`](Self::find) reported absent, failing
+    /// once the arena already holds `max_states` states.
+    fn push(
+        &mut self,
+        hash: u64,
+        state: TimedState<T>,
+        max_states: usize,
+    ) -> Result<StateId, ReachError> {
+        if self.states.len() >= max_states {
+            return Err(ReachError::StateLimitExceeded { limit: max_states });
+        }
+        let id = self.states.len() as u32;
+        self.next
+            .push(self.heads.insert(hash, id).unwrap_or(NO_STATE));
+        self.states.push(state);
+        Ok(StateId(id))
+    }
+}
+
+/// The initial state: the initial marking with every enabled
+/// transition's clock at `E(t)` and nothing firing.
+fn initial_state<D: AnalysisDomain>(
+    net: &TimedPetriNet,
+    domain: &D,
+) -> Result<TimedState<D::Time>, ReachError> {
+    let marking = net.initial_marking().clone();
+    Ok(TimedState {
+        ret: refresh_enablement(net, domain, &marking, &[])?,
+        marking,
+        rft: Vec::new(),
     })
 }
 
@@ -536,11 +589,8 @@ fn successors_of<D: AnalysisDomain>(
     let firable: Vec<TransId> = state
         .ret
         .iter()
-        .enumerate()
-        .filter_map(|(i, v)| match v {
-            Some(x) if domain.is_zero(x) => Some(TransId::from_index(i)),
-            _ => None,
-        })
+        .filter(|(_, x)| domain.is_zero(x))
+        .map(|(t, _)| *t)
         .collect();
 
     if !firable.is_empty() {
@@ -562,7 +612,7 @@ fn fire_successors<D: AnalysisDomain>(
     // A firable transition that is already firing would constitute a
     // second simultaneous firing: the paper's self-conflict restriction.
     for &t in firable {
-        if state.rft[t.index()].is_some() {
+        if state.rft(t).is_some() {
             return Err(ReachError::MultipleFiring {
                 transition: net.transition(t).name().to_string(),
                 state: sid.index(),
@@ -619,10 +669,10 @@ fn apply_selector<D: AnalysisDomain>(
     selector: &[TransId],
     prob: D::Prob,
 ) -> Result<Succ<D>, ReachError> {
-    let mut succ = state.clone();
+    let mut marking = state.marking.clone();
     // "Remove tokens from input places of transitions in s."
     for &t in selector {
-        succ.marking.subtract(net.transition(t).input());
+        marking.subtract(net.transition(t).input());
     }
     // The paper's conflict-set restriction: firing must disable every
     // other firable member of each chosen set. If any firable member of
@@ -631,8 +681,8 @@ fn apply_selector<D: AnalysisDomain>(
     for &t in selector {
         let cs = net.conflict_set(net.conflict_set_of(t));
         for &u in cs.members() {
-            let was_firable = matches!(&state.ret[u.index()], Some(x) if domain.is_zero(x));
-            if was_firable && succ.marking.covers(net.transition(u).input()) {
+            let was_firable = matches!(state.ret(u), Some(x) if domain.is_zero(x));
+            if was_firable && marking.covers(net.transition(u).input()) {
                 return Err(ReachError::MultipleFiring {
                     transition: net.transition(u).name().to_string(),
                     state: sid.index(),
@@ -643,17 +693,24 @@ fn apply_selector<D: AnalysisDomain>(
     // "Set the RFT of each transition in s to F(t)." Transitions with a
     // provably zero firing time complete instantaneously (documented
     // extension; the paper's nets have strictly positive firing times).
+    let mut rft = state.rft.clone();
     let mut completed = Vec::new();
     for &t in selector {
         let ft = domain.firing_time(net, t)?;
         if domain.is_zero(&ft) {
-            succ.marking.add(net.transition(t).output());
+            marking.add(net.transition(t).output());
             completed.push(t);
         } else {
-            succ.rft[t.index()] = Some(ft);
+            // Not already firing (checked above), so this is a new entry.
+            let pos = rft.partition_point(|(u, _)| *u < t);
+            rft.insert(pos, (t, ft));
         }
     }
-    refresh_enablement(net, domain, &mut succ)?;
+    let succ = TimedState {
+        ret: refresh_enablement(net, domain, &marking, &state.ret)?,
+        marking,
+        rft,
+    };
     let edge = Edge {
         from: sid,
         to: sid, // patched by the caller
@@ -680,58 +737,58 @@ fn elapse_successor<D: AnalysisDomain>(
     state: &TimedState<D::Time>,
     sid: StateId,
 ) -> Result<Elapse<D>, ReachError> {
-    // Candidates: every tracked RET/RFT (all strictly positive here — a
-    // zero RET would have made the state a decision state, and zero RFTs
-    // are completed eagerly).
-    let mut candidates: Vec<(TransId, bool, D::Time)> = Vec::new();
-    for (i, v) in state.ret.iter().enumerate() {
-        if let Some(x) = v {
-            candidates.push((TransId::from_index(i), false, x.clone()));
-        }
-    }
-    for (i, v) in state.rft.iter().enumerate() {
-        if let Some(x) = v {
-            candidates.push((TransId::from_index(i), true, x.clone()));
-        }
-    }
-    if candidates.is_empty() {
+    // Candidates: every tracked RET, then every tracked RFT, each in
+    // transition order (all strictly positive here — a zero RET would
+    // have made the state a decision state, and zero RFTs are completed
+    // eagerly).
+    let clocks = state
+        .ret
+        .iter()
+        .map(|(t, x)| (*t, false, x))
+        .chain(state.rft.iter().map(|(t, x)| (*t, true, x)));
+    let exprs: Vec<D::Time> = clocks.clone().map(|(_, _, x)| x.clone()).collect();
+    if exprs.is_empty() {
         return Ok((None, None)); // terminal state
     }
-    let exprs: Vec<D::Time> = candidates.iter().map(|(_, _, x)| x.clone()).collect();
     let chosen = domain.min_index(&exprs, sid.index())?;
     let tmin = exprs[chosen].clone();
-    let resolution = (candidates.len() > 1).then(|| MinResolution {
+    let resolution = (exprs.len() > 1).then(|| MinResolution {
         state: sid,
-        candidates: candidates.clone(),
+        candidates: clocks
+            .clone()
+            .map(|(t, is_rft, x)| (t, is_rft, x.clone()))
+            .collect(),
         chosen,
     });
     // "Generate S' by subtracting Tmin from all non-zero RET and RFT."
-    let mut succ = state.clone();
+    let mut ret = Vec::with_capacity(state.ret.len());
+    let mut rft = Vec::with_capacity(state.rft.len());
     let mut completed = Vec::new();
-    for (t, is_rft, x) in &candidates {
-        let slot = if *is_rft {
-            &mut succ.rft[t.index()]
-        } else {
-            &mut succ.ret[t.index()]
-        };
+    for (t, is_rft, x) in clocks {
         if domain.time_eq(x, &tmin, sid.index())? {
-            if *is_rft {
+            if is_rft {
                 // "For all transitions whose RFT reaches 0, add tokens to
                 // output places" — applied below so newly enabled
                 // transitions see the complete marking.
-                *slot = None;
-                completed.push(*t);
+                completed.push(t);
             } else {
-                *slot = Some(domain.zero()); // became firable
+                ret.push((t, domain.zero())); // became firable
             }
+        } else if is_rft {
+            rft.push((t, domain.sub(x, &tmin)));
         } else {
-            *slot = Some(domain.sub(x, &tmin));
+            ret.push((t, domain.sub(x, &tmin)));
         }
     }
+    let mut marking = state.marking.clone();
     for &t in &completed {
-        succ.marking.add(net.transition(t).output());
+        marking.add(net.transition(t).output());
     }
-    refresh_enablement(net, domain, &mut succ)?;
+    let succ = TimedState {
+        ret: refresh_enablement(net, domain, &marking, &ret)?,
+        marking,
+        rft,
+    };
     let edge = Edge {
         from: sid,
         to: sid, // patched by the caller
@@ -755,25 +812,23 @@ fn elapse_successor<D: AnalysisDomain>(
 /// numbering exactly: the graph (state table, edges, min-resolutions,
 /// and any error) is byte-identical to the serial construction.
 ///
-/// The seen-set is sharded by state hash. Workers pre-resolve their
-/// successors against the frozen shards of previous levels without
-/// locks; the sequential merge only touches the shard a state hashes
-/// to, so its hash lookups stay cheap as the graph grows.
+/// Workers share the serial path's [`StateArena`] read-only: each
+/// hashes its successors and pre-resolves them against the states of
+/// previous levels without locks, and only the sequential merge adds
+/// states.
 #[cfg(feature = "parallel")]
 mod parallel {
-    use std::collections::HashMap;
-    use std::hash::{Hash, Hasher};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     use tpn_net::TimedPetriNet;
 
     use super::{
-        refresh_enablement, successors_of, AnalysisDomain, Edge, MinResolution, ReachError,
+        initial_state, successors_of, AnalysisDomain, Edge, MinResolution, ReachError, StateArena,
         StateId, TimedReachabilityGraph, TimedState, TrgOptions,
     };
 
     /// A successor produced by a worker: the edge label, the raw state,
-    /// its hash, and its id if it was already present in a frozen shard.
+    /// its hash, and its id if it was already present in the arena.
     type Candidate<D> = (
         Edge<D>,
         TimedState<<D as AnalysisDomain>::Time>,
@@ -790,56 +845,23 @@ mod parallel {
         ReachError,
     >;
 
-    /// The seen-set, sharded by state hash (shard count is a power of
-    /// two). Shards are read concurrently by workers and written only
-    /// by the sequential merge.
-    struct ShardedIndex<D: AnalysisDomain> {
-        shards: Vec<HashMap<TimedState<D::Time>, StateId>>,
-        mask: u64,
-    }
-
-    impl<D: AnalysisDomain> ShardedIndex<D> {
-        fn new(shard_count: usize) -> Self {
-            let n = shard_count.next_power_of_two();
-            ShardedIndex {
-                shards: (0..n).map(|_| HashMap::new()).collect(),
-                mask: n as u64 - 1,
-            }
-        }
-
-        fn hash_of(state: &TimedState<D::Time>) -> u64 {
-            let mut hasher = std::collections::hash_map::DefaultHasher::new();
-            state.hash(&mut hasher);
-            hasher.finish()
-        }
-
-        fn get(&self, hash: u64, state: &TimedState<D::Time>) -> Option<StateId> {
-            self.shards[(hash & self.mask) as usize].get(state).copied()
-        }
-
-        fn insert(&mut self, hash: u64, state: TimedState<D::Time>, id: StateId) {
-            self.shards[(hash & self.mask) as usize].insert(state, id);
-        }
-    }
-
     /// Expand every frontier state, in parallel when the frontier is
     /// wide enough to pay for the fan-out. Results are positionally
     /// aligned with `frontier`.
     fn expand_frontier<D: AnalysisDomain>(
         net: &TimedPetriNet,
         domain: &D,
-        states: &[TimedState<D::Time>],
-        index: &ShardedIndex<D>,
+        arena: &StateArena<D::Time>,
         frontier: &[StateId],
         threads: usize,
     ) -> Vec<Expansion<D>> {
         let expand_one = |&sid: &StateId| -> Expansion<D> {
-            let (succs, resolution) = successors_of(net, domain, &states[sid.index()], sid)?;
+            let (succs, resolution) = successors_of(net, domain, &arena.states[sid.index()], sid)?;
             let candidates = succs
                 .into_iter()
                 .map(|(edge, succ)| {
-                    let hash = ShardedIndex::<D>::hash_of(&succ);
-                    let pre = index.get(hash, &succ);
+                    let hash = arena.hash_of(&succ);
+                    let pre = arena.find(hash, &succ);
                     (edge, succ, hash, pre)
                 })
                 .collect();
@@ -897,23 +919,13 @@ mod parallel {
             threads > 1,
             "caller resolves single-worker builds to the serial path"
         );
-        let nt = net.num_transitions();
-        let mut initial = TimedState {
-            marking: net.initial_marking().clone(),
-            ret: vec![None; nt],
-            rft: vec![None; nt],
-        };
-        refresh_enablement(net, domain, &mut initial)?;
-
-        let mut states: Vec<TimedState<D::Time>> = vec![initial.clone()];
+        let mut arena = StateArena::new(initial_state(net, domain)?);
         let mut edges: Vec<Vec<Edge<D>>> = vec![Vec::new()];
-        let mut index: ShardedIndex<D> = ShardedIndex::new(4 * threads);
-        index.insert(ShardedIndex::<D>::hash_of(&initial), initial, StateId(0));
         let mut min_resolutions = Vec::new();
         let mut frontier = vec![StateId(0)];
 
         while !frontier.is_empty() {
-            let expansions = expand_frontier(net, domain, &states, &index, &frontier, threads);
+            let expansions = expand_frontier(net, domain, &arena, &frontier, threads);
             // Deterministic merge: walk expansions in frontier order and
             // number new states exactly as the serial FIFO queue would.
             let mut next_frontier = Vec::new();
@@ -921,21 +933,14 @@ mod parallel {
                 let (candidates, resolution) = expansion?;
                 min_resolutions.extend(resolution);
                 for (mut edge, succ, hash, pre) in candidates {
-                    // A pre-resolved hit is still valid — shards only
-                    // grow — but a miss must be re-checked against the
+                    // A pre-resolved hit is still valid — the arena only
+                    // grows — but a miss must be re-checked against the
                     // states merged earlier in this level.
-                    let to = match pre.or_else(|| index.get(hash, &succ)) {
+                    let to = match pre.or_else(|| arena.find(hash, &succ)) {
                         Some(id) => id,
                         None => {
-                            if states.len() >= opts.max_states {
-                                return Err(ReachError::StateLimitExceeded {
-                                    limit: opts.max_states,
-                                });
-                            }
-                            let id = StateId(states.len() as u32);
-                            states.push(succ.clone());
+                            let id = arena.push(hash, succ, opts.max_states)?;
                             edges.push(Vec::new());
-                            index.insert(hash, succ, id);
                             next_frontier.push(id);
                             id
                         }
@@ -949,7 +954,7 @@ mod parallel {
         }
 
         Ok(TimedReachabilityGraph {
-            states,
+            states: arena.states,
             edges,
             min_resolutions,
         })
@@ -958,23 +963,28 @@ mod parallel {
 
 /// Restore the RET invariant after a marking change: newly enabled
 /// transitions start their enabling clock at `E(t)`; disabled ones are
-/// cleared ("reset its RET to 0"); continuously enabled ones keep their
-/// remaining time.
+/// dropped ("reset its RET to 0"); continuously enabled ones keep their
+/// remaining time. `ret` is the sorted RET list before the change; the
+/// result is the RET list for `marking`, again in transition order.
 fn refresh_enablement<D: AnalysisDomain>(
     net: &TimedPetriNet,
     domain: &D,
-    state: &mut TimedState<D::Time>,
-) -> Result<(), ReachError> {
+    marking: &Marking,
+    ret: &[(TransId, D::Time)],
+) -> Result<Vec<(TransId, D::Time)>, ReachError> {
+    let mut before = ret.iter().peekable();
+    let mut out = Vec::with_capacity(ret.len() + 1);
     for t in net.transitions() {
-        let covered = state.marking.covers(net.transition(t).input());
-        let slot = &mut state.ret[t.index()];
-        match (covered, slot.is_some()) {
-            (true, false) => *slot = Some(domain.enabling_time(net, t)?),
-            (false, true) => *slot = None,
-            _ => {}
+        let kept = before.next_if(|(u, _)| *u == t);
+        if marking.covers(net.transition(t).input()) {
+            let clock = match kept {
+                Some((_, x)) => x.clone(),
+                None => domain.enabling_time(net, t)?,
+            };
+            out.push((t, clock));
         }
     }
-    Ok(())
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -1407,6 +1417,106 @@ mod tests {
         assert!(trg
             .map::<NumericDomain, _, _>(|t| t.eval(&empty), |p| p.eval(&empty))
             .is_none());
+    }
+
+    #[test]
+    fn template_patches_sparse_slots_behind_other_live_clocks() {
+        use crate::LiftedDomain;
+        use tpn_net::symbols;
+        use tpn_symbolic::Assignment;
+
+        // Two rings. Ring `a` is declared first with constant times, so
+        // whenever both rings hold a live clock, ring `b`'s symbolic
+        // E(b1)/F(b1) clocks sit behind `a`'s in the sparse lists.
+        let mut b = NetBuilder::new("rings");
+        let pa = b.place("pa", 1);
+        let qa = b.place("qa", 0);
+        let pb = b.place("pb", 1);
+        let qb = b.place("qb", 0);
+        b.transition("a1")
+            .input(pa)
+            .output(qa)
+            .enabling_const(1)
+            .firing_const(2)
+            .add();
+        b.transition("a2")
+            .input(qa)
+            .output(pa)
+            .firing_const(2)
+            .add();
+        b.transition("b1")
+            .input(pb)
+            .output(qb)
+            .enabling_const(2)
+            .firing_const(5)
+            .add();
+        b.transition("b2")
+            .input(qb)
+            .output(pb)
+            .firing_const(3)
+            .add();
+        let net = b.build().unwrap();
+        let (e, f) = (symbols::enabling("b1"), symbols::firing("b1"));
+        let lifted = LiftedDomain::new(&net, &[e, f]).unwrap();
+        let trg = build_trg(&net, &lifted, &TrgOptions::default()).unwrap();
+        let base = lifted.base();
+        let template: TrgTemplate<LiftedDomain, NumericDomain> = trg
+            .template(
+                |t| t.eval(base),
+                |p| p.eval(base),
+                |t| !t.is_constant(),
+                |p| !p.symbols().is_empty(),
+            )
+            .unwrap();
+        // The premise: some dependent RET and RFT clock is not the first
+        // live entry of its list.
+        let behind = |want_rft: bool| {
+            template.times.iter().any(|(loc, _)| match *loc {
+                TimeLoc::Ret { slot, .. } => !want_rft && slot > 0,
+                TimeLoc::Rft { slot, .. } => want_rft && slot > 0,
+                _ => false,
+            })
+        };
+        assert!(behind(false), "no dependent RET behind another clock");
+        assert!(behind(true), "no dependent RFT behind another clock");
+
+        // The rings realign every 10 time units, which pins E+F = 7;
+        // move the split between the two clocks.
+        let point = Assignment::new()
+            .with(e, Rational::new(5, 2))
+            .with(f, Rational::new(9, 2));
+        lifted.check_point(&point).unwrap();
+        let mapped: TimedReachabilityGraph<NumericDomain> =
+            trg.map(|t| t.eval(&point), |p| p.eval(&point)).unwrap();
+        let instantiated = template
+            .instantiate(|t| t.eval(&point), |p| p.eval(&point))
+            .unwrap();
+        assert_eq!(instantiated.num_states(), mapped.num_states());
+        for id in mapped.state_ids() {
+            assert_eq!(instantiated.state(id), mapped.state(id), "{id}");
+        }
+        assert_eq!(instantiated.to_dot(&net), mapped.to_dot(&net));
+        assert_eq!(
+            instantiated.min_resolutions().len(),
+            mapped.min_resolutions().len()
+        );
+        for (a, b) in instantiated
+            .min_resolutions()
+            .iter()
+            .zip(mapped.min_resolutions())
+        {
+            assert_eq!(
+                (a.state, &a.candidates, a.chosen),
+                (b.state, &b.candidates, b.chosen)
+            );
+        }
+        // And the patched values really moved off the base point.
+        let at_base: TimedReachabilityGraph<NumericDomain> =
+            trg.map(|t| t.eval(base), |p| p.eval(base)).unwrap();
+        assert_ne!(
+            at_base.describe_states(&net),
+            instantiated.describe_states(&net)
+        );
     }
 
     #[test]

@@ -19,6 +19,13 @@
 //! * otherwise the unique successor is obtained by letting the minimum
 //!   non-zero RET/RFT elapse, completing any firings that reach zero.
 //!
+//! The model is the paper's, stored compactly: a [`TimedState`] keeps
+//! RET and RFT as sparse lists sorted by transition, one entry per
+//! enabled or firing transition, rather than one slot per transition
+//! of the net. [`build_trg`] stores each discovered state once, in an
+//! arena numbered by [`StateId`], and finds repeats through a hash
+//! index over that arena.
+//!
 //! The construction is generic over an [`AnalysisDomain`]:
 //! [`NumericDomain`] implements Section 2 (all times known a priori —
 //! Zuberek's method), and [`SymbolicDomain`] implements Section 3, where

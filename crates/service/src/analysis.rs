@@ -196,8 +196,8 @@ pub fn run_with_session(session: &Session, kind: RequestKind) -> Result<String, 
         RequestKind::Analyze => analyze_json(session),
         RequestKind::Graph => graph_json(session),
         RequestKind::Correctness => correctness_json(session),
-        RequestKind::Invariants => Ok(invariants_json(session.net())),
-        RequestKind::Simulate { events, seed } => simulate_json(session.net(), events, seed),
+        RequestKind::Invariants => Ok(invariants_json(session)),
+        RequestKind::Simulate { events, seed } => simulate_json(session, events, seed),
         // Sweeps and optimizations need their full spec, which only the
         // hash of travels in the kind; Service::respond_sweep and
         // Service::respond_optimize are the entry points.
@@ -218,14 +218,14 @@ fn err(e: impl fmt::Display) -> ServiceError {
 }
 
 /// Common document header: kind, net name, content digest.
-fn header(w: &mut JsonWriter, net: &TimedPetriNet, kind: RequestKind) {
+fn header(w: &mut JsonWriter, session: &Session, kind: RequestKind) {
     w.begin_object();
     w.key("kind");
     w.string(kind.name());
     w.key("net");
-    w.string(net.name());
+    w.string(session.net().name());
     w.key("digest");
-    w.string(&net.digest().to_hex());
+    w.string(&session.digest().to_hex());
 }
 
 fn analyze_json(session: &Session) -> Result<String, ServiceError> {
@@ -235,7 +235,7 @@ fn analyze_json(session: &Session) -> Result<String, ServiceError> {
     let perf = session.performance().map_err(err)?;
 
     let mut w = JsonWriter::new();
-    header(&mut w, net, RequestKind::Analyze);
+    header(&mut w, session, RequestKind::Analyze);
     w.key("states");
     w.uint(trg.num_states() as u64);
     w.key("decision_nodes");
@@ -291,7 +291,7 @@ fn graph_json(session: &Session) -> Result<String, ServiceError> {
     let net = session.net();
     let trg = session.trg().map_err(err)?;
     let mut w = JsonWriter::new();
-    header(&mut w, net, RequestKind::Graph);
+    header(&mut w, session, RequestKind::Graph);
     w.key("states");
     w.uint(trg.num_states() as u64);
     w.key("edges");
@@ -326,7 +326,7 @@ fn correctness_json(session: &Session) -> Result<String, ServiceError> {
     let trg = session.trg().map_err(err)?;
     let report = tpn_reach::analyze(&trg, net);
     let mut w = JsonWriter::new();
-    header(&mut w, net, RequestKind::Correctness);
+    header(&mut w, session, RequestKind::Correctness);
     w.key("deadlock_free");
     w.bool(report.deadlocks.is_empty());
     w.key("deadlocks");
@@ -353,9 +353,10 @@ fn correctness_json(session: &Session) -> Result<String, ServiceError> {
     Ok(w.finish())
 }
 
-fn invariants_json(net: &TimedPetriNet) -> String {
+fn invariants_json(session: &Session) -> String {
+    let net = session.net();
     let mut w = JsonWriter::new();
-    header(&mut w, net, RequestKind::Invariants);
+    header(&mut w, session, RequestKind::Invariants);
     w.key("p_semiflows");
     w.begin_array();
     for f in invariant::p_semiflows(net) {
@@ -392,7 +393,8 @@ fn invariants_json(net: &TimedPetriNet) -> String {
     w.finish()
 }
 
-fn simulate_json(net: &TimedPetriNet, events: u64, seed: u64) -> Result<String, ServiceError> {
+fn simulate_json(session: &Session, events: u64, seed: u64) -> Result<String, ServiceError> {
+    let net = session.net();
     let stats = simulate(
         net,
         &SimOptions {
@@ -403,7 +405,7 @@ fn simulate_json(net: &TimedPetriNet, events: u64, seed: u64) -> Result<String, 
     )
     .map_err(err)?;
     let mut w = JsonWriter::new();
-    header(&mut w, net, RequestKind::Simulate { events, seed });
+    header(&mut w, session, RequestKind::Simulate { events, seed });
     w.key("events");
     w.uint(stats.events());
     w.key("seed");

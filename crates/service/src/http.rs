@@ -557,7 +557,7 @@ impl Service {
         kind: RequestKind,
     ) -> Result<Arc<String>, ServiceError> {
         let key = CacheKey {
-            digest: session.net().digest(),
+            digest: session.digest(),
             kind,
         };
         self.cache
@@ -595,7 +595,7 @@ impl Service {
         let spec_hash = spec.hash();
         metrics::annotate_spec(spec_hash);
         let key = CacheKey {
-            digest: session.net().digest(),
+            digest: session.digest(),
             kind: RequestKind::Sweep { spec: spec_hash },
         };
         let computed = AtomicBool::new(false);
@@ -647,7 +647,7 @@ impl Service {
         let spec_hash = spec.hash();
         metrics::annotate_spec(spec_hash);
         let key = CacheKey {
-            digest: session.net().digest(),
+            digest: session.digest(),
             kind: RequestKind::Optimize { spec: spec_hash },
         };
         let computed = AtomicBool::new(false);
@@ -716,7 +716,7 @@ impl Service {
         w.key("structural_digest");
         w.string(&structural.to_hex());
         w.key("base_digest");
-        w.string(&base.digest().to_hex());
+        w.string(&session.digest().to_hex());
         w.key("requests");
         w.begin_array();
         for r in &spec.requests {
@@ -798,7 +798,7 @@ impl Service {
                     RetimeError::Pipeline(e) => ServiceError::Analysis(e.to_string()),
                 })?;
                 self.whatif_retimes.fetch_add(1, Ordering::Relaxed);
-                Ok::<_, ServiceError>(retimed)
+                Ok::<_, ServiceError>(retimed.with_digest(digest))
             })?;
             let mut w = JsonWriter::new();
             w.begin_object();
@@ -879,7 +879,7 @@ impl Service {
         w.key("net");
         w.string(session.net().name());
         w.key("digest");
-        w.string(&session.net().digest().to_hex());
+        w.string(&session.digest().to_hex());
         w.key("results");
         w.begin_array();
         for request in &requests {

@@ -319,7 +319,7 @@ pub fn optimize_json(
     w.key("net");
     w.string(net.name());
     w.key("digest");
-    w.string(&net.digest().to_hex());
+    w.string(&session.digest().to_hex());
     w.key("spec_hash");
     w.string(&format!("{:032x}", spec_hash(&spec.canonical())));
     w.key("target");

@@ -89,11 +89,10 @@ impl SessionCache {
         // it. A "session" span in a trace means a session was built.
         let _span = tpn_obs::trace::span("session");
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let session = Arc::new(Session::with_counters(
-            net,
-            self.options.clone(),
-            Arc::clone(&self.counters),
-        ));
+        let session = Arc::new(
+            Session::with_counters(net, self.options.clone(), Arc::clone(&self.counters))
+                .with_digest(digest),
+        );
         map.insert(
             digest,
             Slot {

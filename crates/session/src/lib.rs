@@ -62,7 +62,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use tpn_core::{solve_rates, DecisionGraph, ExprTarget, Performance, Rates};
 use tpn_eval::Compiled;
-use tpn_net::{symbols, Frequency, TimedPetriNet, TimingAssignment};
+use tpn_net::{symbols, Frequency, NetDigest, TimedPetriNet, TimingAssignment};
 use tpn_rational::Rational;
 use tpn_reach::{build_trg, LiftedDomain, NumericDomain, TimedReachabilityGraph, TrgTemplate};
 use tpn_symbolic::{RatFn, Symbol};
@@ -202,6 +202,9 @@ impl<K: Clone + Eq + std::hash::Hash, T> ShapeMap<K, T> {
 /// every consumer of the same net.
 pub struct Session {
     net: Arc<TimedPetriNet>,
+    /// `net.digest()`, computed at most once per session (or seeded by
+    /// a caller that already knows it, see [`Session::with_digest`]).
+    digest: OnceLock<NetDigest>,
     options: SessionOptions,
     counters: Arc<StageCounters>,
     domain: NumericDomain,
@@ -266,6 +269,7 @@ impl Session {
     ) -> Session {
         Session {
             net: Arc::new(net),
+            digest: OnceLock::new(),
             options,
             counters,
             domain: NumericDomain::new(),
@@ -281,6 +285,23 @@ impl Session {
     /// The net this session derives from.
     pub fn net(&self) -> &TimedPetriNet {
         &self.net
+    }
+
+    /// The net's content digest, [`TimedPetriNet::digest`], memoized:
+    /// every consumer that keys or renders by digest reads this instead
+    /// of re-hashing the net.
+    pub fn digest(&self) -> NetDigest {
+        *self.digest.get_or_init(|| self.net.digest())
+    }
+
+    /// Seed the memoized [`Session::digest`] with a digest the caller
+    /// has already computed for this session's net (the daemon's
+    /// session cache is keyed by it), so the session never hashes the
+    /// net again.
+    pub fn with_digest(self, digest: NetDigest) -> Session {
+        debug_assert_eq!(digest, self.net.digest(), "seeded digest must be the net's");
+        let _ = self.digest.set(digest);
+        self
     }
 
     /// The net as a shareable handle.
@@ -645,6 +666,17 @@ mod tests {
         // demand of the evicted key gets a new, unresolved cell
         assert!(m.cell(&2).get().is_none());
         drop(kept);
+    }
+
+    #[test]
+    fn digest_is_memoized_or_seeded() {
+        let s = session();
+        let digest = s.net().digest();
+        assert_eq!(s.digest(), digest);
+        assert_eq!(s.digest(), digest);
+        let seeded = Session::new(s.net().clone(), SessionOptions::new()).with_digest(digest);
+        assert_eq!(seeded.digest.get(), Some(&digest));
+        assert_eq!(seeded.digest(), digest);
     }
 
     #[test]
