@@ -3,12 +3,12 @@
 //!
 //! The sampler (a thread [`spawn`](crate::spawn) runs every
 //! `sample_interval_ms`, or [`Service::sample_now`](crate::Service)
-//! directly) collects one [`Frame`] per tick — every monotone `/stats`
-//! counter, per-endpoint 5xx counters and duration histograms, cache
-//! and `/proc/self` gauges — into a [`SeriesRing`]. Everything
-//! temporal is derived at read time from frame deltas: req/s,
-//! error-ratio, cache-hit-ratio and windowed latency quantiles for
-//! any trailing window the retention covers.
+//! directly) collects one [`Frame`] per tick — every counter of the
+//! `metrics::COUNTERS` registry, per-endpoint 5xx counters and
+//! duration histograms, cache and `/proc/self` gauges — into a
+//! [`SeriesRing`]. Everything temporal is derived at read time from
+//! frame deltas: req/s, error-ratio, cache-hit-ratio and windowed
+//! latency quantiles for any trailing window the retention covers.
 //!
 //! `/metrics/history` renders compact JSON columns: one array entry
 //! per retained interval, aligned across all arrays, `null` where an
@@ -18,36 +18,7 @@ use tpn_obs::series::{Frame, SeriesRing, SeriesSchema};
 
 use crate::analysis::ServiceError;
 use crate::json::JsonWriter;
-use crate::metrics::{ServiceMetrics, StatsSnapshot, ENDPOINTS};
-
-/// The monotone service-wide counters each frame carries, in column
-/// order. Gauge-like `/stats` numbers (entries, bytes, sessions) are
-/// gauge columns instead.
-pub(crate) const SERVICE_COUNTERS: [&str; 23] = [
-    "requests",
-    "computations",
-    "hits",
-    "misses",
-    "coalesced",
-    "evictions",
-    "sweeps",
-    "sweep_hits",
-    "sweep_compiles",
-    "sweep_points",
-    "optimizes",
-    "optimize_hits",
-    "optimize_solves",
-    "optimize_certified",
-    "whatifs",
-    "whatif_perturbations",
-    "whatif_hits",
-    "whatif_retimes",
-    "whatif_rejects",
-    "v1_envelopes",
-    "session_hits",
-    "session_misses",
-    "session_evictions",
-];
+use crate::metrics::{self, ServiceMetrics, StatsSnapshot, COUNTERS, ENDPOINTS};
 
 /// The gauge columns, in order: cache sizing, session count, then the
 /// `/proc/self` process gauges.
@@ -60,10 +31,10 @@ pub(crate) const GAUGES: [&str; 6] = [
     "os_threads",
 ];
 
-// Service-counter column indices the SLO engine and renderer read.
-pub(crate) const COL_REQUESTS: usize = 0;
-pub(crate) const COL_HITS: usize = 2;
-pub(crate) const COL_MISSES: usize = 3;
+// Counter column indices the renderer reads.
+pub(crate) const COL_REQUESTS: usize = metrics::column("requests");
+pub(crate) const COL_HITS: usize = metrics::column("hits");
+pub(crate) const COL_MISSES: usize = metrics::column("misses");
 
 // Gauge column indices.
 pub(crate) const GAUGE_RSS: usize = 3;
@@ -73,7 +44,7 @@ pub(crate) const GAUGE_THREADS: usize = 5;
 /// Counter column of one endpoint's 5xx responses (the error
 /// dimension of its SLO window).
 pub(crate) fn endpoint_error_col(endpoint: usize) -> usize {
-    SERVICE_COUNTERS.len() + endpoint
+    COUNTERS.len() + endpoint
 }
 
 /// Histogram column of one endpoint's request durations.
@@ -83,7 +54,7 @@ pub(crate) fn endpoint_hist_col(endpoint: usize) -> usize {
 
 /// The frame layout every service ring uses.
 pub(crate) fn schema() -> SeriesSchema {
-    let mut counters: Vec<String> = SERVICE_COUNTERS.iter().map(|s| s.to_string()).collect();
+    let mut counters: Vec<String> = COUNTERS.iter().map(|c| c.name.to_string()).collect();
     counters.extend(ENDPOINTS.iter().map(|e| format!("err.{}", e.name())));
     SeriesSchema {
         counters,
@@ -100,32 +71,7 @@ pub(crate) fn collect_frame(
     unix_ms: u64,
 ) -> Frame {
     let proc = tpn_obs::procinfo::sample();
-    let mut counters = vec![
-        stats.requests,
-        stats.computations,
-        stats.hits,
-        stats.misses,
-        stats.coalesced,
-        stats.evictions,
-        stats.sweeps,
-        stats.sweep_hits,
-        stats.sweep_compiles,
-        stats.sweep_points,
-        stats.optimizes,
-        stats.optimize_hits,
-        stats.optimize_solves,
-        stats.optimize_certified,
-        stats.whatifs,
-        stats.whatif_perturbations,
-        stats.whatif_hits,
-        stats.whatif_retimes,
-        stats.whatif_rejects,
-        stats.v1_envelopes,
-        stats.session_hits,
-        stats.session_misses,
-        stats.session_evictions,
-    ];
-    debug_assert_eq!(counters.len(), SERVICE_COUNTERS.len());
+    let mut counters = stats.counters.to_vec();
     for (i, _) in ENDPOINTS.iter().enumerate() {
         counters.push(metrics.errors_5xx(i));
     }
@@ -399,12 +345,10 @@ mod tests {
     }
 
     fn frame_at(metrics: &ServiceMetrics, requests: u64, ts: u64) -> Frame {
-        let stats = StatsSnapshot {
-            requests,
-            hits: requests / 2,
-            misses: requests - requests / 2,
-            ..StatsSnapshot::default()
-        };
+        let mut stats = StatsSnapshot::default();
+        stats.counters[COL_REQUESTS] = requests;
+        stats.counters[COL_HITS] = requests / 2;
+        stats.counters[COL_MISSES] = requests - requests / 2;
         collect_frame(metrics, &stats, ts)
     }
 

@@ -66,7 +66,8 @@ use crate::executor::ThreadPool;
 use crate::history;
 use crate::json::{error_body, error_object, JsonWriter};
 use crate::metrics::{
-    self, ConnStats, Endpoint, RequestTrace, ServiceMetrics, SlowTrace, StatsSnapshot, ENDPOINTS,
+    self, ConnStats, Counter, CounterDef, Endpoint, RequestTrace, ServiceMetrics, SlowTrace,
+    Source, StatsSnapshot, COUNTERS, ENDPOINTS,
 };
 use crate::sessions::SessionCache;
 use crate::slo::{self, SloConfig};
@@ -269,21 +270,8 @@ pub struct Service {
     cache: AnalysisCache,
     sessions: SessionCache,
     config: ServiceConfig,
-    requests: AtomicU64,
-    v1_envelopes: AtomicU64,
-    sweeps: AtomicU64,
-    sweep_hits: AtomicU64,
-    sweep_compiles: AtomicU64,
-    sweep_points: AtomicU64,
-    optimizes: AtomicU64,
-    optimize_hits: AtomicU64,
-    optimize_solves: AtomicU64,
-    optimize_certified: AtomicU64,
-    whatifs: AtomicU64,
-    whatif_perturbations: AtomicU64,
-    whatif_hits: AtomicU64,
-    whatif_retimes: AtomicU64,
-    whatif_rejects: AtomicU64,
+    /// The service-owned counters, indexed by [`Counter`].
+    counters: [AtomicU64; metrics::OWNED],
     metrics: ServiceMetrics,
     log: Option<RequestLog>,
     started: Instant,
@@ -364,21 +352,7 @@ impl Service {
             cache: AnalysisCache::new(&config.cache),
             sessions: SessionCache::new(config.max_sessions, config.session_options()),
             config,
-            requests: AtomicU64::new(0),
-            v1_envelopes: AtomicU64::new(0),
-            sweeps: AtomicU64::new(0),
-            sweep_hits: AtomicU64::new(0),
-            sweep_compiles: AtomicU64::new(0),
-            sweep_points: AtomicU64::new(0),
-            optimizes: AtomicU64::new(0),
-            optimize_hits: AtomicU64::new(0),
-            optimize_solves: AtomicU64::new(0),
-            optimize_certified: AtomicU64::new(0),
-            whatifs: AtomicU64::new(0),
-            whatif_perturbations: AtomicU64::new(0),
-            whatif_hits: AtomicU64::new(0),
-            whatif_retimes: AtomicU64::new(0),
-            whatif_rejects: AtomicU64::new(0),
+            counters: std::array::from_fn(|_| AtomicU64::new(0)),
             metrics,
             log,
             started: Instant::now(),
@@ -430,6 +404,9 @@ impl Service {
     /// doubles as the nested-observation guard, so every request is
     /// counted exactly once.
     ///
+    /// A panic inside `f` becomes a 500 `{"code":"internal",…}` reply
+    /// here, on every path, so both listeners answer it alike.
+    ///
     /// No root span is stored at all: the [`RequestTrace`] header
     /// (endpoint, status, duration) *is* the root measurement, taken
     /// with the two clock reads this wrapper needs anyway, and the
@@ -440,14 +417,23 @@ impl Service {
         endpoint: Endpoint,
         f: impl FnOnce() -> (u16, Arc<String>),
     ) -> (u16, Arc<String>) {
-        if !self.metrics.enabled() {
-            return f();
-        }
-        let start_ns = tpn_obs::clock::now_ns();
-        if !tpn_obs::trace::begin_rooted(start_ns) {
-            return f();
-        }
-        let (status, body) = f();
+        let rooted = self
+            .metrics
+            .enabled()
+            .then(tpn_obs::clock::now_ns)
+            .filter(|&start_ns| tpn_obs::trace::begin_rooted(start_ns));
+        // A panicking request must still answer its client and close
+        // its trace: the epoll listener would otherwise wait forever
+        // for the completion, and this worker's collector would stay
+        // active, passing every later request through uncounted.
+        let (status, body) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .unwrap_or_else(|_| {
+                let message = "the request handler panicked";
+                (500, Arc::new(error_object("internal", message)))
+            });
+        let Some(start_ns) = rooted else {
+            return (status, body);
+        };
         let end_ns = tpn_obs::clock::now_ns();
         let duration_ns = end_ns.saturating_sub(start_ns);
         self.metrics.record(endpoint, status, duration_ns);
@@ -484,6 +470,11 @@ impl Service {
         (status, body)
     }
 
+    /// Add `n` to one service-owned counter.
+    fn bump(&self, counter: Counter, n: u64) {
+        self.counters[counter as usize].fetch_add(n, Ordering::Relaxed);
+    }
+
     /// Parse a `.tpn` body and resolve its shared [`Session`].
     fn parse_session(&self, body: &str) -> Result<Arc<Session>, ServiceError> {
         let net = {
@@ -512,7 +503,7 @@ impl Service {
     /// out the cached `Arc` so the hot path never clones the body.
     pub fn respond(&self, kind: RequestKind, body: &str) -> (u16, Arc<String>) {
         self.observed(Endpoint::of_kind(kind), || {
-            self.requests.fetch_add(1, Ordering::Relaxed);
+            self.bump(Counter::Requests, 1);
             legacy_reply(
                 self.parse_session(body)
                     .and_then(|session| self.analysis_cached(&session, kind)),
@@ -527,8 +518,7 @@ impl Service {
     /// body for every kind (exactly what per-kind [`Service::respond`]
     /// calls would have produced).
     pub fn respond_many(&self, kinds: &[RequestKind], body: &str) -> Vec<(u16, Arc<String>)> {
-        self.requests
-            .fetch_add(kinds.len() as u64, Ordering::Relaxed);
+        self.bump(Counter::Requests, kinds.len() as u64);
         match self.parse_session(body) {
             Ok(session) => kinds
                 .iter()
@@ -573,8 +563,8 @@ impl Service {
         use crate::sweep::SweepSpec;
 
         self.observed(Endpoint::Sweep, || {
-            self.requests.fetch_add(1, Ordering::Relaxed);
-            self.sweeps.fetch_add(1, Ordering::Relaxed);
+            self.bump(Counter::Requests, 1);
+            self.bump(Counter::Sweeps, 1);
             legacy_reply(
                 parse_spec_body(body, SweepSpec::from_json)
                     .and_then(|(net, spec)| self.sweep_cached(&self.session_for(net), &spec)),
@@ -602,8 +592,8 @@ impl Service {
         let result = self.cache.get_or_compute(key, || {
             computed.store(true, Ordering::Relaxed);
             let (body, points) = sweep_json(session, spec)?;
-            self.sweep_compiles.fetch_add(1, Ordering::Relaxed);
-            self.sweep_points.fetch_add(points, Ordering::Relaxed);
+            self.bump(Counter::SweepCompiles, 1);
+            self.bump(Counter::SweepPoints, points);
             Ok(body)
         });
         if result.is_ok() && !computed.load(Ordering::Relaxed) {
@@ -612,7 +602,7 @@ impl Service {
             // this request. Errors are deliberately not counted: a
             // follower coalesced onto a failing leader got a 4xx, not a
             // hit.
-            self.sweep_hits.fetch_add(1, Ordering::Relaxed);
+            self.bump(Counter::SweepHits, 1);
         }
         result
     }
@@ -626,8 +616,8 @@ impl Service {
         use crate::optimize::OptimizeSpec;
 
         self.observed(Endpoint::Optimize, || {
-            self.requests.fetch_add(1, Ordering::Relaxed);
-            self.optimizes.fetch_add(1, Ordering::Relaxed);
+            self.bump(Counter::Requests, 1);
+            self.bump(Counter::Optimizes, 1);
             legacy_reply(
                 parse_spec_body(body, OptimizeSpec::from_json)
                     .and_then(|(net, spec)| self.optimize_cached(&self.session_for(net), &spec)),
@@ -654,16 +644,16 @@ impl Service {
         let result = self.cache.get_or_compute(key, || {
             computed.store(true, Ordering::Relaxed);
             let (body, certified) = optimize_json(session, spec)?;
-            self.optimize_solves.fetch_add(1, Ordering::Relaxed);
+            self.bump(Counter::OptimizeSolves, 1);
             if certified {
-                self.optimize_certified.fetch_add(1, Ordering::Relaxed);
+                self.bump(Counter::OptimizeCertified, 1);
             }
             Ok(body)
         });
         if result.is_ok() && !computed.load(Ordering::Relaxed) {
             // See sweep_cached: cache hit or successful coalescing,
             // never an error follower.
-            self.optimize_hits.fetch_add(1, Ordering::Relaxed);
+            self.bump(Counter::OptimizeHits, 1);
         }
         result
     }
@@ -674,8 +664,8 @@ impl Service {
     /// `{"code": …, "message": …}` object.
     pub fn respond_whatif(&self, body: &str) -> (u16, Arc<String>) {
         self.observed(Endpoint::Whatif, || {
-            self.requests.fetch_add(1, Ordering::Relaxed);
-            self.whatifs.fetch_add(1, Ordering::Relaxed);
+            self.bump(Counter::Requests, 1);
+            self.bump(Counter::Whatifs, 1);
             match parse_spec_body(body, WhatifSpec::from_json) {
                 Ok((net, spec)) => (200, self.whatif_cached(&self.session_for(net), &spec)),
                 Err(e) => (e.status(), Arc::new(error_object(e.code(), e.message()))),
@@ -688,8 +678,8 @@ impl Service {
     /// byte-identical to the HTTP endpoint's.
     pub fn respond_whatif_spec(&self, net: TimedPetriNet, spec: &WhatifSpec) -> Arc<String> {
         let (_, body) = self.observed(Endpoint::Whatif, || {
-            self.requests.fetch_add(1, Ordering::Relaxed);
-            self.whatifs.fetch_add(1, Ordering::Relaxed);
+            self.bump(Counter::Requests, 1);
+            self.bump(Counter::Whatifs, 1);
             (200, self.whatif_cached(&self.session_for(net), spec))
         });
         body
@@ -726,7 +716,7 @@ impl Service {
         w.key("perturbations");
         w.begin_array();
         for delta in &spec.perturbations {
-            self.whatif_perturbations.fetch_add(1, Ordering::Relaxed);
+            self.bump(Counter::WhatifPerturbations, 1);
             w.begin_object();
             w.key("perturbation");
             w.begin_object();
@@ -743,7 +733,7 @@ impl Service {
                     w.raw(&body);
                 }
                 Err(e) => {
-                    self.whatif_rejects.fetch_add(1, Ordering::Relaxed);
+                    self.bump(Counter::WhatifRejects, 1);
                     w.key("status");
                     w.uint(u64::from(e.status()));
                     w.key("error");
@@ -797,7 +787,7 @@ impl Service {
                     RetimeError::OutOfRegion(m) => ServiceError::OutOfRegion(m),
                     RetimeError::Pipeline(e) => ServiceError::Analysis(e.to_string()),
                 })?;
-                self.whatif_retimes.fetch_add(1, Ordering::Relaxed);
+                self.bump(Counter::WhatifRetimes, 1);
                 Ok::<_, ServiceError>(retimed.with_digest(digest))
             })?;
             let mut w = JsonWriter::new();
@@ -826,7 +816,7 @@ impl Service {
         if result.is_ok() && !computed.load(Ordering::Relaxed) {
             // See sweep_cached: cache hit or successful coalescing,
             // never an error follower.
-            self.whatif_hits.fetch_add(1, Ordering::Relaxed);
+            self.bump(Counter::WhatifHits, 1);
         }
         result
     }
@@ -848,8 +838,8 @@ impl Service {
     /// (every sub-request's pipeline work; the final render necessarily
     /// falls outside its own recording).
     fn v1_reply(&self, body: &str) -> (u16, Arc<String>) {
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        self.v1_envelopes.fetch_add(1, Ordering::Relaxed);
+        self.bump(Counter::Requests, 1);
+        self.bump(Counter::V1Envelopes, 1);
         let fail = |e: ServiceError| (e.status(), Arc::new(error_object(e.code(), e.message())));
         let (net_text, requests, trace) = {
             let _span = tpn_obs::trace::span("parse");
@@ -862,8 +852,7 @@ impl Service {
         // envelope of N sub-requests reports like N legacy calls would
         // (the entry tick above covered the first; a malformed envelope
         // stays a single request).
-        self.requests
-            .fetch_add(requests.len() as u64 - 1, Ordering::Relaxed);
+        self.bump(Counter::Requests, requests.len() as u64 - 1);
         let net = {
             let _span = tpn_obs::trace::span("parse");
             match parse_tpn(&net_text) {
@@ -886,15 +875,15 @@ impl Service {
             let result = match request {
                 V1Request::Analysis(kind) => self.analysis_cached(&session, *kind),
                 V1Request::Sweep(spec) => {
-                    self.sweeps.fetch_add(1, Ordering::Relaxed);
+                    self.bump(Counter::Sweeps, 1);
                     self.sweep_cached(&session, spec)
                 }
                 V1Request::Optimize(spec) => {
-                    self.optimizes.fetch_add(1, Ordering::Relaxed);
+                    self.bump(Counter::Optimizes, 1);
                     self.optimize_cached(&session, spec)
                 }
                 V1Request::Whatif(spec) => {
-                    self.whatifs.fetch_add(1, Ordering::Relaxed);
+                    self.bump(Counter::Whatifs, 1);
                     Ok(self.whatif_cached(&session, spec))
                 }
             };
@@ -922,66 +911,38 @@ impl Service {
 
     /// The `/stats` document: request/cache counters plus pool sizing.
     pub fn stats_json(&self) -> String {
-        let s = self.cache.stats();
+        let stats = self.stats_snapshot();
+        let rows: Vec<_> = COUNTERS.iter().zip(stats.counters).collect();
+        let write_rows = |w: &mut JsonWriter, rows: &[(&CounterDef, u64)], prefix: &str| {
+            for (row, value) in rows {
+                w.key(row.name.strip_prefix(prefix).unwrap_or(row.name));
+                w.uint(*value);
+            }
+        };
+        // The body-cache gauges follow the cache counters; the session
+        // rows close the table and render inside the "sessions" object,
+        // after its live count.
+        let gauges_at = rows
+            .iter()
+            .rposition(|(row, _)| matches!(row.source, Source::Cache(_)))
+            .map_or(0, |i| i + 1);
+        let sessions_at = rows
+            .iter()
+            .position(|(row, _)| matches!(row.source, Source::Sessions(_)))
+            .unwrap_or(rows.len());
         let mut w = JsonWriter::new();
         w.begin_object();
-        w.key("requests");
-        w.uint(self.requests.load(Ordering::Relaxed));
-        w.key("computations");
-        w.uint(s.computations);
-        w.key("hits");
-        w.uint(s.hits);
-        w.key("misses");
-        w.uint(s.misses);
-        w.key("coalesced");
-        w.uint(s.coalesced);
-        w.key("evictions");
-        w.uint(s.evictions);
+        write_rows(&mut w, &rows[..gauges_at], "");
         w.key("entries");
-        w.uint(s.entries as u64);
+        w.uint(stats.entries);
         w.key("bytes");
-        w.uint(s.bytes as u64);
-        w.key("sweeps");
-        w.uint(self.sweeps.load(Ordering::Relaxed));
-        w.key("sweep_hits");
-        w.uint(self.sweep_hits.load(Ordering::Relaxed));
-        w.key("sweep_compiles");
-        w.uint(self.sweep_compiles.load(Ordering::Relaxed));
-        w.key("sweep_points");
-        w.uint(self.sweep_points.load(Ordering::Relaxed));
-        w.key("optimizes");
-        w.uint(self.optimizes.load(Ordering::Relaxed));
-        w.key("optimize_hits");
-        w.uint(self.optimize_hits.load(Ordering::Relaxed));
-        w.key("optimize_solves");
-        w.uint(self.optimize_solves.load(Ordering::Relaxed));
-        w.key("optimize_certified");
-        w.uint(self.optimize_certified.load(Ordering::Relaxed));
-        w.key("whatifs");
-        w.uint(self.whatifs.load(Ordering::Relaxed));
-        w.key("whatif_perturbations");
-        w.uint(self.whatif_perturbations.load(Ordering::Relaxed));
-        w.key("whatif_hits");
-        w.uint(self.whatif_hits.load(Ordering::Relaxed));
-        w.key("whatif_retimes");
-        w.uint(self.whatif_retimes.load(Ordering::Relaxed));
-        w.key("whatif_rejects");
-        w.uint(self.whatif_rejects.load(Ordering::Relaxed));
-        w.key("v1_envelopes");
-        w.uint(self.v1_envelopes.load(Ordering::Relaxed));
-        // The session (artifact) tier: how many sessions are live and
-        // how often requests found one.
-        let sess = self.sessions.stats();
+        w.uint(stats.bytes);
+        write_rows(&mut w, &rows[gauges_at..sessions_at], "");
         w.key("sessions");
         w.begin_object();
         w.key("entries");
-        w.uint(sess.sessions as u64);
-        w.key("hits");
-        w.uint(sess.hits);
-        w.key("misses");
-        w.uint(sess.misses);
-        w.key("evictions");
-        w.uint(sess.evictions);
+        w.uint(stats.session_entries);
+        write_rows(&mut w, &rows[sessions_at..], "session_");
         w.end_object();
         // Per-stage artifact counters, aggregated over every session
         // this service created — the observable form of "a /sweep after
@@ -1003,9 +964,9 @@ impl Service {
         }
         w.end_object();
         w.key("threads");
-        w.uint(self.config.threads as u64);
+        w.uint(stats.threads);
         w.key("queue_cap");
-        w.uint(self.config.queue_cap as u64);
+        w.uint(stats.queue_cap);
         // Process identity and resource gauges, appended last so the
         // document stays a byte-stable extension of its pre-retention
         // shape (the golden-capture test compares the prefix).
@@ -1185,32 +1146,14 @@ impl Service {
             (engine.firing_count(), engine.pending_count())
         };
         StatsSnapshot {
-            requests: self.requests.load(Ordering::Relaxed),
-            computations: s.computations,
-            hits: s.hits,
-            misses: s.misses,
-            coalesced: s.coalesced,
-            evictions: s.evictions,
+            counters: std::array::from_fn(|i| match COUNTERS[i].source {
+                Source::Service(c) => self.counters[c as usize].load(Ordering::Relaxed),
+                Source::Cache(get) => get(&s),
+                Source::Sessions(get) => get(&sess),
+            }),
             entries: s.entries as u64,
             bytes: s.bytes as u64,
-            sweeps: self.sweeps.load(Ordering::Relaxed),
-            sweep_hits: self.sweep_hits.load(Ordering::Relaxed),
-            sweep_compiles: self.sweep_compiles.load(Ordering::Relaxed),
-            sweep_points: self.sweep_points.load(Ordering::Relaxed),
-            optimizes: self.optimizes.load(Ordering::Relaxed),
-            optimize_hits: self.optimize_hits.load(Ordering::Relaxed),
-            optimize_solves: self.optimize_solves.load(Ordering::Relaxed),
-            optimize_certified: self.optimize_certified.load(Ordering::Relaxed),
-            whatifs: self.whatifs.load(Ordering::Relaxed),
-            whatif_perturbations: self.whatif_perturbations.load(Ordering::Relaxed),
-            whatif_hits: self.whatif_hits.load(Ordering::Relaxed),
-            whatif_retimes: self.whatif_retimes.load(Ordering::Relaxed),
-            whatif_rejects: self.whatif_rejects.load(Ordering::Relaxed),
-            v1_envelopes: self.v1_envelopes.load(Ordering::Relaxed),
             session_entries: sess.sessions as u64,
-            session_hits: sess.hits,
-            session_misses: sess.misses,
-            session_evictions: sess.evictions,
             threads: self.config.threads as u64,
             queue_cap: self.config.queue_cap as u64,
             uptime_seconds: self.started.elapsed().as_secs_f64(),
@@ -1861,6 +1804,59 @@ mod tests {
         assert!(stats.contains(r#""requests":1"#), "{stats}");
         assert!(stats.contains(r#""computations":1"#), "{stats}");
         assert!(stats.contains(r#""threads":4"#), "{stats}");
+    }
+
+    /// Every registry row reaches `/stats`, `/metrics` and the ring with
+    /// its own value: service-owned counters are bumped to distinct
+    /// values, so two rows reading one slot would show.
+    #[test]
+    fn every_counter_row_is_wired_to_stats_metrics_and_ring() {
+        let svc = Service::new(ServiceConfig::default());
+        let (_, _) = svc.respond(RequestKind::Graph, CYCLE);
+        for (i, row) in COUNTERS.iter().enumerate() {
+            if let Source::Service(counter) = row.source {
+                svc.bump(counter, 1_000 + i as u64);
+            }
+        }
+        let (cache, sessions) = (svc.cache.stats(), svc.sessions.stats());
+        let stats = crate::jsonval::Json::parse(&svc.stats_json()).expect("/stats parses");
+        let text = svc.metrics_text();
+        let schema = history::schema();
+        let frame = svc.current_frame();
+        for (i, row) in COUNTERS.iter().enumerate() {
+            let want = match row.source {
+                // The graph request above counted one request already.
+                Source::Service(c) => 1_000 + i as u64 + u64::from(c == Counter::Requests),
+                Source::Cache(get) => get(&cache),
+                Source::Sessions(get) => get(&sessions),
+            };
+            // The parser rejects duplicate keys, so a hit is the only one
+            // in its object.
+            let (object, key) = match row.source {
+                Source::Sessions(_) => (
+                    stats.get("sessions").expect("sessions object"),
+                    row.name.strip_prefix("session_").expect("session_ prefix"),
+                ),
+                _ => (&stats, row.name),
+            };
+            let got = object.get(key).and_then(crate::jsonval::Json::as_num);
+            assert_eq!(got, Some(want.to_string().as_str()), "/stats {key}");
+            let type_line = format!("# TYPE {} counter\n", row.family);
+            assert_eq!(text.matches(&type_line).count(), 1, "{type_line}");
+            let samples: Vec<&str> = text
+                .lines()
+                .filter(|l| l.split(' ').next() == Some(row.family))
+                .collect();
+            assert_eq!(samples, [format!("{} {want}", row.family)], "{text}");
+            assert_eq!(schema.counter_index(row.name), Some(i), "{}", row.name);
+            assert_eq!(frame.counters[i], want, "ring column {}", row.name);
+            let rule = format!(
+                r#"{{"defaults": false, "rules": [{{"name": "r", "signal": "counter_rate",
+                    "series": "{}", "threshold": 1}}]}}"#,
+                row.name
+            );
+            assert!(AlertsConfig::from_json(&rule).is_ok(), "{rule}");
+        }
     }
 
     #[test]

@@ -17,6 +17,14 @@
 //! every `/stats` counter as a `tpn_*` family), so a fixed counter
 //! state renders byte-identically and the output is checkable by
 //! `tpn_obs::validate`.
+//!
+//! `COUNTERS` is the registry of monotone service counters: one row
+//! per counter with its name (the `/stats` key and retention-ring
+//! column), `tpn_*_total` family, HELP text and source (a service-owned atomic,
+//! the body cache or the session tier). `/stats`, `/metrics` and the
+//! ring schema and frames all iterate it. Adding a service-owned
+//! counter takes a `Counter` variant, one row, and its increment site
+//! (`Service::bump`).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -28,7 +36,9 @@ use tpn_obs::Renderer;
 use tpn_session::{StageCounters, STAGES};
 
 use crate::analysis::RequestKind;
+use crate::cache::CacheStats;
 use crate::json::JsonWriter;
+use crate::sessions::SessionCacheStats;
 
 /// Every request surface the service distinguishes in its metrics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -491,36 +501,230 @@ impl ConnStats {
     }
 }
 
+/// A counter the [`Service`](crate::Service) owns: the index of its
+/// atomic slot. Its row in [`COUNTERS`] names it
+/// [`Source::Service`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Counter {
+    Requests,
+    Sweeps,
+    SweepHits,
+    SweepCompiles,
+    SweepPoints,
+    Optimizes,
+    OptimizeHits,
+    OptimizeSolves,
+    OptimizeCertified,
+    Whatifs,
+    WhatifPerturbations,
+    WhatifHits,
+    WhatifRetimes,
+    WhatifRejects,
+    V1Envelopes,
+}
+
+/// Where a counter's value lives.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Source {
+    /// The service's own atomic slot.
+    Service(Counter),
+    /// A body-cache counter.
+    Cache(fn(&CacheStats) -> u64),
+    /// A session-tier counter; `/stats` nests these in its
+    /// `"sessions"` object.
+    Sessions(fn(&SessionCacheStats) -> u64),
+}
+
+/// One row of [`COUNTERS`].
+#[derive(Debug)]
+pub(crate) struct CounterDef {
+    /// The `/stats` key and retention-ring column (the name alert
+    /// rules' `counter_rate` series resolve). Inside the `/stats`
+    /// `"sessions"` object, session rows drop their `session_` prefix.
+    pub name: &'static str,
+    /// The `/metrics` counter family.
+    pub family: &'static str,
+    /// The family's `# HELP` text.
+    pub help: &'static str,
+    /// Where the value is read from.
+    pub source: Source,
+}
+
+/// Every monotone service counter, in `/stats`, `/metrics` and ring
+/// column order — the one list those three documents iterate. The
+/// session-tier rows come last, since `/stats` closes with them inside
+/// its `"sessions"` object.
+pub(crate) const COUNTERS: [CounterDef; 23] = [
+    CounterDef {
+        name: "requests",
+        family: "tpn_service_requests_total",
+        help: "Analysis requests accepted across all surfaces (the /stats \"requests\" counter).",
+        source: Source::Service(Counter::Requests),
+    },
+    CounterDef {
+        name: "computations",
+        family: "tpn_cache_computations_total",
+        help: "Body-cache misses that ran a computation.",
+        source: Source::Cache(|s| s.computations),
+    },
+    CounterDef {
+        name: "hits",
+        family: "tpn_cache_hits_total",
+        help: "Body-cache hits.",
+        source: Source::Cache(|s| s.hits),
+    },
+    CounterDef {
+        name: "misses",
+        family: "tpn_cache_misses_total",
+        help: "Body-cache misses.",
+        source: Source::Cache(|s| s.misses),
+    },
+    CounterDef {
+        name: "coalesced",
+        family: "tpn_cache_coalesced_total",
+        help: "Requests that coalesced onto a concurrent identical computation.",
+        source: Source::Cache(|s| s.coalesced),
+    },
+    CounterDef {
+        name: "evictions",
+        family: "tpn_cache_evictions_total",
+        help: "Body-cache evictions.",
+        source: Source::Cache(|s| s.evictions),
+    },
+    CounterDef {
+        name: "sweeps",
+        family: "tpn_sweeps_total",
+        help: "Sweep requests.",
+        source: Source::Service(Counter::Sweeps),
+    },
+    CounterDef {
+        name: "sweep_hits",
+        family: "tpn_sweep_hits_total",
+        help: "Sweep cache hits.",
+        source: Source::Service(Counter::SweepHits),
+    },
+    CounterDef {
+        name: "sweep_compiles",
+        family: "tpn_sweep_compiles_total",
+        help: "Sweep grid evaluations actually run.",
+        source: Source::Service(Counter::SweepCompiles),
+    },
+    CounterDef {
+        name: "sweep_points",
+        family: "tpn_sweep_points_total",
+        help: "Grid points evaluated by sweeps.",
+        source: Source::Service(Counter::SweepPoints),
+    },
+    CounterDef {
+        name: "optimizes",
+        family: "tpn_optimizes_total",
+        help: "Optimize requests.",
+        source: Source::Service(Counter::Optimizes),
+    },
+    CounterDef {
+        name: "optimize_hits",
+        family: "tpn_optimize_hits_total",
+        help: "Optimize cache hits.",
+        source: Source::Service(Counter::OptimizeHits),
+    },
+    CounterDef {
+        name: "optimize_solves",
+        family: "tpn_optimize_solves_total",
+        help: "Optimizer solves actually run.",
+        source: Source::Service(Counter::OptimizeSolves),
+    },
+    CounterDef {
+        name: "optimize_certified",
+        family: "tpn_optimize_certified_total",
+        help: "Optimizer solves that produced a certificate.",
+        source: Source::Service(Counter::OptimizeCertified),
+    },
+    CounterDef {
+        name: "whatifs",
+        family: "tpn_whatifs_total",
+        help: "What-if batch requests.",
+        source: Source::Service(Counter::Whatifs),
+    },
+    CounterDef {
+        name: "whatif_perturbations",
+        family: "tpn_whatif_perturbations_total",
+        help: "Individual what-if perturbations served.",
+        source: Source::Service(Counter::WhatifPerturbations),
+    },
+    CounterDef {
+        name: "whatif_hits",
+        family: "tpn_whatif_hits_total",
+        help: "What-if perturbations answered from the cache.",
+        source: Source::Service(Counter::WhatifHits),
+    },
+    CounterDef {
+        name: "whatif_retimes",
+        family: "tpn_whatif_retimes_total",
+        help: "What-if perturbations that instantiated the re-timing template.",
+        source: Source::Service(Counter::WhatifRetimes),
+    },
+    CounterDef {
+        name: "whatif_rejects",
+        family: "tpn_whatif_rejects_total",
+        help: "What-if perturbations rejected (invalid or out of region).",
+        source: Source::Service(Counter::WhatifRejects),
+    },
+    CounterDef {
+        name: "v1_envelopes",
+        family: "tpn_v1_envelopes_total",
+        help: "POST /v1 envelopes served.",
+        source: Source::Service(Counter::V1Envelopes),
+    },
+    CounterDef {
+        name: "session_hits",
+        family: "tpn_session_hits_total",
+        help: "Artifact-tier lookups that found a live session.",
+        source: Source::Sessions(|s| s.hits),
+    },
+    CounterDef {
+        name: "session_misses",
+        family: "tpn_session_misses_total",
+        help: "Artifact-tier lookups that created a session.",
+        source: Source::Sessions(|s| s.misses),
+    },
+    CounterDef {
+        name: "session_evictions",
+        family: "tpn_session_evictions_total",
+        help: "Sessions evicted from the artifact tier.",
+        source: Source::Sessions(|s| s.evictions),
+    },
+];
+
+/// The number of [`Counter`]s (`V1Envelopes` is the last).
+pub(crate) const OWNED: usize = Counter::V1Envelopes as usize + 1;
+
+/// The ring column (and row) of the counter called `name`. Used in a
+/// constant, an unknown name fails the build.
+pub(crate) const fn column(name: &str) -> usize {
+    let want = name.as_bytes();
+    let mut i = 0;
+    loop {
+        let have = COUNTERS[i].name.as_bytes();
+        let mut j = 0;
+        while j < have.len() && j < want.len() && have[j] == want[j] {
+            j += 1;
+        }
+        if j == have.len() && j == want.len() {
+            return i;
+        }
+        i += 1;
+    }
+}
+
 /// Every `/stats` number, copied out for rendering — the bridge
 /// between the service's private counters and [`render`].
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct StatsSnapshot {
-    pub requests: u64,
-    pub computations: u64,
-    pub hits: u64,
-    pub misses: u64,
-    pub coalesced: u64,
-    pub evictions: u64,
+    /// Every [`COUNTERS`] value, in table order.
+    pub counters: [u64; COUNTERS.len()],
     pub entries: u64,
     pub bytes: u64,
-    pub sweeps: u64,
-    pub sweep_hits: u64,
-    pub sweep_compiles: u64,
-    pub sweep_points: u64,
-    pub optimizes: u64,
-    pub optimize_hits: u64,
-    pub optimize_solves: u64,
-    pub optimize_certified: u64,
-    pub whatifs: u64,
-    pub whatif_perturbations: u64,
-    pub whatif_hits: u64,
-    pub whatif_retimes: u64,
-    pub whatif_rejects: u64,
-    pub v1_envelopes: u64,
     pub session_entries: u64,
-    pub session_hits: u64,
-    pub session_misses: u64,
-    pub session_evictions: u64,
     pub threads: u64,
     pub queue_cap: u64,
     pub uptime_seconds: f64,
@@ -628,116 +832,9 @@ pub(crate) fn render(
         );
     }
 
-    let counters: [(&str, &str, u64); 18] = [
-        (
-            "tpn_service_requests_total",
-            "Analysis requests accepted across all surfaces (the /stats \"requests\" counter).",
-            stats.requests,
-        ),
-        (
-            "tpn_cache_computations_total",
-            "Body-cache misses that ran a computation.",
-            stats.computations,
-        ),
-        ("tpn_cache_hits_total", "Body-cache hits.", stats.hits),
-        ("tpn_cache_misses_total", "Body-cache misses.", stats.misses),
-        (
-            "tpn_cache_coalesced_total",
-            "Requests that coalesced onto a concurrent identical computation.",
-            stats.coalesced,
-        ),
-        (
-            "tpn_cache_evictions_total",
-            "Body-cache evictions.",
-            stats.evictions,
-        ),
-        ("tpn_sweeps_total", "Sweep requests.", stats.sweeps),
-        (
-            "tpn_sweep_hits_total",
-            "Sweep cache hits.",
-            stats.sweep_hits,
-        ),
-        (
-            "tpn_sweep_compiles_total",
-            "Sweep grid evaluations actually run.",
-            stats.sweep_compiles,
-        ),
-        (
-            "tpn_sweep_points_total",
-            "Grid points evaluated by sweeps.",
-            stats.sweep_points,
-        ),
-        ("tpn_optimizes_total", "Optimize requests.", stats.optimizes),
-        (
-            "tpn_optimize_hits_total",
-            "Optimize cache hits.",
-            stats.optimize_hits,
-        ),
-        (
-            "tpn_optimize_solves_total",
-            "Optimizer solves actually run.",
-            stats.optimize_solves,
-        ),
-        (
-            "tpn_optimize_certified_total",
-            "Optimizer solves that produced a certificate.",
-            stats.optimize_certified,
-        ),
-        (
-            "tpn_whatifs_total",
-            "What-if batch requests.",
-            stats.whatifs,
-        ),
-        (
-            "tpn_whatif_perturbations_total",
-            "Individual what-if perturbations served.",
-            stats.whatif_perturbations,
-        ),
-        (
-            "tpn_whatif_hits_total",
-            "What-if perturbations answered from the cache.",
-            stats.whatif_hits,
-        ),
-        (
-            "tpn_whatif_retimes_total",
-            "What-if perturbations that instantiated the re-timing template.",
-            stats.whatif_retimes,
-        ),
-    ];
-    for (name, help, value) in counters {
-        r.header(name, help, "counter");
-        r.sample_u64(name, &[], value);
-    }
-    let more_counters: [(&str, &str, u64); 5] = [
-        (
-            "tpn_whatif_rejects_total",
-            "What-if perturbations rejected (invalid or out of region).",
-            stats.whatif_rejects,
-        ),
-        (
-            "tpn_v1_envelopes_total",
-            "POST /v1 envelopes served.",
-            stats.v1_envelopes,
-        ),
-        (
-            "tpn_session_hits_total",
-            "Artifact-tier lookups that found a live session.",
-            stats.session_hits,
-        ),
-        (
-            "tpn_session_misses_total",
-            "Artifact-tier lookups that created a session.",
-            stats.session_misses,
-        ),
-        (
-            "tpn_session_evictions_total",
-            "Sessions evicted from the artifact tier.",
-            stats.session_evictions,
-        ),
-    ];
-    for (name, help, value) in more_counters {
-        r.header(name, help, "counter");
-        r.sample_u64(name, &[], value);
+    for (row, value) in COUNTERS.iter().zip(stats.counters) {
+        r.header(row.family, row.help, "counter");
+        r.sample_u64(row.family, &[], value);
     }
 
     r.header(
@@ -1000,8 +1097,10 @@ mod tests {
         m.record(Endpoint::Analyze, 422, 40_000);
         m.record(Endpoint::Sweep, 200, 3_000_000);
         let stages = StageCounters::new();
+        let mut counters = [0; COUNTERS.len()];
+        counters[column("requests")] = 4;
         let stats = StatsSnapshot {
-            requests: 4,
+            counters,
             uptime_seconds: 1.25,
             ..StatsSnapshot::default()
         };

@@ -435,6 +435,87 @@ fn connection_stats_surface_on_stats_and_metrics() {
 }
 
 // ---------------------------------------------------------------------
+// Panic containment
+// ---------------------------------------------------------------------
+
+/// Two lossy retransmission loops whose exact rates overflow `i128`:
+/// the analysis pipeline panics on this net.
+const LOSSY2: &str = "net lossy2
+place a1 init 1
+place b1
+place a2 init 1
+place b2
+trans ok1 in a1 out b1 firing 3 weight 0.91
+trans lose1 in a1 out a1 firing 7 weight 0.09
+trans back1 in b1 out a1 firing 5
+trans ok2 in a2 out b2 firing 5 weight 0.92
+trans lose2 in a2 out a2 firing 8 weight 0.08
+trans back2 in b2 out a2 firing 8
+";
+
+/// The `tpn_requests_total{endpoint="analyze",status="200"}` sample of
+/// a `/metrics` document (absent before the first success).
+fn analyze_200_total(metrics: &str) -> u64 {
+    let series = "tpn_requests_total{endpoint=\"analyze\",status=\"200\"} ";
+    metrics
+        .lines()
+        .find_map(|l| l.strip_prefix(series))
+        .map_or(0, |n| n.parse().expect("integer sample"))
+}
+
+#[test]
+fn panicking_pipeline_answers_500_and_releases_its_connection() {
+    if !IoMode::epoll_supported() {
+        return;
+    }
+    // One worker each, so every later request reuses the thread the
+    // panic unwound through.
+    let one_worker = |io| ServiceConfig {
+        io,
+        threads: 1,
+        ..ServiceConfig::default()
+    };
+    let (threaded, taddr, _) = start_server_with(one_worker(IoMode::Threaded));
+    let (epoll, eaddr, service) = start_server_with(one_worker(IoMode::Epoll));
+    let baseline = service.connections().scalars().open;
+
+    let request = close_request("POST", "/analyze", LOSSY2);
+    let from_threaded = raw_close_exchange(taddr, &request);
+    let from_epoll = raw_close_exchange(eaddr, &request);
+    assert_eq!(
+        String::from_utf8_lossy(&from_threaded),
+        String::from_utf8_lossy(&from_epoll),
+        "listener divergence on a panicking request"
+    );
+    let reply = String::from_utf8(from_epoll).expect("utf-8 reply");
+    assert!(reply.starts_with("HTTP/1.1 500 "), "{reply}");
+    assert!(
+        reply.ends_with(
+            "\r\n\r\n{\"code\":\"internal\",\"message\":\"the request handler panicked\"}"
+        ),
+        "{reply}"
+    );
+    await_open(&service, baseline);
+
+    // The worker's trace collector was closed on the panic path, so
+    // later requests on it are observed and counted again.
+    const K: u64 = 3;
+    let before = analyze_200_total(&service.metrics_text());
+    let fig1 = close_request("POST", "/analyze", &fig1_text());
+    for _ in 0..K {
+        let reply = String::from_utf8(raw_close_exchange(eaddr, &fig1)).unwrap();
+        assert!(reply.starts_with("HTTP/1.1 200 "), "{reply}");
+    }
+    let metrics = raw_close_exchange(eaddr, &close_request("GET", "/metrics", ""));
+    let text = String::from_utf8(metrics).unwrap();
+    assert!(text.starts_with("HTTP/1.1 200 "), "{text}");
+    assert_eq!(analyze_200_total(&text), before + K, "{text}");
+    await_open(&service, baseline);
+    threaded.shutdown();
+    epoll.shutdown();
+}
+
+// ---------------------------------------------------------------------
 // Loadgen smoke (the CI gate: zero drops, clean drain)
 // ---------------------------------------------------------------------
 

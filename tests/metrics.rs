@@ -125,6 +125,71 @@ fn stats_document_matches_pre_instrumentation_bytes() {
     handle.shutdown();
 }
 
+/// The family skeleton of a `/metrics` document: every `# HELP` and
+/// `# TYPE` line in order, plus every unlabelled integer sample. The
+/// process clock gauges change between scrapes, and the open-connection
+/// gauge and connection-lifetime histogram race the listener's close
+/// accounting of the previous exchange, so their samples are left out.
+fn metrics_families(text: &str) -> String {
+    const VOLATILE: [&str; 4] = [
+        "tpn_process_uptime_seconds ",
+        "tpn_process_start_time_seconds ",
+        "tpn_connections_open ",
+        "tpn_connection_lifetime_seconds_",
+    ];
+    let mut out = String::new();
+    for line in text.lines() {
+        let keep = if line.starts_with('#') {
+            line.starts_with("# HELP ") || line.starts_with("# TYPE ")
+        } else {
+            let (series, value) = line.rsplit_once(' ').unwrap_or((line, ""));
+            !series.contains('{')
+                && !value.is_empty()
+                && value.bytes().all(|b| b.is_ascii_digit())
+                && !VOLATILE.iter().any(|v| line.starts_with(v))
+        };
+        if keep {
+            out.push_str(line);
+            out.push('\n');
+        }
+    }
+    out
+}
+
+/// The retention ring's counter and gauge column names, one per line —
+/// the names alert rules' `counter_rate(...)`/`gauge(...)` resolve.
+fn ring_columns(service: &Service) -> String {
+    let schema = service.series().schema();
+    let mut out = String::new();
+    for name in &schema.counters {
+        out.push_str(&format!("counter {name}\n"));
+    }
+    for name in &schema.gauges {
+        out.push_str(&format!("gauge {name}\n"));
+    }
+    out
+}
+
+/// `/metrics` family order, HELP/TYPE text and every scalar counter and
+/// gauge after the capture sequence, plus the ring's column names —
+/// all byte-identical to the goldens captured before the counter
+/// registry replaced the hand-written lists.
+#[test]
+fn metrics_families_and_ring_columns_match_golden() {
+    let (handle, addr, service) = common::start_server_with(ServiceConfig::default());
+    replay_capture_sequence(addr);
+    let (status, text) = http(addr, "GET", "/metrics", "");
+    assert_eq!(status, 200);
+    let live = metrics_families(&text);
+    assert_eq!(
+        live,
+        golden("metrics_families.txt"),
+        "/metrics families drifted\n--- document ---\n{text}"
+    );
+    assert_eq!(ring_columns(&service), golden("ring_columns.txt"));
+    handle.shutdown();
+}
+
 #[test]
 fn metrics_document_validates_and_covers_every_stats_counter() {
     let (handle, addr) = start_server();
