@@ -1,13 +1,12 @@
 //! Incremental HTTP/1.1 message parsing.
 //!
-//! One request parser serves both listeners in `tpn-service`: the
-//! blocking threaded path feeds it from synchronous reads, the epoll
-//! path feeds it whatever each readiness event delivers. Bytes arrive
-//! via [`RequestParser::feed`] in arbitrary splits; [`RequestParser::poll`]
+//! The request parser behind `tpn-service`'s epoll listener, fed
+//! whatever each readiness event delivers. Bytes arrive via
+//! [`RequestParser::feed`] in arbitrary splits; [`RequestParser::poll`]
 //! returns a request exactly when one is complete, leaving any
 //! pipelined remainder buffered for the next poll. Error messages
-//! match the service's historical responses byte-for-byte so the
-//! listeners cannot drift apart.
+//! match the service's historical responses byte-for-byte (pinned by
+//! the captured wire goldens in the workspace's `tests/aio.rs`).
 //!
 //! The module also carries a [`ResponseParser`] (status line, fixed or
 //! chunked bodies) used by the load generator and the differential

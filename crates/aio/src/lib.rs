@@ -1,27 +1,24 @@
 //! tpn-aio — std-only event-driven I/O building blocks.
 //!
-//! The serving tier in `tpn-service` historically ran one blocking
-//! thread per in-flight connection, which caps out far below the
-//! traffic the ROADMAP targets. This crate supplies the pieces for a
-//! readiness-driven listener without any external dependency:
+//! The pieces of the daemon's epoll listener, without any external
+//! dependency:
 //!
 //! - [`poll::Poller`] — edge-triggered epoll via thin `extern "C"`
-//!   syscall bindings (Linux, behind the default `epoll` feature);
-//! - [`wake::Waker`] — eventfd wakeups for cross-thread nudges;
+//!   syscall bindings (Linux only);
+//! - [`wake::Waker`] — eventfd wakeups for cross-thread nudges
+//!   (Linux only);
 //! - [`timer::TimerWheel`] — hashed-wheel deadlines with lazy
-//!   cancellation (portable);
+//!   cancellation;
 //! - [`slab::Slab`] — generation-guarded connection storage keyed by
-//!   epoll tokens (portable);
-//! - [`http1`] — the incremental HTTP/1.1 request parser shared by
-//!   the epoll and threaded listeners, plus a response parser with
-//!   chunked decoding for load generation and differential tests
-//!   (portable);
+//!   epoll tokens;
+//! - [`http1`] — the incremental HTTP/1.1 request parser the listener
+//!   resumes across readiness events, plus a response parser with
+//!   chunked decoding for load generation and tests;
 //! - [`rlimit::ensure_nofile`] — descriptor-limit raising for
 //!   high-connection-count runs (Unix).
 //!
-//! Platforms without the `epoll` feature (or outside Linux) still get
-//! every portable module; [`supported`] reports whether the reactor
-//! primitives are usable so consumers can fall back to threaded I/O.
+//! Only the epoll and eventfd layer is Linux-specific; the timer
+//! wheel, slab and HTTP parsers build everywhere.
 
 pub mod http1;
 pub mod slab;
@@ -30,17 +27,11 @@ pub mod timer;
 #[cfg(unix)]
 pub mod rlimit;
 
-#[cfg(all(target_os = "linux", feature = "epoll"))]
+#[cfg(target_os = "linux")]
 mod sys;
 
-#[cfg(all(target_os = "linux", feature = "epoll"))]
+#[cfg(target_os = "linux")]
 pub mod poll;
 
-#[cfg(all(target_os = "linux", feature = "epoll"))]
+#[cfg(target_os = "linux")]
 pub mod wake;
-
-/// True when the epoll reactor primitives are available on this
-/// build (Linux with the `epoll` feature enabled).
-pub fn supported() -> bool {
-    cfg!(all(target_os = "linux", feature = "epoll"))
-}

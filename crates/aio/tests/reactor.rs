@@ -1,8 +1,8 @@
 //! Exercises the raw reactor primitives (epoll poller, eventfd waker)
 //! against real sockets. Linux-only; other platforms compile this
-//! file to nothing and fall back to the threaded listener instead.
+//! file to nothing.
 
-#![cfg(all(target_os = "linux", feature = "epoll"))]
+#![cfg(target_os = "linux")]
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};

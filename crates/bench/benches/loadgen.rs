@@ -1,22 +1,16 @@
-//! E13 — serving-tier load test: epoll reactor vs threaded listener.
+//! E13 — serving-tier load test on the epoll reactor.
 //!
 //! Not a Criterion bench: throughput under high connection counts is a
 //! systems measurement, not a microbenchmark, so this binary drives the
 //! in-process server with the epoll load generator
-//! (`tpn_bench::loadgen`) and reports req/s plus the server-side p99
-//! from its own `/metrics` histograms (client-side latency would fold
-//! in loadgen scheduling noise; the server histogram brackets exactly
-//! the accept-to-flush path both listeners share).
+//! (`tpn_bench::loadgen`) and reports req/s plus the server-side p50
+//! and p99 from its own `/metrics` histograms (client-side latency
+//! would fold in loadgen scheduling noise; the server histogram
+//! brackets exactly the accept-to-flush path).
 //!
-//! Two arms, matched request budgets:
-//!
-//! - **epoll** — `TPN_LOADGEN_CONNS` (default 10 000) concurrent
-//!   keep-alive connections on the reactor listener;
-//! - **threaded** — the thread-per-connection listener at
-//!   `TPN_LOADGEN_THREADED_CONNS` (default 64) with close-and-redial
-//!   clients, which is that design's ceiling: each connection costs a
-//!   pool slot for its whole life, so 10k concurrent sockets would
-//!   need 10k threads.
+//! `TPN_LOADGEN_CONNS` (default 10 000) concurrent keep-alive
+//! connections share `TPN_LOADGEN_REQS` (default 100 000) `GET /slo`
+//! requests.
 //!
 //! Quiet-host numbers are recorded in `BENCH_9.json`. CI runs the
 //! 512-connection smoke via `tests/aio.rs` instead of this binary.
@@ -29,7 +23,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use tpn_bench::loadgen::{self, LoadConfig, RequestSpec};
-use tpn_service::{spawn, IoMode, Service, ServiceConfig};
+use tpn_service::{spawn, Service, ServiceConfig};
 
 fn env_usize(key: &str, default: usize) -> usize {
     std::env::var(key)
@@ -87,18 +81,18 @@ fn histogram_quantile(metrics: &str, family: &str, q: f64) -> f64 {
     f64::INFINITY
 }
 
-fn run_arm(name: &str, io: IoMode, conns: usize, requests: u64, keep_alive: bool) {
-    let service = Arc::new(Service::new(ServiceConfig {
-        io,
-        ..ServiceConfig::default()
-    }));
+fn main() {
+    // `cargo bench` forwards harness flags like `--bench`; ignore them.
+    let conns = env_usize("TPN_LOADGEN_CONNS", 10_000);
+    let requests = env_usize("TPN_LOADGEN_REQS", 100_000) as u64;
+
+    let service = Arc::new(Service::new(ServiceConfig::default()));
     let handle = spawn(Arc::clone(&service), "127.0.0.1:0").expect("spawn server");
     let addr = handle.addr();
 
     let cfg = LoadConfig {
         connections: conns,
         requests,
-        keep_alive,
         // `/slo` is unconditionally 200 (unlike `/healthz`, which
         // flips to 503 when the burn-rate engine fires under load).
         mix: vec![RequestSpec::new("GET", "/slo", "")],
@@ -109,7 +103,7 @@ fn run_arm(name: &str, io: IoMode, conns: usize, requests: u64, keep_alive: bool
     let p50 = histogram_quantile(&metrics, "tpn_request_duration_seconds", 0.50);
     let p99 = histogram_quantile(&metrics, "tpn_request_duration_seconds", 0.99);
     println!(
-        "{name}: conns={conns} requests={requests} ok={} non_2xx={} errors={} \
+        "epoll: conns={conns} requests={requests} ok={} non_2xx={} errors={} \
          elapsed={:.2}s req_per_sec={:.0} server_p50<={p50}s server_p99<={p99}s",
         report.ok,
         report.non_2xx,
@@ -118,24 +112,4 @@ fn run_arm(name: &str, io: IoMode, conns: usize, requests: u64, keep_alive: bool
         report.req_per_sec(),
     );
     handle.shutdown();
-}
-
-fn main() {
-    // `cargo bench` forwards harness flags like `--bench`; ignore them.
-    let conns = env_usize("TPN_LOADGEN_CONNS", 10_000);
-    let threaded_conns = env_usize("TPN_LOADGEN_THREADED_CONNS", 64);
-    let requests = env_usize("TPN_LOADGEN_REQS", 100_000) as u64;
-
-    if IoMode::epoll_supported() {
-        run_arm("epoll", IoMode::Epoll, conns, requests, true);
-    } else {
-        println!("epoll: skipped (unsupported on this platform/build)");
-    }
-    run_arm(
-        "threaded",
-        IoMode::Threaded,
-        threaded_conns,
-        requests,
-        false,
-    );
 }

@@ -8,13 +8,9 @@
 //! [`ResponseParser`], which also
 //! decodes the chunked framing the server streams large bodies with.
 //!
-//! Two operating modes mirror the two listeners:
-//!
-//! - `keep_alive: true` — each connection issues its requests
-//!   back-to-back on one socket (the epoll listener's design center);
-//! - `keep_alive: false` — every request carries `Connection: close`
-//!   and the connection redials before its next request (all the
-//!   threaded listener supports).
+//! Each connection issues its requests back-to-back on one keep-alive
+//! socket and redials only when the server closes it (the
+//! per-connection request cap) or the exchange fails.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -41,13 +37,12 @@ impl RequestSpec {
         }
     }
 
-    fn wire(&self, close: bool) -> Vec<u8> {
+    fn wire(&self) -> Vec<u8> {
         format!(
-            "{} {} HTTP/1.1\r\nHost: loadgen\r\nContent-Length: {}\r\n{}\r\n{}",
+            "{} {} HTTP/1.1\r\nHost: loadgen\r\nContent-Length: {}\r\n\r\n{}",
             self.method,
             self.target,
             self.body.len(),
-            if close { "Connection: close\r\n" } else { "" },
             self.body,
         )
         .into_bytes()
@@ -61,8 +56,6 @@ pub struct LoadConfig {
     pub connections: usize,
     /// Total requests to complete across all connections.
     pub requests: u64,
-    /// Keep-alive (epoll mode) or close-and-redial (threaded mode).
-    pub keep_alive: bool,
     /// The request mix, issued round-robin per completed response.
     pub mix: Vec<RequestSpec>,
     /// Abort the run (counting unfinished requests as errors) after
@@ -113,8 +106,8 @@ struct Client {
 enum ClientState {
     /// Still usable; may or may not have a request in flight.
     Alive,
-    /// Peer closed after a complete exchange (close mode, or the
-    /// server's per-connection request cap) — redial, not an error.
+    /// Peer closed after a complete exchange (the server's
+    /// per-connection request cap) — redial, not an error.
     Closed,
     /// Transport or parse failure with a response still owed.
     Failed,
@@ -167,7 +160,7 @@ pub fn run(addr: SocketAddr, cfg: &LoadConfig) -> io::Result<LoadReport> {
         if let Some(client) = slot {
             if issued_total < cfg.requests {
                 let spec = &cfg.mix[(issued_total % cfg.mix.len() as u64) as usize];
-                client.out = spec.wire(!cfg.keep_alive);
+                client.out = spec.wire();
                 client.out_pos = 0;
                 client.awaiting = true;
                 client.issued += 1;
@@ -209,10 +202,9 @@ pub fn run(addr: SocketAddr, cfg: &LoadConfig) -> io::Result<LoadReport> {
                 client.writable = true;
             }
             let state = drive_client(client, &mut report);
-            if state != ClientState::Alive || (!cfg.keep_alive && !client.awaiting) {
-                // Redial on both clean closes (close mode exhausts the
-                // socket per request) and failures, so the target
-                // request count is still attempted.
+            if state != ClientState::Alive {
+                // Redial on both clean closes and failures, so the
+                // target request count is still attempted.
                 if state == ClientState::Failed {
                     report.errors += 1;
                 }
@@ -223,7 +215,7 @@ pub fn run(addr: SocketAddr, cfg: &LoadConfig) -> io::Result<LoadReport> {
                         Ok(mut fresh) => {
                             fresh.issued = issued;
                             let spec = &cfg.mix[(issued_total % cfg.mix.len() as u64) as usize];
-                            fresh.out = spec.wire(!cfg.keep_alive);
+                            fresh.out = spec.wire();
                             fresh.out_pos = 0;
                             fresh.awaiting = true;
                             fresh.issued += 1;
@@ -233,9 +225,9 @@ pub fn run(addr: SocketAddr, cfg: &LoadConfig) -> io::Result<LoadReport> {
                         Err(_) => report.errors += 1,
                     }
                 }
-            } else if cfg.keep_alive && !client.awaiting && issued_total < cfg.requests {
+            } else if !client.awaiting && issued_total < cfg.requests {
                 let spec = &cfg.mix[(issued_total % cfg.mix.len() as u64) as usize];
-                client.out = spec.wire(false);
+                client.out = spec.wire();
                 client.out_pos = 0;
                 client.awaiting = true;
                 client.issued += 1;

@@ -1,19 +1,18 @@
 //! The epoll listener: one reactor thread multiplexing every
-//! connection, compute on the worker pool.
+//! connection, compute on the worker pool. It is the daemon's only
+//! listener, so the daemon serves on Linux only.
 //!
-//! The threaded listener in [`crate::http`] spends one blocking pool
-//! thread per in-flight *connection*, so its concurrency ceiling is
-//! the pool size. This listener holds every connection as a small
-//! state machine in a [`Slab`] and uses the pool only for the actual
-//! analysis work: the reactor thread runs an edge-triggered
-//! [`Poller`] loop, resumes the shared incremental HTTP/1.1 parser
-//! with whatever bytes each readiness event delivers, and hands
-//! complete requests to [`ThreadPool`] workers. Workers push the
-//! finished response onto a completion queue and nudge the reactor
-//! through its eventfd [`Waker`]; the reactor writes responses out —
-//! small bodies as one `Content-Length` write, bodies over the
-//! streaming threshold as `Transfer-Encoding: chunked` frames through
-//! a bounded per-connection write buffer.
+//! The listener holds every connection as a small state machine in a
+//! [`Slab`] and uses the pool only for the actual analysis work: the
+//! reactor thread runs an edge-triggered [`Poller`] loop, resumes the
+//! incremental HTTP/1.1 parser with whatever bytes each readiness
+//! event delivers, and hands complete requests to [`ThreadPool`]
+//! workers. Workers push the finished response onto a completion
+//! queue and nudge the reactor through its eventfd [`Waker`]; the
+//! reactor writes responses out — small bodies as one
+//! `Content-Length` write, bodies over the streaming threshold as
+//! `Transfer-Encoding: chunked` frames through a bounded
+//! per-connection write buffer.
 //!
 //! Admission control has three layers, all tunable via
 //! [`AioConfig`](crate::http::AioConfig):
@@ -35,9 +34,10 @@
 //! flush, then close whatever remains.
 
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use tpn_aio::http1::{HttpError, HttpLimits, RequestParser};
@@ -47,9 +47,7 @@ use tpn_aio::timer::TimerWheel;
 use tpn_aio::wake::Waker;
 
 use crate::executor::ThreadPool;
-use crate::http::{
-    reason, route, spawn_sampler, AioConfig, Request, ServerHandle, Service, JSON, MAX_HEAD_BYTES,
-};
+use crate::http::{route, AioConfig, Request, Service, JSON};
 use crate::json::error_body;
 
 /// Fixed poller tokens for the two non-connection descriptors. Slab
@@ -66,6 +64,24 @@ const WHEEL_SLOTS: usize = 64;
 /// No deadline armed (the connection is parked on the worker pool,
 /// which is bounded by the in-flight budget, not a timer).
 const NO_DEADLINE: u64 = u64::MAX;
+
+/// Cap on the request line plus headers.
+const MAX_HEAD_BYTES: usize = 16 * 1024;
+
+/// The reason phrase of a response status line.
+fn reason(status: u16) -> &'static str {
+    match status {
+        200 => "OK",
+        400 => "Bad Request",
+        404 => "Not Found",
+        405 => "Method Not Allowed",
+        413 => "Payload Too Large",
+        422 => "Unprocessable Entity",
+        501 => "Not Implemented",
+        503 => "Service Unavailable",
+        _ => "Internal Server Error",
+    }
+}
 
 /// Where a connection's state machine currently sits.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -421,8 +437,8 @@ impl Reactor {
             };
             if conn.eof {
                 // Peer finished sending and nothing dispatchable is
-                // left: a clean close (mid-request EOFs get no reply,
-                // matching the threaded listener).
+                // left: a clean close (mid-request EOFs get no
+                // reply).
                 self.close(token, CloseReason::Normal);
                 return;
             }
@@ -499,8 +515,8 @@ impl Reactor {
         }
     }
 
-    /// Turn a parse error into the same status/body the threaded
-    /// listener sends, then close.
+    /// Answer a parse error with its status and `{"error": …}` body,
+    /// then close.
     fn error_response(&mut self, token: u64, e: &HttpError) {
         let (status, body) = match e {
             HttpError::Malformed(m) => (400, error_body(m)),
@@ -616,8 +632,7 @@ impl Reactor {
             match conn.phase {
                 Phase::Idle => self.close(token, CloseReason::Normal),
                 Phase::Reading => {
-                    // The threaded listener answers a slow-drip client
-                    // with this exact 400 — keep parity, then close.
+                    // A slow-drip client gets a 400, then the close.
                     self.service.connections().timeout();
                     let body = Arc::new(error_body("request read deadline exceeded"));
                     self.respond(token, 400, JSON, &body, true);
@@ -759,9 +774,88 @@ fn arm(conn: &mut Conn, wheel: &mut TimerWheel, token: u64, deadline_ms: u64) {
     }
 }
 
-/// Bind `addr` and serve `service` on the epoll reactor. The returned
-/// handle shuts the reactor down through its eventfd waker.
-pub(crate) fn spawn_epoll(service: Arc<Service>, addr: &str) -> io::Result<ServerHandle> {
+/// A running HTTP server. Dropping the handle shuts the server down;
+/// [`ServerHandle::wait`] blocks forever (the `tpn serve` foreground
+/// mode).
+pub struct ServerHandle {
+    addr: SocketAddr,
+    stop: Arc<AtomicBool>,
+    reactor_thread: Option<JoinHandle<()>>,
+    sampler_thread: Option<JoinHandle<()>>,
+    /// Wakes the reactor's `epoll_wait` so it sees the stop flag.
+    waker: Waker,
+}
+
+impl ServerHandle {
+    /// The bound address (useful with port 0).
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Stop accepting, drain in-flight connections, join the threads.
+    pub fn shutdown(mut self) {
+        self.stop_now();
+    }
+
+    /// Block until the server exits (it only exits via shutdown, so
+    /// this parks the caller for the server's lifetime).
+    pub fn wait(mut self) {
+        if let Some(t) = self.reactor_thread.take() {
+            let _ = t.join();
+        }
+    }
+
+    fn stop_now(&mut self) {
+        self.stop.store(true, Ordering::SeqCst);
+        if let Some(t) = self.sampler_thread.take() {
+            let _ = t.join();
+        }
+        if let Some(t) = self.reactor_thread.take() {
+            self.waker.wake();
+            let _ = t.join();
+        }
+    }
+}
+
+impl Drop for ServerHandle {
+    fn drop(&mut self) {
+        self.stop_now();
+    }
+}
+
+/// The retention sampler: one frame every `sample_interval_ms`,
+/// sleeping in short slices so shutdown is prompt.
+fn spawn_sampler(
+    service: &Arc<Service>,
+    stop: &Arc<AtomicBool>,
+) -> io::Result<Option<JoinHandle<()>>> {
+    let interval_ms = service.config().sample_interval_ms;
+    if !service.metrics().enabled() || interval_ms == 0 {
+        return Ok(None);
+    }
+    let service = Arc::clone(service);
+    let stop = Arc::clone(stop);
+    let interval = Duration::from_millis(interval_ms);
+    let thread = std::thread::Builder::new()
+        .name("tpn-sampler".to_string())
+        .spawn(move || {
+            service.sample_now();
+            let slice = Duration::from_millis(50).min(interval);
+            let mut next = Instant::now() + interval;
+            while !stop.load(Ordering::SeqCst) {
+                if Instant::now() >= next {
+                    service.sample_now();
+                    next += interval;
+                }
+                std::thread::sleep(slice);
+            }
+        })?;
+    Ok(Some(thread))
+}
+
+/// Bind `addr` and serve `service` on the epoll reactor until the
+/// handle is shut down. The daemon's only listener, so Linux only.
+pub fn spawn(service: Arc<Service>, addr: &str) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
     listener.set_nonblocking(true)?;
     let local = listener.local_addr()?;
@@ -808,14 +902,14 @@ pub(crate) fn spawn_epoll(service: Arc<Service>, addr: &str) -> io::Result<Serve
         stop: Arc::clone(&stop),
         limits,
     };
-    let accept_thread = std::thread::Builder::new()
+    let reactor_thread = std::thread::Builder::new()
         .name("tpn-reactor".to_string())
         .spawn(move || reactor.run())?;
     Ok(ServerHandle {
         addr: local,
         stop,
-        accept_thread: Some(accept_thread),
+        reactor_thread: Some(reactor_thread),
         sampler_thread,
-        waker: Some(waker),
+        waker,
     })
 }

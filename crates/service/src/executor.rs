@@ -1,11 +1,13 @@
 //! A fixed thread pool with a bounded work queue.
 //!
-//! The HTTP front end accepts connections on one thread and hands each
-//! one to this pool; the queue bound is the server's backpressure —
-//! when every worker is busy and the queue is full, [`ThreadPool::execute`]
-//! *blocks the accept loop* instead of queueing unboundedly, which in
-//! turn pushes the pressure into the listener's kernel backlog where
-//! clients experience it as connection latency, not memory growth.
+//! The epoll listener parses requests on its reactor thread and hands
+//! each complete one to this pool through [`ThreadPool::try_execute`].
+//! The queue bound is the server's backpressure: the reactor keeps its
+//! in-flight budget within the queue capacity and, at the budget,
+//! stops accepting, which pushes the pressure into the listener's
+//! kernel backlog where clients experience it as connection latency,
+//! not memory growth. [`ThreadPool::execute`] is the blocking submit
+//! for callers that would rather wait than be refused.
 //!
 //! Shutdown is cooperative: dropping the pool wakes every worker,
 //! lets the queue drain, and joins the threads. Panicking jobs are

@@ -1,17 +1,13 @@
-//! The hand-rolled HTTP/1.1 front end.
+//! The hand-rolled HTTP/1.1 front end: the [`Service`], its
+//! configuration and the route table.
 //!
-//! No external dependency and no async runtime. Two listeners share
-//! one routing table and one incremental parser
-//! ([`tpn_aio::http1`]), selected by [`ServiceConfig::io`]:
-//!
-//! - **Threaded** (the library default): an accept thread hands each
-//!   connection to the fixed [`ThreadPool`], whose bounded queue is
-//!   the server's backpressure. One request per connection
-//!   (`Connection: close`).
-//! - **Epoll** (`tpn serve` default on Linux): the edge-triggered
-//!   reactor in `crate::aio_server` — keep-alive, pipelining,
-//!   admission control and chunked streaming of large bodies, with
-//!   compute still dispatched to the same [`ThreadPool`].
+//! No external dependency and no async runtime. One listener, the
+//! edge-triggered epoll reactor in `crate::aio_server` (Linux only),
+//! parses requests with the incremental [`tpn_aio::http1`] parser and
+//! serves the routes below: keep-alive, pipelining, admission control
+//! and chunked streaming of large bodies, with compute on the fixed
+//! [`ThreadPool`](crate::ThreadPool). On other targets the [`Service`]
+//! and the routes still build; there is no listener.
 //!
 //! Routes:
 //!
@@ -44,15 +40,11 @@
 //! structured `{"code": …, "message": …}` object — the full mapping
 //! lives on [`ServiceError`].
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 pub(crate) use tpn_aio::http1::Request;
-use tpn_aio::http1::{self, HttpError, HttpLimits};
 use tpn_net::{parse_tpn, NetDigest, TimedPetriNet, TimingAssignment};
 use tpn_obs::alert::AlertEngine;
 use tpn_obs::log::RequestLog;
@@ -62,7 +54,6 @@ use tpn_session::{RetimeError, Session, SessionOptions, STAGES};
 use crate::alerts::{self, AlertsConfig, Notifier, NotifyCounters, Silence};
 use crate::analysis::{run_with_session, RequestKind, ServiceError};
 use crate::cache::{AnalysisCache, CacheConfig, CacheKey};
-use crate::executor::ThreadPool;
 use crate::history;
 use crate::json::{error_body, error_object, JsonWriter};
 use crate::metrics::{
@@ -106,9 +97,9 @@ pub struct ServiceConfig {
     /// `metrics` — the log is written by the same observation wrapper.
     pub log: Option<LogConfig>,
     /// Milliseconds between retention-ring samples taken by the
-    /// sampler thread [`spawn`] runs (0 disables the thread; tests and
-    /// benches drive [`Service::sample_now`] directly). Requires
-    /// `metrics`.
+    /// sampler thread [`spawn`](crate::spawn) runs (0 disables the
+    /// thread; tests and benches drive [`Service::sample_now`]
+    /// directly). Requires `metrics`.
     pub sample_interval_ms: u64,
     /// Retention-ring capacity in frames. At the 5s default interval
     /// the 720-frame default covers one trailing hour.
@@ -122,46 +113,11 @@ pub struct ServiceConfig {
     /// `GET /alerts` and the evaluator the sampler ticks. Requires
     /// `metrics`.
     pub alerts: AlertsConfig,
-    /// Which listener [`spawn`] builds. The *library* default is
-    /// [`IoMode::Threaded`] — its close-per-response framing is what
-    /// EOF-reading clients (including this repo's test helpers)
-    /// expect. `tpn serve` flips to [`IoMode::platform_default`],
-    /// which picks epoll where supported.
-    pub io: IoMode,
-    /// Tuning for the epoll listener (ignored by the threaded one).
+    /// Tuning for the epoll listener.
     pub aio: AioConfig,
 }
 
-/// Listener implementation selector — see [`ServiceConfig::io`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IoMode {
-    /// Blocking accept loop, one pool thread per in-flight
-    /// connection, `Connection: close` after every response.
-    Threaded,
-    /// Edge-triggered epoll reactor: keep-alive, pipelining,
-    /// admission control, streaming writes. Requires Linux and the
-    /// `aio-epoll` feature; [`spawn`] errors otherwise.
-    Epoll,
-}
-
-impl IoMode {
-    /// True when [`IoMode::Epoll`] can actually serve on this build.
-    pub fn epoll_supported() -> bool {
-        cfg!(all(target_os = "linux", feature = "aio-epoll"))
-    }
-
-    /// The best mode for this platform: epoll where supported,
-    /// threaded elsewhere.
-    pub fn platform_default() -> IoMode {
-        if IoMode::epoll_supported() {
-            IoMode::Epoll
-        } else {
-            IoMode::Threaded
-        }
-    }
-}
-
-/// Epoll-listener tuning: admission control, deadlines, streaming.
+/// Listener tuning: admission control, deadlines, streaming.
 #[derive(Debug, Clone)]
 pub struct AioConfig {
     /// Hard cap on concurrently open connections; connections beyond
@@ -240,7 +196,6 @@ impl Default for ServiceConfig {
             history_frames: 720,
             slo: SloConfig::default(),
             alerts: AlertsConfig::default(),
-            io: IoMode::Threaded,
             aio: AioConfig::default(),
         }
     }
@@ -256,8 +211,8 @@ impl ServiceConfig {
 }
 
 /// The analysis service: parse → digest → session → cached analysis.
-/// Usable in-process (the CLI's `batch` mode) or behind [`spawn`]'s
-/// HTTP front end.
+/// Usable in-process (the CLI's `batch` mode) or behind the HTTP
+/// front end [`spawn`](crate::spawn) starts.
 ///
 /// The cache is two-tier: a per-digest [`Session`] tier holding the
 /// memoized pipeline artifacts (TRG, decision graph, rates, lifted
@@ -300,9 +255,9 @@ pub struct Service {
     /// The webhook notifier worker, when configured.
     notifier: Option<Notifier>,
     /// Listener connection counters (open gauge, accept/reject/
-    /// timeout/drain counters, lifetime histogram) — updated by
-    /// whichever listener [`spawn`] built, rendered on `/stats` and
-    /// `/metrics`.
+    /// timeout/drain counters, lifetime histogram) — updated by the
+    /// listener [`spawn`](crate::spawn) built, rendered on `/stats`
+    /// and `/metrics`.
     conn: ConnStats,
 }
 
@@ -388,8 +343,8 @@ impl Service {
         &self.metrics
     }
 
-    /// The listener connection counters — updated by whichever
-    /// listener serves this instance, readable any time.
+    /// The listener connection counters — updated by the listener
+    /// serving this instance, readable any time.
     pub fn connections(&self) -> &ConnStats {
         &self.conn
     }
@@ -405,7 +360,8 @@ impl Service {
     /// counted exactly once.
     ///
     /// A panic inside `f` becomes a 500 `{"code":"internal",…}` reply
-    /// here, on every path, so both listeners answer it alike.
+    /// here, on every path, so the listener and in-process callers
+    /// answer it alike.
     ///
     /// No root span is stored at all: the [`RequestTrace`] header
     /// (endpoint, status, duration) *is* the root measurement, taken
@@ -1226,302 +1182,8 @@ fn parse_spec_body<S>(
     Ok((net, spec))
 }
 
-/// A running HTTP server. Dropping the handle shuts the server down;
-/// [`ServerHandle::wait`] blocks forever (the `tpn serve` foreground
-/// mode).
-pub struct ServerHandle {
-    pub(crate) addr: SocketAddr,
-    pub(crate) stop: Arc<AtomicBool>,
-    pub(crate) accept_thread: Option<JoinHandle<()>>,
-    pub(crate) sampler_thread: Option<JoinHandle<()>>,
-    /// Set by the epoll listener: stopping wakes the reactor's
-    /// `epoll_wait` directly instead of dialing the listener.
-    #[cfg(all(target_os = "linux", feature = "aio-epoll"))]
-    pub(crate) waker: Option<tpn_aio::wake::Waker>,
-}
-
-impl ServerHandle {
-    /// The bound address (useful with port 0).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Stop accepting, drain in-flight connections, join the threads.
-    pub fn shutdown(mut self) {
-        self.stop_now();
-    }
-
-    /// Block until the server exits (it only exits via shutdown, so
-    /// this parks the caller for the server's lifetime).
-    pub fn wait(mut self) {
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-    }
-
-    fn stop_now(&mut self) {
-        if let Some(t) = self.sampler_thread.take() {
-            self.stop.store(true, Ordering::SeqCst);
-            let _ = t.join();
-        }
-        if let Some(t) = self.accept_thread.take() {
-            self.stop.store(true, Ordering::SeqCst);
-            #[cfg(all(target_os = "linux", feature = "aio-epoll"))]
-            if let Some(waker) = &self.waker {
-                waker.wake();
-                let _ = t.join();
-                return;
-            }
-            // Unblock the blocking accept() with a no-op connection.
-            // A wildcard bind (0.0.0.0/[::]) is not connectable on
-            // every platform — dial loopback on the bound port instead.
-            let mut wake = self.addr;
-            if wake.ip().is_unspecified() {
-                wake.set_ip(match wake {
-                    SocketAddr::V4(_) => std::net::IpAddr::V4(std::net::Ipv4Addr::LOCALHOST),
-                    SocketAddr::V6(_) => std::net::IpAddr::V6(std::net::Ipv6Addr::LOCALHOST),
-                });
-            }
-            // Retry briefly: under fd exhaustion the first connects can
-            // fail while the accept loop is backing off on errors.
-            for _ in 0..50 {
-                if TcpStream::connect(wake).is_ok() || t.is_finished() {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for ServerHandle {
-    fn drop(&mut self) {
-        self.stop_now();
-    }
-}
-
-/// Bind `addr` and serve `service` until the handle is shut down,
-/// with the listener [`ServiceConfig::io`] selects. Asking for
-/// [`IoMode::Epoll`] on a build without it is an error — callers that
-/// want "epoll where possible" use [`IoMode::platform_default`].
-pub fn spawn(service: Arc<Service>, addr: &str) -> std::io::Result<ServerHandle> {
-    match service.config.io {
-        IoMode::Threaded => spawn_threaded(service, addr),
-        IoMode::Epoll => {
-            #[cfg(all(target_os = "linux", feature = "aio-epoll"))]
-            {
-                crate::aio_server::spawn_epoll(service, addr)
-            }
-            #[cfg(not(all(target_os = "linux", feature = "aio-epoll")))]
-            {
-                let _ = &service;
-                Err(std::io::Error::new(
-                    std::io::ErrorKind::Unsupported,
-                    "epoll I/O is not available on this platform/build; \
-                     use IoMode::Threaded or IoMode::platform_default()",
-                ))
-            }
-        }
-    }
-}
-
-/// The retention sampler: one frame every `sample_interval_ms`,
-/// sleeping in short slices so shutdown is prompt. Shared by both
-/// listeners.
-pub(crate) fn spawn_sampler(
-    service: &Arc<Service>,
-    stop: &Arc<AtomicBool>,
-) -> std::io::Result<Option<JoinHandle<()>>> {
-    if service.metrics.enabled() && service.config.sample_interval_ms > 0 {
-        let service = Arc::clone(service);
-        let stop = Arc::clone(stop);
-        let interval = Duration::from_millis(service.config.sample_interval_ms);
-        Ok(Some(
-            std::thread::Builder::new()
-                .name("tpn-sampler".to_string())
-                .spawn(move || {
-                    service.sample_now();
-                    let slice = Duration::from_millis(50).min(interval);
-                    let mut next = Instant::now() + interval;
-                    while !stop.load(Ordering::SeqCst) {
-                        if Instant::now() >= next {
-                            service.sample_now();
-                            next += interval;
-                        }
-                        std::thread::sleep(slice);
-                    }
-                })?,
-        ))
-    } else {
-        Ok(None)
-    }
-}
-
-/// The threaded listener: blocking accept loop, one pool thread per
-/// in-flight connection, one request per connection. Kept as the
-/// portable fallback and as the differential oracle the epoll
-/// listener is tested against.
-pub(crate) fn spawn_threaded(service: Arc<Service>, addr: &str) -> std::io::Result<ServerHandle> {
-    let listener = TcpListener::bind(addr)?;
-    let local = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop2 = Arc::clone(&stop);
-    let sampler_thread = spawn_sampler(&service, &stop)?;
-    let accept_thread = std::thread::Builder::new()
-        .name("tpn-accept".to_string())
-        .spawn(move || {
-            // The pool lives (and dies, draining its queue) with the
-            // accept loop.
-            let pool = ThreadPool::new(service.config.threads, service.config.queue_cap);
-            loop {
-                let stream = match listener.accept() {
-                    Ok((stream, _)) => stream,
-                    Err(_) => {
-                        // Transient failures (e.g. EMFILE under fd
-                        // exhaustion) return immediately: back off so
-                        // the loop cannot pin a core, and honour the
-                        // stop flag here too — under exhaustion the
-                        // shutdown wake-up connection itself may fail.
-                        if stop2.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        std::thread::sleep(Duration::from_millis(10));
-                        continue;
-                    }
-                };
-                if stop2.load(Ordering::SeqCst) {
-                    break;
-                }
-                let svc = Arc::clone(&service);
-                service.conn.opened();
-                let opened = Instant::now();
-                if pool
-                    .execute(move || {
-                        handle_connection(&svc, stream);
-                        svc.conn.closed(opened.elapsed().as_nanos() as u64);
-                    })
-                    .is_err()
-                {
-                    // Pool shut down before the job was queued: the
-                    // connection is dropped unserved — balance the
-                    // open gauge here.
-                    service.conn.closed(opened.elapsed().as_nanos() as u64);
-                    break;
-                }
-            }
-        })?;
-    Ok(ServerHandle {
-        addr: local,
-        stop,
-        accept_thread: Some(accept_thread),
-        sampler_thread,
-        #[cfg(all(target_os = "linux", feature = "aio-epoll"))]
-        waker: None,
-    })
-}
-
-pub(crate) enum ReadError {
-    /// Protocol violation worth a 400.
-    Malformed(String),
-    /// Body larger than the configured cap: 413.
-    TooLarge,
-    /// A protocol feature this server does not implement: 501.
-    Unsupported(String),
-    /// Transport failure; nothing sensible to reply.
-    Io,
-}
-
-pub(crate) const MAX_HEAD_BYTES: usize = 16 * 1024;
-
-/// Overall per-request read deadline. The socket read timeout only
-/// bounds *each* read; this bounds the total, so a slow-drip client
-/// (one byte per read-timeout window) cannot hold a worker past it.
-const READ_DEADLINE: Duration = Duration::from_secs(30);
-
-impl From<HttpError> for ReadError {
-    fn from(e: HttpError) -> ReadError {
-        match e {
-            HttpError::Malformed(m) => ReadError::Malformed(m),
-            HttpError::TooLarge => ReadError::TooLarge,
-            HttpError::Unsupported(m) => ReadError::Unsupported(m),
-        }
-    }
-}
-
-/// Read one request off a blocking stream by driving the shared
-/// incremental parser — the same state machine the epoll listener
-/// resumes across readiness events, fed here from synchronous reads.
-fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, ReadError> {
-    let deadline = std::time::Instant::now() + READ_DEADLINE;
-    let mut parser = http1::RequestParser::new(HttpLimits {
-        max_head_bytes: MAX_HEAD_BYTES,
-        max_body_bytes: max_body,
-    });
-    loop {
-        if let Some(req) = parser.poll()? {
-            return Ok(req);
-        }
-        // curl sends `Expect: 100-continue` for bodies over ~1 KiB
-        // and waits for the interim response before transmitting the
-        // body.
-        if parser.wants_continue() {
-            if stream.write_all(b"HTTP/1.1 100 Continue\r\n\r\n").is_err() {
-                return Err(ReadError::Io);
-            }
-            let _ = stream.flush();
-        }
-        if std::time::Instant::now() > deadline {
-            return Err(ReadError::Malformed(
-                "request read deadline exceeded".into(),
-            ));
-        }
-        let mut chunk = [0u8; 4096];
-        match stream.read(&mut chunk) {
-            // EOF mid-head is a silently closed connection (no reply);
-            // EOF mid-body truncated a declared Content-Length.
-            Ok(0) => {
-                return Err(if parser.in_body() {
-                    ReadError::Malformed("truncated body".into())
-                } else {
-                    ReadError::Io
-                })
-            }
-            Ok(n) => parser.feed(&chunk[..n]),
-            Err(_) => return Err(ReadError::Io),
-        }
-    }
-}
-
 pub(crate) fn find_double_crlf(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
-}
-
-pub(crate) fn reason(status: u16) -> &'static str {
-    match status {
-        200 => "OK",
-        400 => "Bad Request",
-        404 => "Not Found",
-        405 => "Method Not Allowed",
-        413 => "Payload Too Large",
-        422 => "Unprocessable Entity",
-        501 => "Not Implemented",
-        503 => "Service Unavailable",
-        _ => "Internal Server Error",
-    }
-}
-
-fn write_response(stream: &mut TcpStream, status: u16, content_type: &str, body: &str) {
-    let head = format!(
-        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-        status,
-        reason(status),
-        content_type,
-        body.len()
-    );
-    let _ = stream.write_all(head.as_bytes());
-    let _ = stream.write_all(body.as_bytes());
-    let _ = stream.flush();
 }
 
 /// The JSON content type every route used before `/metrics` and
@@ -1542,37 +1204,6 @@ fn query_u64(req: &Request, name: &str, default: u64) -> Result<u64, ServiceErro
             .parse()
             .map_err(|_| ServiceError::BadRequest(format!("bad {name} value {v:?}"))),
     }
-}
-
-fn handle_connection(service: &Service, mut stream: TcpStream) {
-    // Per-read/-write socket timeouts plus the overall READ_DEADLINE
-    // in read_request bound how long any client — silent, slow-drip,
-    // or never reading — can hold a worker thread.
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-    let req = match read_request(&mut stream, service.config.max_body_bytes) {
-        Ok(req) => req,
-        Err(ReadError::Malformed(m)) => {
-            write_response(&mut stream, 400, JSON, &error_body(&m));
-            return;
-        }
-        Err(ReadError::TooLarge) => {
-            write_response(
-                &mut stream,
-                413,
-                JSON,
-                &error_body("request body too large"),
-            );
-            return;
-        }
-        Err(ReadError::Unsupported(m)) => {
-            write_response(&mut stream, 501, JSON, &error_body(&m));
-            return;
-        }
-        Err(ReadError::Io) => return,
-    };
-    let (status, content_type, body) = route(service, &req);
-    write_response(&mut stream, status, content_type, &body);
 }
 
 /// The endpoint label of an analysis path (`/analyze` → `analyze` …).

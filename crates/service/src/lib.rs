@@ -23,8 +23,8 @@
 //! | [`slo`] | per-endpoint objectives, burn-rate health, `GET /slo` and the graded `/healthz` |
 //! | [`alerts`] | declarative alert rules over the retention ring, `GET /alerts`, silences, webhook notifier |
 //! | [`executor`] | fixed thread pool over a bounded work queue |
-//! | [`http`] | hand-rolled HTTP/1.1 server over [`std::net::TcpListener`] |
-//! | `aio_server` | epoll listener (Linux): keep-alive, pipelining, admission control, streamed responses |
+//! | [`http`] | the [`Service`], its configuration and the HTTP route table |
+//! | `aio_server` | the epoll listener (Linux only): keep-alive, pipelining, admission control, streamed responses |
 //!
 //! Caching is **two-tier**. The body tier is keyed by
 //! `(net content digest, request kind)`: the digest is
@@ -54,7 +54,7 @@
 //! assert_eq!(service.cache().stats().computations, 1);
 //! ```
 //!
-//! # As a daemon
+//! # As a daemon (Linux)
 //!
 //! ```no_run
 //! use std::sync::Arc;
@@ -66,8 +66,8 @@
 //! handle.wait(); // forever (shutdown comes from dropping the handle)
 //! ```
 
-#[cfg(all(target_os = "linux", feature = "aio-epoll"))]
-pub(crate) mod aio_server;
+#[cfg(target_os = "linux")]
+mod aio_server;
 pub mod alerts;
 pub mod analysis;
 pub mod cache;
@@ -85,13 +85,15 @@ pub mod sweep;
 pub mod v1;
 pub mod whatif;
 
+#[cfg(target_os = "linux")]
+pub use aio_server::{spawn, ServerHandle};
 pub use alerts::{AlertsConfig, RuleSpec, Silence, WebhookConfig};
 pub use analysis::{
     run, run_with_session, RequestKind, ServiceError, DEFAULT_SIM_EVENTS, DEFAULT_SIM_SEED,
 };
 pub use cache::{AnalysisCache, CacheConfig, CacheKey, CacheStats};
 pub use executor::{PoolClosed, ThreadPool};
-pub use http::{spawn, AioConfig, IoMode, LogConfig, ServerHandle, Service, ServiceConfig};
+pub use http::{AioConfig, LogConfig, Service, ServiceConfig};
 pub use jsonval::Json;
 pub use metrics::{
     ConnScalars, ConnStats, Endpoint, RequestTrace, ServiceMetrics, SlowTrace, SLOW_RING_CAP,

@@ -410,9 +410,8 @@ impl ServiceMetrics {
     }
 }
 
-/// Connection-level counters shared by both listeners. The threaded
-/// listener bumps these around each `handle_connection` call; the
-/// epoll listener bumps them from the reactor thread. All relaxed —
+/// Connection-level counters, bumped by the epoll listener from its
+/// reactor thread. All relaxed —
 /// the open gauge can be momentarily stale to a reader, never to the
 /// listener itself.
 #[derive(Debug)]

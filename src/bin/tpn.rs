@@ -32,7 +32,6 @@
 //! syntax yet).
 
 use std::process::ExitCode;
-use std::sync::Arc;
 
 use timed_petri::prelude::*;
 use tpn_net::invariant;
@@ -101,14 +100,13 @@ const COMMANDS: &[CommandHelp] = &[
     },
     CommandHelp {
         name: "serve",
-        usage: "tpn serve <addr> [--io epoll|threaded] [--threads N] [--queue N] \
-                [--cache-bytes N] [--no-metrics] [--log[=FILE]] [--log-sample N] [--slo FILE] \
-                [--alerts FILE] [--sample-interval MS] [--max-conns N] [--max-requests N] \
-                [--read-timeout MS] [--write-timeout MS] [--idle-timeout MS] [--inflight N] \
+        usage: "tpn serve <addr> [--threads N] [--queue N] [--cache-bytes N] [--no-metrics] \
+                [--log[=FILE]] [--log-sample N] [--slo FILE] [--alerts FILE] \
+                [--sample-interval MS] [--max-conns N] [--max-requests N] [--read-timeout MS] \
+                [--write-timeout MS] [--idle-timeout MS] [--inflight N] \
                 [--stream-threshold BYTES] [--drain-ms MS]",
-        summary: "HTTP analysis daemon with a content-addressed result cache; serves through \
-                  the epoll reactor (keep-alive, backpressure, streaming) where supported, \
-                  the thread-per-connection listener with --io threaded",
+        summary: "HTTP analysis daemon with a content-addressed result cache, served by \
+                  the epoll reactor (keep-alive, backpressure, streaming); Linux only",
     },
     CommandHelp {
         name: "stats",
@@ -189,13 +187,32 @@ fn global_usage() -> String {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
+    // A panic is a bug in tpn, not a usage error, but the user still
+    // gets one `tpn: …` line and exit 1 rather than a backtrace. The
+    // daemon keeps the default hook: its handler panics are answered
+    // 500 and the hook's stderr line is the operator's record of them.
+    if args.first().map(String::as_str) != Some("serve") {
+        std::panic::set_hook(Box::new(|_| {}));
+    }
+    let outcome = std::panic::catch_unwind(|| run(&args))
+        .unwrap_or_else(|panic| Err(format!("internal error: {}", panic_message(&*panic))));
+    match outcome {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("tpn: {msg}");
             ExitCode::FAILURE
         }
     }
+}
+
+/// The text a panic was raised with (`panic!("…")` payloads are a
+/// `&str` or a `String`).
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("unknown panic")
 }
 
 fn load(path: &str) -> Result<TimedPetriNet, String> {
@@ -501,14 +518,10 @@ fn cmd_whatif(args: &[String]) -> Result<(), String> {
 
 /// `tpn serve <addr> [--threads N] [--queue N] [--cache-bytes N]
 /// [--no-metrics] [--log[=FILE]] [--log-sample N]`
+#[cfg(target_os = "linux")]
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     let mut addr: Option<&str> = None;
-    let mut config = ServiceConfig {
-        // The daemon defaults to the best listener for the platform;
-        // the library default stays Threaded for embedders and tests.
-        io: tpn_service::IoMode::platform_default(),
-        ..ServiceConfig::default()
-    };
+    let mut config = ServiceConfig::default();
     let mut log_requested = false;
     let mut log_path: Option<String> = None;
     let mut log_sample: u64 = 1;
@@ -524,28 +537,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         match arg.as_str() {
             "--threads" => config.threads = flag_value("--threads")?,
             "--queue" => config.queue_cap = flag_value("--queue")?,
-            "--io" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| format!("--io needs a value\n{}", usage_of("serve")))?;
-                config.io = match v.as_str() {
-                    "epoll" => {
-                        if !tpn_service::IoMode::epoll_supported() {
-                            return Err(
-                                "--io epoll is unsupported on this platform/build".to_string()
-                            );
-                        }
-                        tpn_service::IoMode::Epoll
-                    }
-                    "threaded" => tpn_service::IoMode::Threaded,
-                    other => {
-                        return Err(format!(
-                            "bad --io value {other:?} (epoll or threaded)\n{}",
-                            usage_of("serve")
-                        ))
-                    }
-                };
-            }
             "--max-conns" => config.aio.max_connections = flag_value("--max-conns")?,
             "--max-requests" => {
                 config.aio.max_requests_per_conn = flag_value("--max-requests")? as u64
@@ -610,17 +601,9 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         });
     }
     let addr = addr.ok_or_else(|| usage_of("serve"))?;
-    let io = config.io;
-    let service = Arc::new(Service::new(config));
+    let service = std::sync::Arc::new(Service::new(config));
     let handle = tpn_service::spawn(service, addr).map_err(|e| format!("{addr}: {e}"))?;
-    println!(
-        "tpn-service listening on http://{} ({} listener)",
-        handle.addr(),
-        match io {
-            tpn_service::IoMode::Epoll => "epoll",
-            tpn_service::IoMode::Threaded => "threaded",
-        }
-    );
+    println!("tpn-service listening on http://{}", handle.addr());
     println!(
         "endpoints: POST /v1 /analyze /graph /correctness /invariants /simulate /sweep /optimize \
          /whatif /alerts/silence · GET /healthz /stats /metrics /metrics/history /slo /alerts \
@@ -628,6 +611,12 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     );
     handle.wait();
     Ok(())
+}
+
+/// The daemon's only listener is the epoll reactor.
+#[cfg(not(target_os = "linux"))]
+fn cmd_serve(_args: &[String]) -> Result<(), String> {
+    Err("serve requires Linux (epoll)".to_string())
 }
 
 /// Fetch one path from a daemon over a single `Connection: close`

@@ -1,14 +1,13 @@
-//! Differential tests for the epoll serving tier (`crates/aio` +
-//! `aio_server`): the threaded listener is the oracle — both front
-//! ends sit on the same shared HTTP parser and the same
-//! `Service`/route paths, so deterministic endpoints must come back
-//! **byte-identical** across the two. On top of that, the epoll-only
-//! behaviours: keep-alive, pipelining, chunked streaming, slow-client
-//! deadlines, the connection cap, and graceful drain.
-//!
-//! Every test gates at runtime on `IoMode::epoll_supported()` so the
-//! suite stays green on builds without the `aio-epoll` feature (CI's
-//! `--no-default-features` check) and on non-Linux hosts.
+//! Tests for the epoll serving tier (`crates/aio` + `aio_server`).
+//! The oracle is frozen wire bytes: `tests/fixtures/golden/wire/`
+//! holds raw responses (status line, headers, body) captured from the
+//! thread-per-connection listener this one replaced, and every
+//! deterministic exchange must still come back **byte-identical** to
+//! them. On top of that: keep-alive, pipelining, chunked streaming,
+//! slow-client deadlines, the connection cap, and graceful drain.
+
+// The daemon serves on Linux only.
+#![cfg(target_os = "linux")]
 
 mod common;
 
@@ -20,13 +19,23 @@ use std::time::{Duration, Instant};
 use common::{fig1_text, start_server_with};
 use timed_petri::aio::http1::{Response, ResponseParser};
 use timed_petri::obs::validate::validate;
-use timed_petri::service::{AioConfig, IoMode, ServerHandle, Service, ServiceConfig};
+use timed_petri::service::{AioConfig, ServerHandle, Service, ServiceConfig};
+use tpn_bench::loadgen::{self, LoadConfig, RequestSpec};
+
+fn fixture_bytes(name: &str) -> Vec<u8> {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(name);
+    std::fs::read(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
+}
 
 fn fixture(name: &str) -> String {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures/golden")
-        .join(name);
-    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
+    String::from_utf8(fixture_bytes(&format!("golden/{name}"))).expect("UTF-8 fixture")
+}
+
+/// A captured raw response under `tests/fixtures/golden/wire/`.
+fn wire(name: &str) -> Vec<u8> {
+    fixture_bytes(&format!("golden/wire/{name}.http"))
 }
 
 /// The sweep spec fixture with the net text embedded in-body, the
@@ -47,7 +56,6 @@ fn sweep_body() -> String {
 
 fn epoll_server(aio: AioConfig) -> (ServerHandle, SocketAddr, Arc<Service>) {
     start_server_with(ServiceConfig {
-        io: IoMode::Epoll,
         aio,
         ..ServiceConfig::default()
     })
@@ -137,46 +145,53 @@ fn await_open(service: &Service, want: u64) {
 }
 
 // ---------------------------------------------------------------------
-// Differential: epoll vs threaded byte identity
+// Byte identity against the captured wire goldens
 // ---------------------------------------------------------------------
 
+/// Assert one exchange's raw response equals its captured golden.
+fn assert_wire(golden: &str, request: &[u8], got: &[u8]) {
+    let want = wire(golden);
+    assert_eq!(
+        want,
+        got,
+        "{golden}.http diverges for request:\n{}\ncaptured:\n{}\nepoll:\n{}",
+        String::from_utf8_lossy(request),
+        String::from_utf8_lossy(&want),
+        String::from_utf8_lossy(got),
+    );
+}
+
 #[test]
-fn epoll_serves_goldens_byte_identical_to_threaded() {
-    if !IoMode::epoll_supported() {
-        return;
-    }
-    let (threaded, taddr, _) = start_server_with(ServiceConfig::default());
+fn epoll_serves_captured_wire_goldens_byte_identical() {
     let (epoll, eaddr, _) = epoll_server(AioConfig::default());
 
     let fig1 = fig1_text();
-    let exchanges: Vec<Vec<u8>> = vec![
-        close_request("POST", "/analyze", &fig1),
-        close_request("POST", "/graph", &fig1),
-        close_request("POST", "/correctness", &fig1),
-        close_request("POST", "/invariants", &fig1),
-        close_request("POST", "/sweep", &sweep_body()),
-        close_request("POST", "/sweep", &fixture("sweep_spec.json")),
-        close_request("POST", "/analyze", "not a petri net"),
-        close_request("GET", "/no/such/route", ""),
-        // Parser-level rejections share error strings via the common
-        // parser module, so even malformed input must match bytewise.
-        b"BOGUS\r\n\r\n".to_vec(),
-        b"GET /analyze HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 7\r\nConnection: close\r\n\r\nabcd".to_vec(),
+    let exchanges: Vec<(&str, Vec<u8>)> = vec![
+        ("analyze_fig1", close_request("POST", "/analyze", &fig1)),
+        ("graph_fig1", close_request("POST", "/graph", &fig1)),
+        ("correctness_fig1", close_request("POST", "/correctness", &fig1)),
+        ("invariants_fig1", close_request("POST", "/invariants", &fig1)),
+        ("sweep_fig1", close_request("POST", "/sweep", &sweep_body())),
+        (
+            "sweep_without_net",
+            close_request("POST", "/sweep", &fixture("sweep_spec.json")),
+        ),
+        (
+            "analyze_unparseable",
+            close_request("POST", "/analyze", "not a petri net"),
+        ),
+        ("no_such_route", close_request("GET", "/no/such/route", "")),
+        // Parser-level rejections keep their historical error strings.
+        ("bogus_request_line", b"BOGUS\r\n\r\n".to_vec()),
+        (
+            "duplicate_content_length",
+            b"GET /analyze HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 7\r\nConnection: close\r\n\r\nabcd".to_vec(),
+        ),
     ];
-    for request in &exchanges {
-        let from_threaded = raw_close_exchange(taddr, request);
-        let from_epoll = raw_close_exchange(eaddr, request);
-        assert_eq!(
-            from_threaded,
-            from_epoll,
-            "listener divergence for request:\n{}\nthreaded:\n{}\nepoll:\n{}",
-            String::from_utf8_lossy(request),
-            String::from_utf8_lossy(&from_threaded),
-            String::from_utf8_lossy(&from_epoll),
-        );
+    for (golden, request) in &exchanges {
+        assert_wire(golden, request, &raw_close_exchange(eaddr, request));
     }
 
-    threaded.shutdown();
     epoll.shutdown();
 }
 
@@ -186,9 +201,6 @@ fn epoll_serves_goldens_byte_identical_to_threaded() {
 
 #[test]
 fn keep_alive_pipelined_requests_share_one_connection() {
-    if !IoMode::epoll_supported() {
-        return;
-    }
     let (handle, addr, service) = epoll_server(AioConfig::default());
 
     let mut client = KeepAlive::connect(addr);
@@ -229,9 +241,6 @@ fn keep_alive_pipelined_requests_share_one_connection() {
 
 #[test]
 fn max_requests_per_conn_sends_connection_close() {
-    if !IoMode::epoll_supported() {
-        return;
-    }
     let (handle, addr, _) = epoll_server(AioConfig {
         max_requests_per_conn: 2,
         ..AioConfig::default()
@@ -258,10 +267,7 @@ fn max_requests_per_conn_sends_connection_close() {
 // ---------------------------------------------------------------------
 
 #[test]
-fn streamed_sweep_reassembles_to_the_threaded_body() {
-    if !IoMode::epoll_supported() {
-        return;
-    }
+fn streamed_sweep_reassembles_to_the_captured_body() {
     // Force the chunked path: the golden sweep body (~2 KB) is far
     // above a 256-byte threshold, and a 64-byte frame size forces many
     // partial-write round trips through the bounded out-buffer.
@@ -270,7 +276,6 @@ fn streamed_sweep_reassembles_to_the_threaded_body() {
         write_chunk: 64,
         ..AioConfig::default()
     });
-    let (threaded, taddr, _) = start_server_with(ServiceConfig::default());
 
     let spec = sweep_body();
     let mut client = KeepAlive::connect(eaddr);
@@ -280,20 +285,18 @@ fn streamed_sweep_reassembles_to_the_threaded_body() {
     assert!(streamed.chunked, "body over threshold must stream chunked");
     assert!(!streamed.close, "streaming must not cost keep-alive");
 
-    let raw = raw_close_exchange(taddr, &close_request("POST", "/sweep", &spec));
-    let text = String::from_utf8(raw).unwrap();
-    let oracle_body = &text[text.find("\r\n\r\n").unwrap() + 4..];
+    let text = String::from_utf8(wire("sweep_fig1")).unwrap();
+    let captured_body = &text[text.find("\r\n\r\n").unwrap() + 4..];
     assert_eq!(
         String::from_utf8(streamed.body).unwrap(),
-        oracle_body,
-        "de-chunked stream must reassemble to the threaded body"
+        captured_body,
+        "de-chunked stream must reassemble to the captured body"
     );
 
     // The same connection serves a follow-up request after streaming.
     client.send("GET", "/healthz", "");
     assert_eq!(client.read_response().status, 200);
 
-    threaded.shutdown();
     epoll.shutdown();
 }
 
@@ -303,9 +306,6 @@ fn streamed_sweep_reassembles_to_the_threaded_body() {
 
 #[test]
 fn slow_loris_is_cut_by_the_read_deadline() {
-    if !IoMode::epoll_supported() {
-        return;
-    }
     let (handle, addr, service) = epoll_server(AioConfig {
         read_deadline_ms: 200,
         ..AioConfig::default()
@@ -331,9 +331,6 @@ fn slow_loris_is_cut_by_the_read_deadline() {
 
 #[test]
 fn connection_cap_rejects_overflow_with_503() {
-    if !IoMode::epoll_supported() {
-        return;
-    }
     let (handle, addr, service) = epoll_server(AioConfig {
         max_connections: 2,
         ..AioConfig::default()
@@ -373,9 +370,6 @@ fn connection_cap_rejects_overflow_with_503() {
 
 #[test]
 fn shutdown_drains_idle_connections() {
-    if !IoMode::epoll_supported() {
-        return;
-    }
     let (handle, addr, service) = epoll_server(AioConfig::default());
 
     let mut idle = KeepAlive::connect(addr);
@@ -399,9 +393,6 @@ fn shutdown_drains_idle_connections() {
 
 #[test]
 fn connection_stats_surface_on_stats_and_metrics() {
-    if !IoMode::epoll_supported() {
-        return;
-    }
     let (handle, addr, _) = epoll_server(AioConfig::default());
 
     let mut client = KeepAlive::connect(addr);
@@ -438,21 +429,6 @@ fn connection_stats_surface_on_stats_and_metrics() {
 // Panic containment
 // ---------------------------------------------------------------------
 
-/// Two lossy retransmission loops whose exact rates overflow `i128`:
-/// the analysis pipeline panics on this net.
-const LOSSY2: &str = "net lossy2
-place a1 init 1
-place b1
-place a2 init 1
-place b2
-trans ok1 in a1 out b1 firing 3 weight 0.91
-trans lose1 in a1 out a1 firing 7 weight 0.09
-trans back1 in b1 out a1 firing 5
-trans ok2 in a2 out b2 firing 5 weight 0.92
-trans lose2 in a2 out a2 firing 8 weight 0.08
-trans back2 in b2 out a2 firing 8
-";
-
 /// The `tpn_requests_total{endpoint="analyze",status="200"}` sample of
 /// a `/metrics` document (absent before the first success).
 fn analyze_200_total(metrics: &str) -> u64 {
@@ -465,36 +441,19 @@ fn analyze_200_total(metrics: &str) -> u64 {
 
 #[test]
 fn panicking_pipeline_answers_500_and_releases_its_connection() {
-    if !IoMode::epoll_supported() {
-        return;
-    }
-    // One worker each, so every later request reuses the thread the
-    // panic unwound through.
-    let one_worker = |io| ServiceConfig {
-        io,
+    // One worker, so every later request reuses the thread the panic
+    // unwound through.
+    let (epoll, eaddr, service) = start_server_with(ServiceConfig {
         threads: 1,
         ..ServiceConfig::default()
-    };
-    let (threaded, taddr, _) = start_server_with(one_worker(IoMode::Threaded));
-    let (epoll, eaddr, service) = start_server_with(one_worker(IoMode::Epoll));
+    });
     let baseline = service.connections().scalars().open;
 
-    let request = close_request("POST", "/analyze", LOSSY2);
-    let from_threaded = raw_close_exchange(taddr, &request);
-    let from_epoll = raw_close_exchange(eaddr, &request);
-    assert_eq!(
-        String::from_utf8_lossy(&from_threaded),
-        String::from_utf8_lossy(&from_epoll),
-        "listener divergence on a panicking request"
-    );
-    let reply = String::from_utf8(from_epoll).expect("utf-8 reply");
-    assert!(reply.starts_with("HTTP/1.1 500 "), "{reply}");
-    assert!(
-        reply.ends_with(
-            "\r\n\r\n{\"code\":\"internal\",\"message\":\"the request handler panicked\"}"
-        ),
-        "{reply}"
-    );
+    // lossy2's exact rates overflow i128, so the pipeline panics.
+    let lossy2 = String::from_utf8(fixture_bytes("overflow/lossy2.tpn")).expect("UTF-8 net");
+    let request = close_request("POST", "/analyze", &lossy2);
+    let reply = raw_close_exchange(eaddr, &request);
+    assert_wire("analyze_lossy2_panic", &request, &reply);
     await_open(&service, baseline);
 
     // The worker's trace collector was closed on the panic path, so
@@ -511,7 +470,6 @@ fn panicking_pipeline_answers_500_and_releases_its_connection() {
     assert!(text.starts_with("HTTP/1.1 200 "), "{text}");
     assert_eq!(analyze_200_total(&text), before + K, "{text}");
     await_open(&service, baseline);
-    threaded.shutdown();
     epoll.shutdown();
 }
 
@@ -521,34 +479,25 @@ fn panicking_pipeline_answers_500_and_releases_its_connection() {
 
 #[test]
 fn loadgen_smoke_512_connections_zero_drops_clean_drain() {
-    if !IoMode::epoll_supported() {
-        return;
-    }
-    #[cfg(target_os = "linux")]
-    {
-        use tpn_bench::loadgen::{self, LoadConfig, RequestSpec};
+    let (handle, addr, service) = epoll_server(AioConfig::default());
+    let cfg = LoadConfig {
+        connections: 512,
+        requests: 2048,
+        // `/slo` is unconditionally 200; `/healthz` flips to 503
+        // when the burn-rate engine fires, which load can cause.
+        mix: vec![RequestSpec::new("GET", "/slo", "")],
+        deadline: Duration::from_secs(120),
+    };
+    let report = loadgen::run(addr, &cfg).expect("loadgen run");
+    assert_eq!(report.errors, 0, "no request may be dropped: {report:?}");
+    assert_eq!(report.ok, 2048, "every request answered 200: {report:?}");
 
-        let (handle, addr, service) = epoll_server(AioConfig::default());
-        let cfg = LoadConfig {
-            connections: 512,
-            requests: 2048,
-            keep_alive: true,
-            // `/slo` is unconditionally 200; `/healthz` flips to 503
-            // when the burn-rate engine fires, which load can cause.
-            mix: vec![RequestSpec::new("GET", "/slo", "")],
-            deadline: Duration::from_secs(120),
-        };
-        let report = loadgen::run(addr, &cfg).expect("loadgen run");
-        assert_eq!(report.errors, 0, "no request may be dropped: {report:?}");
-        assert_eq!(report.ok, 2048, "every request answered 200: {report:?}");
-
-        // All 512 sockets drop with the loadgen; the reactor must reap
-        // every one — the open gauge returns to zero before shutdown.
-        await_open(&service, 0);
-        let scalars = service.connections().scalars();
-        assert!(scalars.accepted >= 512, "scalars: {scalars:?}");
-        assert_eq!(scalars.rejected, 0, "scalars: {scalars:?}");
-        handle.shutdown();
-        assert_eq!(service.connections().scalars().open, 0);
-    }
+    // All 512 sockets drop with the loadgen; the reactor must reap
+    // every one — the open gauge returns to zero before shutdown.
+    await_open(&service, 0);
+    let scalars = service.connections().scalars();
+    assert!(scalars.accepted >= 512, "scalars: {scalars:?}");
+    assert_eq!(scalars.rejected, 0, "scalars: {scalars:?}");
+    handle.shutdown();
+    assert_eq!(service.connections().scalars().open, 0);
 }

@@ -9,6 +9,9 @@
 //! filter, the `/debug/{requests,slow}` `n` cap, and the `tpn alerts`
 //! subcommand.
 
+// These tests drive the daemon over loopback; it serves on Linux only.
+#![cfg(target_os = "linux")]
+
 use std::io::{Read, Write};
 use std::net::TcpListener;
 use std::process::Command;

@@ -200,3 +200,20 @@ fn show_prints_the_content_digest() {
         .expect("digest line");
     assert_eq!(line.len(), "digest ".len() + 32, "{line}");
 }
+
+#[test]
+fn internal_panic_is_one_error_line_and_exit_1() {
+    // lossy2's exact rates overflow i128, so the pipeline panics. When
+    // the rational arithmetic loses its i128 ceiling (ROADMAP), this
+    // case needs another net that panics.
+    let net = format!(
+        "{}/tests/fixtures/overflow/lossy2.tpn",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let out = tpn(&["analyze", &net]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(err.lines().count(), 1, "{err}");
+    assert!(err.starts_with("tpn: internal error: "), "{err}");
+    assert!(!err.contains("backtrace"), "{err}");
+}

@@ -38,11 +38,11 @@ pub fn start_server_with(config: ServiceConfig) -> (ServerHandle, SocketAddr, Ar
 }
 
 /// A minimal HTTP/1.1 client: one request, one `Connection: close`
-/// response. Returns (status, body).
+/// response read to EOF. Returns (status, body).
 pub fn http(addr: SocketAddr, method: &str, target: &str, body: &str) -> (u16, String) {
     let mut stream = TcpStream::connect(addr).expect("connect");
     let request = format!(
-        "{method} {target} HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\n\r\n{body}",
+        "{method} {target} HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
     );
     stream.write_all(request.as_bytes()).expect("send");

@@ -8,6 +8,9 @@
 //! suite replays the same requests against the current server (real
 //! loopback HTTP), the in-process API and the CLI, and compares bytes.
 
+// These tests drive the daemon over loopback; it serves on Linux only.
+#![cfg(target_os = "linux")]
+
 use std::process::Command;
 
 mod common;

@@ -6,6 +6,9 @@
 //! pre-instrumentation daemon, and the same request sequence must
 //! reproduce it exactly.
 
+// These tests drive the daemon over loopback; it serves on Linux only.
+#![cfg(target_os = "linux")]
+
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::process::Command;
@@ -40,7 +43,7 @@ fn with_net(spec: &str, net: &str) -> String {
 fn http_raw(addr: SocketAddr, method: &str, target: &str, body: &str) -> (u16, String, String) {
     let mut stream = TcpStream::connect(addr).expect("connect");
     let request = format!(
-        "{method} {target} HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\n\r\n{body}",
+        "{method} {target} HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
     );
     stream.write_all(request.as_bytes()).expect("send");

@@ -11,6 +11,9 @@
 //!   `tpn optimize` CLI output (two different processes), a repeat is
 //!   a cache hit, and `/stats` exposes the optimize counters.
 
+// These tests drive the daemon over loopback; it serves on Linux only.
+#![cfg(target_os = "linux")]
+
 use std::process::Command;
 use std::sync::Arc;
 

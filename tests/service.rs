@@ -12,6 +12,9 @@
 //!   both match the library/CLI JSON rendering (`tpn batch` shares the
 //!   same serializer).
 
+// These tests drive the daemon over loopback; it serves on Linux only.
+#![cfg(target_os = "linux")]
+
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::process::Command;
@@ -142,7 +145,7 @@ fn expect_100_continue_is_answered_before_the_body() {
     stream
         .write_all(
             format!(
-                "POST /analyze HTTP/1.1\r\nHost: x\r\nExpect: 100-continue\r\nContent-Length: {}\r\n\r\n",
+                "POST /analyze HTTP/1.1\r\nHost: x\r\nExpect: 100-continue\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
                 net.len()
             )
             .as_bytes(),
@@ -196,7 +199,10 @@ fn protocol_errors_map_to_statuses() {
     // silently served against an empty body
     let mut stream = TcpStream::connect(addr).unwrap();
     stream
-        .write_all(b"POST /analyze HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n")
+        .write_all(
+            b"POST /analyze HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\
+              Connection: close\r\n\r\n",
+        )
         .unwrap();
     let mut resp = String::new();
     stream.read_to_string(&mut resp).unwrap();

@@ -9,6 +9,9 @@
 //! * `tpn batch` with several kinds parses each file once and shares
 //!   the session across kinds.
 
+// These tests drive the daemon over loopback; it serves on Linux only.
+#![cfg(target_os = "linux")]
+
 use std::process::Command;
 
 use timed_petri::service::{RequestKind, Service, ServiceConfig};

@@ -7,6 +7,9 @@
 //! captured in `/debug/slow`; `GET /slo` publishes the policy; and
 //! the `tpn top` / `tpn stats --watch` dashboards render it all.
 
+// These tests drive the daemon over loopback; it serves on Linux only.
+#![cfg(target_os = "linux")]
+
 use std::process::Command;
 use std::time::{Duration, Instant};
 

@@ -11,6 +11,9 @@
 //! * `/stats` exposes the sweep counters, and a repeated sweep is a
 //!   cache hit with no recompilation.
 
+// These tests drive the daemon over loopback; it serves on Linux only.
+#![cfg(target_os = "linux")]
+
 use std::process::Command;
 use std::sync::Arc;
 

@@ -8,6 +8,9 @@
 //! must equal, byte for byte, what a cold analysis of the perturbed
 //! net would produce.
 
+// These tests drive the daemon over loopback; it serves on Linux only.
+#![cfg(target_os = "linux")]
+
 mod common;
 
 use common::{fig1_text, http, json_counter, start_server};
