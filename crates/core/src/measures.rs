@@ -8,6 +8,12 @@
 //! transition is the rate-weighted count of its firings per unit time,
 //! and place utilisation weighs the dwell times of the states marking
 //! the place.
+//!
+//! In matrix form the throughputs are `θ = Cᵀr / Σ wᵢ`, where `C[e][t]`
+//! counts how often transition `t` begins firing along edge `e`.
+//! [`Performance::throughputs`] computes all of them in one pass over
+//! the edges' `fired` lists, adding `C[e][t]·rₑ` as a single product;
+//! [`Performance::throughput`] computes one entry.
 
 use tpn_linalg::Field;
 use tpn_net::{PlaceId, TimedPetriNet, TransId};
@@ -109,16 +115,41 @@ where
     /// `Σₑ count(t, e)·rₑ / Σ wᵢ`. For the paper's protocol with `t7`
     /// (the sender receives the acknowledgement — one firing per
     /// *successfully acknowledged* message) this is exactly the paper's
-    /// throughput expression `r₂ / Σ wᵢ`.
+    /// throughput expression `r₂ / Σ wᵢ`. To read every transition's
+    /// throughput, [`Performance::throughputs`] does it in one pass.
     pub fn throughput(&self, dg: &DecisionGraph<D>, t: TransId) -> D::Prob {
         let mut num = D::Prob::zero();
         for (ei, e) in dg.edges().iter().enumerate() {
             let k = e.firings_of(t);
-            for _ in 0..k {
-                num = num.add(self.rates.rate(ei));
+            if k > 0 {
+                num = num.add(&scaled(k, self.rates.rate(ei)));
             }
         }
         num.div(&self.total_weight)
+    }
+
+    /// Every transition's throughput at once, `θ = Cᵀr / Σ wᵢ` with
+    /// `C[e][t]` the number of times `t` begins firing along edge `e`:
+    /// one pass over the edges' `fired` lists instead of one per
+    /// transition. Indexed by [`TransId::index`]; the vector ends at the
+    /// last transition that fires on some edge, and every transition
+    /// past its end has throughput zero. Each entry equals
+    /// [`Performance::throughput`].
+    pub fn throughputs(&self, dg: &DecisionGraph<D>) -> Vec<D::Prob> {
+        let mut num: Vec<D::Prob> = Vec::new();
+        for (ei, e) in dg.edges().iter().enumerate() {
+            for (i, &t) in e.fired.iter().enumerate() {
+                if e.fired[..i].contains(&t) {
+                    continue; // counted at its first occurrence
+                }
+                let k = 1 + e.fired[i + 1..].iter().filter(|&&x| x == t).count();
+                if num.len() <= t.index() {
+                    num.resize(t.index() + 1, D::Prob::zero());
+                }
+                num[t.index()] = num[t.index()].add(&scaled(k, self.rates.rate(ei)));
+            }
+        }
+        num.iter().map(|n| n.div(&self.total_weight)).collect()
     }
 
     /// Mean time between traversals of edge `e` (infinite — an error —
@@ -199,6 +230,15 @@ where
         }
         let _ = writeln!(out, "total weight Σw = {}", self.total_weight);
         out
+    }
+}
+
+/// `k·r`: one multiply (none when `k` is 1) instead of `k` additions.
+fn scaled<F: Field>(k: usize, r: &F) -> F {
+    if k == 1 {
+        r.clone()
+    } else {
+        F::from_int(k as i128).mul(r)
     }
 }
 

@@ -15,6 +15,8 @@ pub trait Field: Clone + PartialEq + std::fmt::Debug {
     fn zero() -> Self;
     /// The multiplicative identity.
     fn one() -> Self;
+    /// The integer `n` as a field element.
+    fn from_int(n: i128) -> Self;
     /// `true` iff this is the additive identity.
     fn is_zero(&self) -> bool;
     /// Addition.
@@ -46,6 +48,9 @@ impl Field for Rational {
     fn one() -> Self {
         Rational::ONE
     }
+    fn from_int(n: i128) -> Self {
+        Rational::from_int(n)
+    }
     fn is_zero(&self) -> bool {
         Rational::is_zero(self)
     }
@@ -76,6 +81,9 @@ impl Field for RatFn {
     }
     fn one() -> Self {
         RatFn::one()
+    }
+    fn from_int(n: i128) -> Self {
+        RatFn::constant(Rational::from_int(n))
     }
     fn is_zero(&self) -> bool {
         RatFn::is_zero(self)
@@ -109,6 +117,7 @@ mod tests {
         assert_eq!(a.add(&b), b.add(&a));
         assert_eq!(a.add(&F::zero()), a);
         assert_eq!(a.mul(&F::one()), a);
+        assert_eq!(a.mul(&F::from_int(2)), a.add(&a));
         assert_eq!(a.sub(&a), F::zero());
         assert_eq!(a.add(&a.neg()), F::zero());
         if !b.is_zero() {

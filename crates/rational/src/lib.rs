@@ -12,6 +12,14 @@
 //! operator impls panic on overflow (which, with 128-bit intermediaries
 //! and the magnitudes that occur in protocol models, does not happen in
 //! practice — the checked API exists for the solver layers that iterate).
+//!
+//! Reduction is the cost of every operation, so the kernel keeps it
+//! small: [`gcd`] is a binary GCD that finishes in `u64` arithmetic,
+//! addition takes its second GCD only on the small common factor of
+//! the denominators (Knuth, TAOCP 4.5.1), multiplication cross-cancels
+//! and needs no third GCD, and the reciprocal needs none. Comparison
+//! is exact for every pair of values: when the `i128` cross products
+//! overflow it compares them as 256-bit products.
 
 mod error;
 mod parse;
@@ -25,21 +33,56 @@ pub use rational::Rational;
 /// `gcd(0, 0) == 0` by convention.
 pub fn gcd(a: i128, b: i128) -> i128 {
     // `unsigned_abs` avoids overflow on `i128::MIN`.
-    let mut ua = a.unsigned_abs();
-    let mut ub = b.unsigned_abs();
-    while ub != 0 {
-        let r = ua % ub;
-        ua = ub;
-        ub = r;
-    }
+    let g = gcd_u128(a.unsigned_abs(), b.unsigned_abs());
     // The gcd of two i128s fits in i128 unless both inputs were i128::MIN
     // (gcd 2^127). We saturate instead of panicking: callers normalise
     // immediately after and surface an ArithmeticError there.
-    if ua > i128::MAX as u128 {
+    if g > i128::MAX as u128 {
         i128::MAX
     } else {
-        ua as i128
+        g as i128
     }
+}
+
+/// Binary (Stein) GCD on `u128`.
+///
+/// Every step is a subtraction and a shift, never a software 128-bit
+/// `%`. Once both operands fit in 64 bits the loop continues in native
+/// `u64` arithmetic; when only the smaller one does, a single remainder
+/// brings the larger down to its size first.
+fn gcd_u128(mut a: u128, mut b: u128) -> u128 {
+    if a == 0 || b == 0 {
+        return a | b;
+    }
+    let shift = (a | b).trailing_zeros();
+    a >>= a.trailing_zeros();
+    loop {
+        // Invariant: a is odd, b is non-zero, and the answer is
+        // gcd(a, b) << shift.
+        b >>= b.trailing_zeros();
+        if b < a {
+            std::mem::swap(&mut a, &mut b);
+        }
+        if let Ok(small_b) = u64::try_from(b) {
+            return u128::from(gcd_odd_u64(a as u64, small_b)) << shift;
+        }
+        b = if a >> 64 == 0 { b % a } else { b - a };
+        if b == 0 {
+            return a << shift;
+        }
+    }
+}
+
+/// Stein's loop on two odd `u64`s.
+fn gcd_odd_u64(mut a: u64, mut b: u64) -> u64 {
+    while a != b {
+        if a > b {
+            std::mem::swap(&mut a, &mut b);
+        }
+        b -= a;
+        b >>= b.trailing_zeros();
+    }
+    a
 }
 
 /// Least common multiple, checked.

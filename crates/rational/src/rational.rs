@@ -124,16 +124,40 @@ impl Rational {
 
     /// Checked addition.
     pub fn checked_add(&self, other: &Rational) -> Result<Rational, ArithmeticError> {
-        // a/b + c/d = (a*(l/b) + c*(l/d)) / l  with l = lcm(b, d);
-        // going through the lcm keeps intermediates small.
+        if self.num == 0 {
+            return Ok(*other);
+        }
+        if other.num == 0 {
+            return Ok(*self);
+        }
+        // Knuth, TAOCP 4.5.1: with g = gcd(b, d),
+        //   a/b + c/d = t / ((b/g)·d)   where t = a·(d/g) + c·(b/g),
+        // and gcd(t, (b/g)·d) = gcd(t, g). So g = 1 needs no further
+        // reduction, and otherwise the only other GCD is taken on the
+        // small g. No intermediate exceeds the lcm route's.
+        let ovf = ArithmeticError::Overflow;
         let g = gcd(self.den, other.den);
+        if g == 1 {
+            let lhs = self.num.checked_mul(other.den).ok_or(ovf)?;
+            let rhs = other.num.checked_mul(self.den).ok_or(ovf)?;
+            return Ok(Rational {
+                num: lhs.checked_add(rhs).ok_or(ovf)?,
+                den: self.den.checked_mul(other.den).ok_or(ovf)?,
+            });
+        }
         let db = self.den / g;
         let dd = other.den / g;
-        let l = db.checked_mul(other.den).ok_or(ArithmeticError::Overflow)?;
-        let lhs = self.num.checked_mul(dd).ok_or(ArithmeticError::Overflow)?;
-        let rhs = other.num.checked_mul(db).ok_or(ArithmeticError::Overflow)?;
-        let num = lhs.checked_add(rhs).ok_or(ArithmeticError::Overflow)?;
-        Rational::checked_new(num, l)
+        let lhs = self.num.checked_mul(dd).ok_or(ovf)?;
+        let rhs = other.num.checked_mul(db).ok_or(ovf)?;
+        let t = lhs.checked_add(rhs).ok_or(ovf)?;
+        if t == 0 {
+            return Ok(Rational::ZERO);
+        }
+        let g2 = gcd(t, g);
+        Ok(Rational {
+            num: t / g2,
+            den: db.checked_mul(other.den / g2).ok_or(ovf)?,
+        })
     }
 
     /// Checked subtraction.
@@ -151,7 +175,12 @@ impl Rational {
 
     /// Checked multiplication.
     pub fn checked_mul(&self, other: &Rational) -> Result<Rational, ArithmeticError> {
+        if self.num == 0 || other.num == 0 {
+            return Ok(Rational::ZERO);
+        }
         // Cross-cancel before multiplying to keep intermediates small.
+        // Both operands are reduced, so the cross-cancelled product is
+        // too: no third GCD.
         let g1 = gcd(self.num, other.den);
         let g2 = gcd(other.num, self.den);
         let num = (self.num / g1)
@@ -160,7 +189,7 @@ impl Rational {
         let den = (self.den / g2)
             .checked_mul(other.den / g1)
             .ok_or(ArithmeticError::Overflow)?;
-        Rational::checked_new(num, den)
+        Ok(Rational { num, den })
     }
 
     /// Checked division.
@@ -170,10 +199,18 @@ impl Rational {
 
     /// Checked reciprocal.
     pub fn checked_recip(&self) -> Result<Rational, ArithmeticError> {
-        if self.num == 0 {
-            return Err(ArithmeticError::DivisionByZero);
+        // Already reduced: swap the components and move the sign up.
+        match self.num.cmp(&0) {
+            Ordering::Equal => Err(ArithmeticError::DivisionByZero),
+            Ordering::Greater => Ok(Rational {
+                num: self.den,
+                den: self.num,
+            }),
+            Ordering::Less => Ok(Rational {
+                num: -self.den,
+                den: self.num.checked_neg().ok_or(ArithmeticError::Overflow)?,
+            }),
         }
-        Rational::checked_new(self.den, self.num)
     }
 
     /// Reciprocal.
@@ -290,26 +327,47 @@ impl Rational {
     /// rounding half away from zero. `1067/10` with 1 digit renders as
     /// `"106.7"`.
     pub fn to_decimal_string(&self, digits: u32) -> String {
-        let mut scale: i128 = 1;
+        // Exact long division of |num| by den: the integer part, then one
+        // remainder digit at a time, so nothing is scaled past i128.
+        let den = self.den.unsigned_abs();
+        let mag = self.num.unsigned_abs();
+        let mut int_part = mag / den;
+        let mut rem = mag % den;
+        let mut frac = Vec::with_capacity(digits as usize);
         for _ in 0..digits {
-            scale = scale.saturating_mul(10);
+            // 10·rem / den by repeated addition: rem < den < 2^127, so the
+            // accumulator stays below 2·den and never overflows.
+            let (mut acc, mut digit) = (0u128, 0u8);
+            for _ in 0..10 {
+                acc += rem;
+                if acc >= den {
+                    acc -= den;
+                    digit += 1;
+                }
+            }
+            frac.push(digit);
+            rem = acc;
         }
-        // round(self * scale)
-        let scaled_num = self.num.saturating_mul(scale);
-        let half = self.den / 2;
-        let rounded = if scaled_num >= 0 {
-            (scaled_num + half) / self.den
+        // Round half away from zero: up iff rem / den >= 1/2. A carry out
+        // of the last fractional digit moves into the integer part.
+        if rem >= den - rem
+            && frac.iter_mut().rev().all(|d| {
+                *d = (*d + 1) % 10;
+                *d == 0
+            })
+        {
+            int_part += 1;
+        }
+        let sign = if self.num < 0 && (int_part != 0 || frac.iter().any(|&d| d != 0)) {
+            "-"
         } else {
-            (scaled_num - half) / self.den
+            ""
         };
-        let sign = if rounded < 0 { "-" } else { "" };
-        let mag = rounded.unsigned_abs();
-        let ip = mag / scale.unsigned_abs();
-        let fp = mag % scale.unsigned_abs();
         if digits == 0 {
-            format!("{sign}{ip}")
+            format!("{sign}{int_part}")
         } else {
-            format!("{sign}{ip}.{fp:0width$}", width = digits as usize)
+            let frac: String = frac.iter().map(|&d| char::from(b'0' + d)).collect();
+            format!("{sign}{int_part}.{frac}")
         }
     }
 }
@@ -354,26 +412,42 @@ impl PartialOrd for Rational {
 impl Ord for Rational {
     fn cmp(&self, other: &Self) -> Ordering {
         // a/b ? c/d  <=>  a*d ? c*b   (b, d > 0).
-        // i128 products of protocol-scale values do not overflow; fall back
-        // to f64 comparison only in the (astronomically unlikely) overflow
-        // case — and then refine by subtracting.
-        match (
+        if let (Some(l), Some(r)) = (
             self.num.checked_mul(other.den),
             other.num.checked_mul(self.den),
         ) {
-            (Some(l), Some(r)) => l.cmp(&r),
-            _ => {
-                // Exact fallback: compare via checked_sub's sign if possible,
-                // else compare floats (documented approximation of last resort).
-                if let Ok(d) = self.checked_sub(other) {
-                    return d.num.cmp(&0);
-                }
-                self.to_f64()
-                    .partial_cmp(&other.to_f64())
-                    .unwrap_or(Ordering::Equal)
-            }
+            return l.cmp(&r);
+        }
+        // The cross products overflow i128: compare signs, then the
+        // magnitudes |a|·d and |c|·b as exact 256-bit products.
+        match self.signum().cmp(&other.signum()) {
+            Ordering::Equal => {}
+            unequal => return unequal,
+        }
+        let l = mul_wide(self.num.unsigned_abs(), other.den.unsigned_abs());
+        let r = mul_wide(other.num.unsigned_abs(), self.den.unsigned_abs());
+        if self.num < 0 {
+            r.cmp(&l)
+        } else {
+            l.cmp(&r)
         }
     }
+}
+
+/// The exact 256-bit product `a·b` as `(high, low)` 128-bit halves,
+/// so tuple order is numeric order. Schoolbook over `u64` limbs.
+fn mul_wide(a: u128, b: u128) -> (u128, u128) {
+    const LO: u128 = u64::MAX as u128;
+    let (a1, a0) = (a >> 64, a & LO);
+    let (b1, b0) = (b >> 64, b & LO);
+    let p00 = a0 * b0;
+    let p01 = a0 * b1;
+    let p10 = a1 * b0;
+    // At most 3·(2^64 − 1): no overflow.
+    let mid = (p00 >> 64) + (p01 & LO) + (p10 & LO);
+    let low = (p00 & LO) | (mid << 64);
+    let high = a1 * b1 + (p01 >> 64) + (p10 >> 64) + (mid >> 64);
+    (high, low)
 }
 
 macro_rules! binop {

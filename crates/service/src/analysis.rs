@@ -12,6 +12,7 @@
 use std::fmt;
 
 use tpn_net::{invariant, PlaceId, TimedPetriNet, TransId};
+use tpn_rational::Rational;
 use tpn_session::{Session, SessionOptions};
 use tpn_sim::{simulate, SimOptions};
 
@@ -271,8 +272,12 @@ fn analyze_json(session: &Session) -> Result<String, ServiceError> {
     w.rational(perf.total_weight());
     w.key("throughput");
     w.begin_array();
+    let throughputs = perf.throughputs(&dg);
     for t in net.transitions() {
-        let th = perf.throughput(&dg, t);
+        let th = throughputs
+            .get(t.index())
+            .copied()
+            .unwrap_or(Rational::ZERO);
         w.begin_object();
         w.key("transition");
         w.string(net.transition(t).name());

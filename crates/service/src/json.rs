@@ -210,8 +210,8 @@ impl JsonWriter {
     /// string rendering.
     pub fn rational(&mut self, r: &Rational) {
         self.before_value();
-        let rendered = r.to_string();
-        self.out.push_str(&escape(&rendered));
+        // Digits, '-' and '/' only: nothing to escape.
+        let _ = write!(self.out, "\"{r}\"");
     }
 }
 
