@@ -118,45 +118,6 @@ impl<D: AnalysisDomain> DecisionGraph<D> {
         Ok(DecisionGraph { nodes, edges, out })
     }
 
-    /// Re-label the graph into another domain by mapping every delay,
-    /// dwell time and probability, keeping the structure — nodes, edge
-    /// endpoints, paths, firings — untouched. The decision-graph
-    /// counterpart of [`TimedReachabilityGraph::map`]: instantiating a
-    /// lifted decision graph at an in-region parameter point yields the
-    /// decision graph the cold pipeline would derive there. Returns
-    /// `None` if any label fails to map (an unbound symbol).
-    pub fn map<D2, FT, FP>(&self, mut time: FT, mut prob: FP) -> Option<DecisionGraph<D2>>
-    where
-        D2: AnalysisDomain,
-        FT: FnMut(&D::Time) -> Option<D2::Time>,
-        FP: FnMut(&D::Prob) -> Option<D2::Prob>,
-    {
-        let edges = self
-            .edges
-            .iter()
-            .map(|e| {
-                Some(DecisionEdge {
-                    from: e.from,
-                    to: e.to,
-                    prob: prob(&e.prob)?,
-                    delay: time(&e.delay)?,
-                    path: e.path.clone(),
-                    fired: e.fired.clone(),
-                    dwell: e
-                        .dwell
-                        .iter()
-                        .map(|(s, d)| Some((*s, time(d)?)))
-                        .collect::<Option<Vec<_>>>()?,
-                })
-            })
-            .collect::<Option<Vec<_>>>()?;
-        Some(DecisionGraph {
-            nodes: self.nodes.clone(),
-            edges,
-            out: self.out.clone(),
-        })
-    }
-
     /// The decision nodes (TRG state ids).
     pub fn nodes(&self) -> &[StateId] {
         &self.nodes

@@ -72,36 +72,6 @@ where
         &self.rates
     }
 
-    /// Re-label the measures into another domain by mapping every
-    /// weight and rate. Because evaluation at a point is a ring
-    /// homomorphism, instantiating symbolic measures this way yields
-    /// exactly what [`Performance::new`] over the instantiated decision
-    /// graph and rates would compute. Returns `None` if any value fails
-    /// to map or the mapped total weight vanishes (the point lies
-    /// outside the measures' domain).
-    pub fn map<D2, F>(&self, mut f: F) -> Option<Performance<D2>>
-    where
-        D2: AnalysisDomain,
-        D2::Prob: Field,
-        F: FnMut(&D::Prob) -> Option<D2::Prob>,
-    {
-        let weights = self
-            .weights
-            .iter()
-            .map(&mut f)
-            .collect::<Option<Vec<_>>>()?;
-        let total_weight = f(&self.total_weight)?;
-        if total_weight.is_zero() {
-            return None;
-        }
-        let rates = self.rates.map(&mut f)?;
-        Some(Performance {
-            weights,
-            total_weight,
-            rates,
-        })
-    }
-
     /// The fraction of time spent on edge `e`: `wₑ / Σ wᵢ`.
     pub fn time_share(&self, e: usize) -> Result<D::Prob, CoreError> {
         let w = self

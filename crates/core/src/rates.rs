@@ -71,22 +71,6 @@ impl<P: Clone> Rates<P> {
     pub fn reference_edge(&self) -> usize {
         self.reference
     }
-
-    /// Re-label every rate through `f`, keeping the reference edge.
-    /// This is how symbolic rates are instantiated at a concrete
-    /// parameter point: because the solved system is linear and the
-    /// solution unique, evaluating each closed form yields exactly the
-    /// rates a fresh numeric solve would produce. Returns `None` if
-    /// any rate fails to map (an unbound symbol).
-    pub fn map<Q, F>(&self, f: F) -> Option<Rates<Q>>
-    where
-        F: FnMut(&P) -> Option<Q>,
-    {
-        Some(Rates {
-            rates: self.rates.iter().map(f).collect::<Option<Vec<_>>>()?,
-            reference: self.reference,
-        })
-    }
 }
 
 /// Solve the traversal-rate equations of `dg`, normalising the rate of

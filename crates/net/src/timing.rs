@@ -5,8 +5,7 @@
 //! new identity — correct for a content-addressed cache, but blind to
 //! the fact that Razouk's method derives **closed forms in the timing
 //! attributes**: two nets that differ only in E/F/f values share every
-//! structural artifact (reachability skeleton, decision-graph shape,
-//! symbolic lift).
+//! structural artifact (reachability skeleton, decision-graph shape).
 //!
 //! This module factors a net's identity accordingly:
 //!
@@ -19,9 +18,9 @@
 //! * [`TimedPetriNet::with_timing`] — the same structure re-timed.
 //!
 //! For fully timed nets, `(structural_digest, timing hash)` identifies
-//! a net exactly as strongly as the full digest: the what-if machinery
-//! in `tpn-session`/`tpn-service` keys its caches by the pair so a
-//! batch of timing perturbations shares one structural cache line.
+//! a net exactly as strongly as the full digest: the what-if endpoint
+//! in `tpn-service` keys its entries by the pair so a batch of timing
+//! perturbations shares one structural cache line.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -332,9 +331,9 @@ mod tests {
     #[test]
     fn structural_digest_ignores_timing_values() {
         let base = parse_tpn(NET).unwrap();
-        let retimed = parse_tpn(&NET.replace("firing 2", "firing 7")).unwrap();
-        assert_ne!(base.digest(), retimed.digest());
-        assert_eq!(base.structural_digest(), retimed.structural_digest());
+        let perturbed = parse_tpn(&NET.replace("firing 2", "firing 7")).unwrap();
+        assert_ne!(base.digest(), perturbed.digest());
+        assert_eq!(base.structural_digest(), perturbed.structural_digest());
         // …but known-vs-unknown is structural.
         let symbolic = parse_tpn(&NET.replace("firing 2", "firing ?")).unwrap();
         assert_ne!(base.structural_digest(), symbolic.structural_digest());
@@ -355,8 +354,8 @@ mod tests {
         assert_eq!(t.get("E(go)"), Some(&Rational::ZERO));
         assert_eq!(t.get("f(back)"), Some(&Rational::ONE));
         // hash is value-sensitive and stable
-        let retimed = parse_tpn(&NET.replace("firing 2", "firing 7")).unwrap();
-        assert_ne!(t.hash(), retimed.timing().hash());
+        let perturbed = parse_tpn(&NET.replace("firing 2", "firing 7")).unwrap();
+        assert_ne!(t.hash(), perturbed.timing().hash());
         assert_eq!(t.hash(), parse_tpn(NET).unwrap().timing().hash());
         assert_eq!(t.hash_hex().len(), 32);
     }

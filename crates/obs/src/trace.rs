@@ -142,7 +142,7 @@ pub fn active() -> bool {
 
 /// Attach an identity annotation to this thread's active collection
 /// (no-op when none is — the unobserved path pays one thread-local
-/// read). First writer per slot wins: a `/whatif` re-timing resolves
+/// read). First writer per slot wins: a `/whatif` batch resolves
 /// many inner digests, but the request is about the net it started
 /// with. Panics on `slot >= ANNOTATION_SLOTS`.
 #[inline]

@@ -237,79 +237,6 @@ impl<D: AnalysisDomain> TimedReachabilityGraph<D> {
         })
     }
 
-    /// Pre-split the graph for repeated instantiation: every label the
-    /// `*_dependent` predicates reject is mapped through `base_*` once,
-    /// up front; the accepted (point-dependent) labels are kept in their
-    /// source form together with their locations. The returned
-    /// [`TrgTemplate`] instantiates at a point with one structural
-    /// clone plus one evaluation *per dependent label* — for a lift
-    /// over a few attributes that is a handful of evaluations instead
-    /// of one per slot, which is what makes batched re-timing cheap.
-    /// Returns `None` if any point-independent label fails to map.
-    pub fn template<D2, BT, BP, DT, DP>(
-        &self,
-        mut base_time: BT,
-        mut base_prob: BP,
-        mut time_dependent: DT,
-        mut prob_dependent: DP,
-    ) -> Option<TrgTemplate<D, D2>>
-    where
-        D2: AnalysisDomain,
-        BT: FnMut(&D::Time) -> Option<D2::Time>,
-        BP: FnMut(&D::Prob) -> Option<D2::Prob>,
-        DT: FnMut(&D::Time) -> bool,
-        DP: FnMut(&D::Prob) -> bool,
-    {
-        let base = self.map(&mut base_time, &mut base_prob)?;
-        let mut times = Vec::new();
-        let mut probs = Vec::new();
-        for (si, s) in self.states.iter().enumerate() {
-            let state = si as u32;
-            for (slot, (_, x)) in s.ret.iter().enumerate() {
-                if time_dependent(x) {
-                    let slot = slot as u32;
-                    times.push((TimeLoc::Ret { state, slot }, x.clone()));
-                }
-            }
-            for (slot, (_, x)) in s.rft.iter().enumerate() {
-                if time_dependent(x) {
-                    let slot = slot as u32;
-                    times.push((TimeLoc::Rft { state, slot }, x.clone()));
-                }
-            }
-        }
-        for (si, es) in self.edges.iter().enumerate() {
-            for (ei, e) in es.iter().enumerate() {
-                if time_dependent(&e.delay) {
-                    times.push((
-                        TimeLoc::Delay {
-                            state: si as u32,
-                            edge: ei as u32,
-                        },
-                        e.delay.clone(),
-                    ));
-                }
-                if prob_dependent(&e.prob) {
-                    probs.push((si as u32, ei as u32, e.prob.clone()));
-                }
-            }
-        }
-        for (ri, m) in self.min_resolutions.iter().enumerate() {
-            for (ci, (_, _, x)) in m.candidates.iter().enumerate() {
-                if time_dependent(x) {
-                    times.push((
-                        TimeLoc::MinCandidate {
-                            resolution: ri as u32,
-                            candidate: ci as u32,
-                        },
-                        x.clone(),
-                    ));
-                }
-            }
-        }
-        Some(TrgTemplate { base, times, probs })
-    }
-
     /// Render the state table in the style of the paper's Figure 4b/6b.
     pub fn describe_states(&self, net: &TimedPetriNet) -> String {
         let mut out = String::new();
@@ -355,74 +282,6 @@ impl<D: AnalysisDomain> TimedReachabilityGraph<D> {
         }
         out.push_str("}\n");
         out
-    }
-}
-
-/// Where a point-dependent time label lives inside a graph.
-#[derive(Debug, Clone, Copy)]
-enum TimeLoc {
-    /// An entry of a state's sparse RET list (position in the list,
-    /// not transition index).
-    Ret { state: u32, slot: u32 },
-    /// An entry of a state's sparse RFT list (position in the list).
-    Rft { state: u32, slot: u32 },
-    /// An edge's elapse delay (edge index within its source bucket).
-    Delay { state: u32, edge: u32 },
-    /// A candidate delay of a recorded minimum resolution.
-    MinCandidate { resolution: u32, candidate: u32 },
-}
-
-/// A graph pre-split for repeated instantiation, produced by
-/// [`TimedReachabilityGraph::template`]: the point-independent labels
-/// already mapped into the target domain, the point-dependent ones kept
-/// symbolic with their locations. [`TrgTemplate::instantiate`] is then
-/// a structural clone plus one evaluation per dependent label.
-#[derive(Debug)]
-pub struct TrgTemplate<D: AnalysisDomain, D2: AnalysisDomain> {
-    base: TimedReachabilityGraph<D2>,
-    times: Vec<(TimeLoc, D::Time)>,
-    probs: Vec<(u32, u32, D::Prob)>,
-}
-
-impl<D: AnalysisDomain, D2: AnalysisDomain> TrgTemplate<D, D2> {
-    /// Instantiate at a point: clone the pre-mapped base and overwrite
-    /// each dependent label with its evaluation. Equivalent to
-    /// [`TimedReachabilityGraph::map`] over the source graph with the
-    /// same closures, but touching only the dependent labels. Returns
-    /// `None` if any evaluation fails (an unbound symbol).
-    pub fn instantiate<FT, FP>(
-        &self,
-        mut time: FT,
-        mut prob: FP,
-    ) -> Option<TimedReachabilityGraph<D2>>
-    where
-        D2: Clone,
-        FT: FnMut(&D::Time) -> Option<D2::Time>,
-        FP: FnMut(&D::Prob) -> Option<D2::Prob>,
-    {
-        let mut g = self.base.clone();
-        for (loc, x) in &self.times {
-            let v = time(x)?;
-            match *loc {
-                TimeLoc::Ret { state, slot } => g.states[state as usize].ret[slot as usize].1 = v,
-                TimeLoc::Rft { state, slot } => g.states[state as usize].rft[slot as usize].1 = v,
-                TimeLoc::Delay { state, edge } => g.edges[state as usize][edge as usize].delay = v,
-                TimeLoc::MinCandidate {
-                    resolution,
-                    candidate,
-                } => g.min_resolutions[resolution as usize].candidates[candidate as usize].2 = v,
-            }
-        }
-        for &(state, edge, ref p) in &self.probs {
-            g.edges[state as usize][edge as usize].prob = prob(p)?;
-        }
-        Some(g)
-    }
-
-    /// How many point-dependent labels the template patches per
-    /// instantiation: `(time labels, probability labels)`.
-    pub fn num_patches(&self) -> (usize, usize) {
-        (self.times.len(), self.probs.len())
     }
 }
 
@@ -1420,7 +1279,7 @@ mod tests {
     }
 
     #[test]
-    fn template_patches_sparse_slots_behind_other_live_clocks() {
+    fn mapped_graph_moves_sparse_slots_behind_other_live_clocks() {
         use crate::LiftedDomain;
         use tpn_net::symbols;
         use tpn_symbolic::Assignment;
@@ -1459,26 +1318,19 @@ mod tests {
         let (e, f) = (symbols::enabling("b1"), symbols::firing("b1"));
         let lifted = LiftedDomain::new(&net, &[e, f]).unwrap();
         let trg = build_trg(&net, &lifted, &TrgOptions::default()).unwrap();
-        let base = lifted.base();
-        let template: TrgTemplate<LiftedDomain, NumericDomain> = trg
-            .template(
-                |t| t.eval(base),
-                |p| p.eval(base),
-                |t| !t.is_constant(),
-                |p| !p.symbols().is_empty(),
-            )
-            .unwrap();
-        // The premise: some dependent RET and RFT clock is not the first
+        // The premise: some symbolic RET and RFT clock is not the first
         // live entry of its list.
-        let behind = |want_rft: bool| {
-            template.times.iter().any(|(loc, _)| match *loc {
-                TimeLoc::Ret { slot, .. } => !want_rft && slot > 0,
-                TimeLoc::Rft { slot, .. } => want_rft && slot > 0,
-                _ => false,
+        let behind = |rft: bool| {
+            trg.states.iter().any(|s| {
+                let clocks = if rft { &s.rft } else { &s.ret };
+                clocks
+                    .iter()
+                    .enumerate()
+                    .any(|(slot, (_, x))| slot > 0 && !x.is_constant())
             })
         };
-        assert!(behind(false), "no dependent RET behind another clock");
-        assert!(behind(true), "no dependent RFT behind another clock");
+        assert!(behind(false), "no symbolic RET behind another clock");
+        assert!(behind(true), "no symbolic RFT behind another clock");
 
         // The rings realign every 10 time units, which pins E+F = 7;
         // move the split between the two clocks.
@@ -1488,35 +1340,29 @@ mod tests {
         lifted.check_point(&point).unwrap();
         let mapped: TimedReachabilityGraph<NumericDomain> =
             trg.map(|t| t.eval(&point), |p| p.eval(&point)).unwrap();
-        let instantiated = template
-            .instantiate(|t| t.eval(&point), |p| p.eval(&point))
-            .unwrap();
-        assert_eq!(instantiated.num_states(), mapped.num_states());
-        for id in mapped.state_ids() {
-            assert_eq!(instantiated.state(id), mapped.state(id), "{id}");
+        // A cold build of the perturbed net.
+        let timing = tpn_net::TimingAssignment::new()
+            .with("E(b1)", Rational::new(5, 2))
+            .with("F(b1)", Rational::new(9, 2));
+        let perturbed = net.with_timing(&timing).unwrap();
+        let cold = build_trg(&perturbed, &NumericDomain::new(), &TrgOptions::default()).unwrap();
+        assert_eq!(mapped.num_states(), cold.num_states());
+        for id in cold.state_ids() {
+            assert_eq!(mapped.state(id), cold.state(id), "{id}");
         }
-        assert_eq!(instantiated.to_dot(&net), mapped.to_dot(&net));
-        assert_eq!(
-            instantiated.min_resolutions().len(),
-            mapped.min_resolutions().len()
-        );
-        for (a, b) in instantiated
-            .min_resolutions()
-            .iter()
-            .zip(mapped.min_resolutions())
-        {
+        assert_eq!(mapped.to_dot(&perturbed), cold.to_dot(&perturbed));
+        assert_eq!(mapped.min_resolutions().len(), cold.min_resolutions().len());
+        for (a, b) in mapped.min_resolutions().iter().zip(cold.min_resolutions()) {
             assert_eq!(
                 (a.state, &a.candidates, a.chosen),
                 (b.state, &b.candidates, b.chosen)
             );
         }
-        // And the patched values really moved off the base point.
+        // And the mapped values really moved off the base point.
+        let base = lifted.base();
         let at_base: TimedReachabilityGraph<NumericDomain> =
             trg.map(|t| t.eval(base), |p| p.eval(base)).unwrap();
-        assert_ne!(
-            at_base.describe_states(&net),
-            instantiated.describe_states(&net)
-        );
+        assert_ne!(at_base.describe_states(&net), mapped.describe_states(&net));
     }
 
     #[test]

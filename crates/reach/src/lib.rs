@@ -51,7 +51,6 @@ pub use domain::{AnalysisDomain, NumericDomain, SymbolicDomain};
 pub use error::ReachError;
 pub use graph::{
     build_trg, Edge, EdgeKind, MinResolution, StateId, TimedReachabilityGraph, TrgOptions,
-    TrgTemplate,
 };
 pub use interval::{Interval, IntervalDomain};
 pub use lifted::LiftedDomain;

@@ -284,8 +284,8 @@ impl AnalysisDomain for LiftedDomain {
             return true;
         }
         // Non-zero at the base: the skeleton treats this delay as a real
-        // wait. Remember the sign condition so a re-timing that collapses
-        // it to zero (making the step instantaneous) is rejected.
+        // wait. Remember the sign condition so a point that collapses it
+        // to zero (making the step instantaneous) falls outside the region.
         if !t.is_constant() {
             let sign = self.at_base(t).signum();
             let entry = if sign > 0 {

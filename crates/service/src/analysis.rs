@@ -108,7 +108,6 @@ impl RequestKind {
 /// | `parse` | 400 | the `.tpn` text does not parse |
 /// | `bad_request` | 400 | malformed request: body, spec, query, route |
 /// | `analysis` | 422 | the net parses but the analysis fails |
-/// | `out_of_region` | 422 | a what-if perturbation leaves the lift's validity region |
 ///
 /// Legacy routes render errors as `{"error": "<code prefix>: <message>"}`
 /// (pinned by golden captures); `/v1` and `/whatif` render the
@@ -125,11 +124,6 @@ pub enum ServiceError {
     /// The request itself is malformed: bad query parameter, bad route,
     /// oversized or non-UTF-8 body (HTTP 400).
     BadRequest(String),
-    /// A what-if perturbation leaves the validity region of the shared
-    /// lifted skeleton: the incremental machinery provably cannot
-    /// answer it, but a cold analysis of the perturbed net could
-    /// (HTTP 422).
-    OutOfRegion(String),
 }
 
 impl ServiceError {
@@ -137,7 +131,7 @@ impl ServiceError {
     pub fn status(&self) -> u16 {
         match self {
             ServiceError::Parse(_) | ServiceError::BadRequest(_) => 400,
-            ServiceError::Analysis(_) | ServiceError::OutOfRegion(_) => 422,
+            ServiceError::Analysis(_) => 422,
         }
     }
 
@@ -148,7 +142,6 @@ impl ServiceError {
             ServiceError::Parse(_) => "parse",
             ServiceError::Analysis(_) => "analysis",
             ServiceError::BadRequest(_) => "bad_request",
-            ServiceError::OutOfRegion(_) => "out_of_region",
         }
     }
 
@@ -157,10 +150,7 @@ impl ServiceError {
     /// bodies).
     pub fn message(&self) -> &str {
         match self {
-            ServiceError::Parse(m)
-            | ServiceError::Analysis(m)
-            | ServiceError::BadRequest(m)
-            | ServiceError::OutOfRegion(m) => m,
+            ServiceError::Parse(m) | ServiceError::Analysis(m) | ServiceError::BadRequest(m) => m,
         }
     }
 }
@@ -171,7 +161,6 @@ impl fmt::Display for ServiceError {
             ServiceError::Parse(m) => write!(f, "parse error: {m}"),
             ServiceError::Analysis(m) => write!(f, "analysis error: {m}"),
             ServiceError::BadRequest(m) => write!(f, "bad request: {m}"),
-            ServiceError::OutOfRegion(m) => write!(f, "out of region: {m}"),
         }
     }
 }

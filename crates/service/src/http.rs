@@ -20,7 +20,7 @@
 //! | POST | `/simulate?events=N&seed=S` | `.tpn` text | Monte-Carlo counters |
 //! | POST | `/sweep` | JSON: grid spec + `.tpn` text | per-point throughput/utilisation rows |
 //! | POST | `/optimize` | JSON: box spec + `.tpn` text | certified optimal parameter point |
-//! | POST | `/whatif` | JSON: perturbation batch + `.tpn` text | incremental re-timed analyses |
+//! | POST | `/whatif` | JSON: perturbation batch + `.tpn` text | analyses of each perturbed net |
 //! | POST | `/v1` | JSON: `.tpn` text + many requests | one envelope, one shared session |
 //! | GET | `/healthz` | — | graded liveness: `ok` \| `degraded` \| `unhealthy` (503) with burn-rate reasons |
 //! | GET | `/stats` | — | cache/pool/sweep/optimize/whatif/artifact counters + process gauges |
@@ -49,7 +49,7 @@ use tpn_net::{parse_tpn, NetDigest, TimedPetriNet, TimingAssignment};
 use tpn_obs::alert::AlertEngine;
 use tpn_obs::log::RequestLog;
 use tpn_obs::series::SeriesRing;
-use tpn_session::{RetimeError, Session, SessionOptions, STAGES};
+use tpn_session::{Session, SessionOptions, STAGES};
 
 use crate::alerts::{self, AlertsConfig, Notifier, NotifyCounters, Silence};
 use crate::analysis::{run_with_session, RequestKind, ServiceError};
@@ -703,13 +703,13 @@ impl Service {
         Arc::new(w.finish())
     }
 
-    /// One perturbation's cached entry body: re-time the base session
-    /// through its memoized lift, run every requested analysis against
-    /// the re-timed session, and cache the assembled fragment. The
-    /// re-timed session itself is inserted into the session tier under
-    /// the **perturbed** net's full digest, and each inner analysis body
-    /// is cached under `(full digest, kind)` — exactly the lines a
-    /// plain request for that net would hit.
+    /// One perturbation's cached entry body: an ordinary session over
+    /// the perturbed net, every requested analysis run against it, and
+    /// the assembled fragment cached. The session lives in the session
+    /// tier under the **perturbed** net's full digest, and each inner
+    /// analysis body is cached under `(full digest, kind)` — exactly the
+    /// lines a plain request for that net would hit, so each entry
+    /// equals the `/v1` entry for the perturbed net.
     fn whatif_entry(
         &self,
         session: &Session,
@@ -729,23 +729,13 @@ impl Service {
         let computed = AtomicBool::new(false);
         let result = self.cache.get_or_compute(key, || {
             computed.store(true, Ordering::Relaxed);
-            // Validate the delta against the base net first: an unknown
-            // attribute or a negative value is a 400 before any
-            // substitution runs.
+            // An unknown attribute or a negative value is a 400.
             let perturbed = session
                 .net()
                 .with_timing(delta)
                 .map_err(|e| ServiceError::BadRequest(e.to_string()))?;
             let digest = perturbed.digest();
-            let retimed = self.sessions.session_or_else(digest, || {
-                let retimed = session.retimed(delta).map_err(|e| match e {
-                    RetimeError::Invalid(m) => ServiceError::BadRequest(m),
-                    RetimeError::OutOfRegion(m) => ServiceError::OutOfRegion(m),
-                    RetimeError::Pipeline(e) => ServiceError::Analysis(e.to_string()),
-                })?;
-                self.bump(Counter::WhatifRetimes, 1);
-                Ok::<_, ServiceError>(retimed.with_digest(digest))
-            })?;
+            let perturbed = self.sessions.session_for(digest, perturbed);
             let mut w = JsonWriter::new();
             w.begin_object();
             w.key("digest");
@@ -755,7 +745,7 @@ impl Service {
             w.key("results");
             w.begin_array();
             for &kind in &spec.requests {
-                let body = self.analysis_cached(&retimed, kind)?;
+                let body = self.analysis_cached(&perturbed, kind)?;
                 w.begin_object();
                 w.key("kind");
                 w.string(kind.name());

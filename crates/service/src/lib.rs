@@ -14,7 +14,7 @@
 //! | [`spec`] | the [`Spec`] trait: canonical spec rendering + 128-bit hash |
 //! | [`sweep`] | parameter-sweep specs and the compiled sweep executor |
 //! | [`optimize`] | parameter-synthesis specs and the certified optimizer front end |
-//! | [`whatif`] | incremental what-if batches re-timed through one shared lift |
+//! | [`whatif`] | what-if batches: one base net, many timing perturbations |
 //! | [`sessions`] | per-digest [`tpn_session::Session`] tier: shared pipeline artifacts |
 //! | [`v1`] | the unified `POST /v1` envelope: many analyses, one session |
 //! | [`cache`] | sharded LRU result cache keyed by [`tpn_net::NetDigest`], with request coalescing |

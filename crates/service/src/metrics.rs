@@ -257,7 +257,7 @@ pub(crate) const ANNOTATE_SPEC: usize = 1;
 
 /// Record the net digest the current request resolved. Rides the
 /// trace collector's annotation slots (no-op when no collection is
-/// active; first writer wins — a `/whatif` re-timing resolves many
+/// active; first writer wins — a `/whatif` batch resolves many
 /// inner digests, but the request is about the base net it started
 /// from): one thread-local access, no allocation or formatting.
 pub(crate) fn annotate_digest(digest: [u64; 2]) {
@@ -517,7 +517,6 @@ pub(crate) enum Counter {
     Whatifs,
     WhatifPerturbations,
     WhatifHits,
-    WhatifRetimes,
     WhatifRejects,
     V1Envelopes,
 }
@@ -553,7 +552,7 @@ pub(crate) struct CounterDef {
 /// column order — the one list those three documents iterate. The
 /// session-tier rows come last, since `/stats` closes with them inside
 /// its `"sessions"` object.
-pub(crate) const COUNTERS: [CounterDef; 23] = [
+pub(crate) const COUNTERS: [CounterDef; 22] = [
     CounterDef {
         name: "requests",
         family: "tpn_service_requests_total",
@@ -657,15 +656,9 @@ pub(crate) const COUNTERS: [CounterDef; 23] = [
         source: Source::Service(Counter::WhatifHits),
     },
     CounterDef {
-        name: "whatif_retimes",
-        family: "tpn_whatif_retimes_total",
-        help: "What-if perturbations that instantiated the re-timing template.",
-        source: Source::Service(Counter::WhatifRetimes),
-    },
-    CounterDef {
         name: "whatif_rejects",
         family: "tpn_whatif_rejects_total",
-        help: "What-if perturbations rejected (invalid or out of region).",
+        help: "What-if perturbations answered with an error object.",
         source: Source::Service(Counter::WhatifRejects),
     },
     CounterDef {
@@ -741,7 +734,7 @@ pub(crate) struct StatsSnapshot {
 /// same state twice yields identical bytes. Zero-valued request
 /// counter series and empty per-endpoint histograms are omitted (the
 /// families stay declared), matching Prometheus convention for
-/// labelled series that have seen no traffic; the seven stage
+/// labelled series that have seen no traffic; the six stage
 /// histograms always render, so p99-per-stage is derivable from the
 /// first scrape on.
 pub(crate) fn render(

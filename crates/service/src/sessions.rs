@@ -114,60 +114,6 @@ impl SessionCache {
         session
     }
 
-    /// The session for `digest`, creating it with `build` on a miss —
-    /// the what-if tier's entry point: a re-timed session is inserted
-    /// under the **perturbed** net's full digest, so a later plain
-    /// request for that exact net (or another batch hitting the same
-    /// timing point) finds its artifacts already materialised.
-    ///
-    /// Unlike [`SessionCache::session_for`], `build` may do real work
-    /// (a re-timing substitutes through the shared lift), so it runs
-    /// **outside** the map lock; if a concurrent caller inserted the
-    /// digest meanwhile, the already-cached session wins (sessions for
-    /// one digest are interchangeable — same artifacts, same bytes).
-    pub fn session_or_else<E>(
-        &self,
-        digest: NetDigest,
-        build: impl FnOnce() -> Result<Session, E>,
-    ) -> Result<Arc<Session>, E> {
-        let tick = self.clock.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut map = self.map.lock().expect("session map lock");
-            if let Some(slot) = map.get_mut(&digest) {
-                slot.last_used = tick;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(Arc::clone(&slot.session));
-            }
-        }
-        // Miss only, as in [`SessionCache::session_for`] — here the
-        // span times the real work: `build` re-timing through the lift.
-        let _span = tpn_obs::trace::span("session");
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let session = Arc::new(build()?);
-        let mut map = self.map.lock().expect("session map lock");
-        if let Some(slot) = map.get_mut(&digest) {
-            slot.last_used = tick;
-            return Ok(Arc::clone(&slot.session));
-        }
-        map.insert(
-            digest,
-            Slot {
-                session: Arc::clone(&session),
-                last_used: tick,
-            },
-        );
-        while map.len() > self.capacity {
-            let victim = map
-                .iter()
-                .min_by_key(|(_, s)| s.last_used)
-                .map(|(d, _)| *d)
-                .expect("non-empty map");
-            map.remove(&victim);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(session)
-    }
-
     /// A counter and occupancy snapshot.
     pub fn stats(&self) -> SessionCacheStats {
         SessionCacheStats {
@@ -203,31 +149,6 @@ mod tests {
         assert!(Arc::ptr_eq(&s1, &s2));
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.sessions), (1, 1, 1));
-    }
-
-    #[test]
-    fn session_or_else_builds_once_and_reuses() {
-        let cache = SessionCache::new(4, SessionOptions::new());
-        let a = net(1);
-        let d = a.digest();
-        let s1 = cache
-            .session_or_else(d, || {
-                Ok::<_, ()>(Session::new(a.clone(), SessionOptions::new()))
-            })
-            .unwrap();
-        // second demand hits; the builder must not run
-        let s2 = cache
-            .session_or_else(d, || -> Result<Session, ()> { panic!("must not rebuild") })
-            .unwrap();
-        assert!(Arc::ptr_eq(&s1, &s2));
-        // a failing builder caches nothing
-        let other = net(2);
-        let e = cache.session_or_else(other.digest(), || Err::<Session, _>("boom"));
-        assert_eq!(e.unwrap_err(), "boom");
-        assert_eq!(cache.stats().sessions, 1);
-        // plain session_for finds the builder-inserted session too
-        let s3 = cache.session_for(d, a);
-        assert!(Arc::ptr_eq(&s1, &s3));
     }
 
     #[test]

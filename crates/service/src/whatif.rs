@@ -1,17 +1,14 @@
-//! The incremental what-if request: one base net, a batch of timing
-//! perturbations, every analysis answered from one shared lift.
+//! The what-if request: one base net, a batch of timing perturbations,
+//! the same analyses run for each perturbed net.
 //!
 //! A what-if request names a list of plain analyses (`requests`,
 //! default `["analyze"]`) and a batch of **timing perturbations** —
 //! partial [`TimingAssignment`]s over the
-//! base net's `E(t)`/`F(t)`/`f(t)` attributes. The service materialises
-//! the base [`Session`](tpn_session::Session)'s full symbolic lift
-//! **once** and answers every perturbation by substituting its values
-//! into the lifted skeleton ([`Session::retimed`](tpn_session::Session::retimed)):
-//! no reachability-graph rebuild, no recompilation, and — because the
-//! whole pipeline is exact rational arithmetic — every re-timed body is
-//! **byte-identical** to what a cold analysis of the perturbed net
-//! would produce.
+//! base net's `E(t)`/`F(t)`/`f(t)` attributes. The service answers each
+//! perturbation with an ordinary [`Session`](tpn_session::Session) over
+//! `base.with_timing(delta)`, so every entry equals the `/v1` entry for
+//! the perturbed net: the same body on success, the same error object
+//! on failure.
 //!
 //! ## Spec schema
 //!
@@ -34,13 +31,15 @@
 //! ## Failure isolation and caching
 //!
 //! Each perturbation succeeds or fails alone: an unknown attribute or a
-//! point outside the lift's recorded validity region yields that
-//! entry's `{"code": …, "message": …}` error object (`bad_request` /
-//! `out_of_region`) without failing its siblings. Successful entries
-//! are cached under `(structural digest, timing hash, requests hash)` —
-//! see [`RequestKind::Whatif`] — so two
-//! batches over structurally identical nets share every perturbation
-//! they have in common, whatever else each batch asks for.
+//! negative value yields that entry's 400 `bad_request` object, and a
+//! perturbed net that fails to analyse yields the 422 `analysis` object
+//! `/v1` returns for it, without failing the siblings. Successful
+//! entries are cached under `(structural digest, timing hash, requests
+//! hash)` — see [`RequestKind::Whatif`] — so two batches over
+//! structurally identical nets share every perturbation they have in
+//! common, whatever else each batch asks for. Each perturbed net's
+//! session and analysis bodies live under its own full digest, the
+//! lines a plain `/analyze` of that net hits too.
 
 use tpn_net::TimingAssignment;
 

@@ -42,40 +42,3 @@ impl fmt::Display for SessionError {
 }
 
 impl std::error::Error for SessionError {}
-
-/// Why [`Session::retimed`](crate::Session::retimed) rejected or failed
-/// a re-timing. The three variants matter to callers because they map
-/// to different failure classes: a malformed request
-/// ([`RetimeError::Invalid`]), a perturbation the incremental machinery
-/// provably cannot answer ([`RetimeError::OutOfRegion`] — rebuild cold
-/// instead), and an analysis failure of the shared lift itself
-/// ([`RetimeError::Pipeline`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RetimeError {
-    /// The perturbation is invalid regardless of region: an unknown
-    /// attribute name, a non-positive new value, or an attribute whose
-    /// base value is zero or unknown (structural, not re-timable).
-    Invalid(String),
-    /// The perturbed point leaves the validity region recorded while
-    /// building the lifted skeleton; reusing it there would be wrong.
-    OutOfRegion(String),
-    /// The shared full lift could not be materialised.
-    Pipeline(SessionError),
-}
-
-impl fmt::Display for RetimeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RetimeError::Invalid(m) | RetimeError::OutOfRegion(m) => f.write_str(m),
-            RetimeError::Pipeline(e) => e.fmt(f),
-        }
-    }
-}
-
-impl std::error::Error for RetimeError {}
-
-impl From<SessionError> for RetimeError {
-    fn from(e: SessionError) -> RetimeError {
-        RetimeError::Pipeline(e)
-    }
-}

@@ -53,7 +53,7 @@ mod error;
 mod options;
 mod stats;
 
-pub use error::{RetimeError, SessionError};
+pub use error::SessionError;
 pub use options::SessionOptions;
 pub use stats::{Stage, StageCounters, StageSnapshot, STAGES};
 
@@ -62,9 +62,9 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use tpn_core::{solve_rates, DecisionGraph, ExprTarget, Performance, Rates};
 use tpn_eval::Compiled;
-use tpn_net::{symbols, Frequency, NetDigest, TimedPetriNet, TimingAssignment};
+use tpn_net::{NetDigest, TimedPetriNet};
 use tpn_rational::Rational;
-use tpn_reach::{build_trg, LiftedDomain, NumericDomain, TimedReachabilityGraph, TrgTemplate};
+use tpn_reach::{build_trg, LiftedDomain, NumericDomain, TimedReachabilityGraph};
 use tpn_symbolic::{RatFn, Symbol};
 
 /// One memoized artifact slot: `OnceLock` gives once-only
@@ -87,30 +87,6 @@ pub struct LiftedArtifacts {
     pub dg: DecisionGraph<LiftedDomain>,
     /// Performance measures with symbolic closed forms.
     pub perf: Performance<LiftedDomain>,
-    /// The re-timing template over `trg` — the graph pre-evaluated at
-    /// the base point with only the symbol-carrying labels kept
-    /// symbolic — built lazily on the first [`Session::retimed`]
-    /// against this lift and shared by all later re-timings.
-    template: OnceLock<Option<TrgTemplate<LiftedDomain, NumericDomain>>>,
-}
-
-impl LiftedArtifacts {
-    /// The memoized re-timing template (see the `template` field).
-    /// `None` only if a label fails to evaluate at the base point,
-    /// which a successfully built lift precludes.
-    fn retiming_template(&self) -> Option<&TrgTemplate<LiftedDomain, NumericDomain>> {
-        self.template
-            .get_or_init(|| {
-                let base = self.domain.base();
-                self.trg.template(
-                    |t| t.eval(base),
-                    |p| p.eval(base),
-                    |t| !t.is_constant(),
-                    |p| !p.symbols().is_empty(),
-                )
-            })
-            .as_ref()
-    }
 }
 
 /// A compiled expression program for one request shape: the exported
@@ -392,151 +368,7 @@ impl Session {
             trg,
             dg,
             perf,
-            template: OnceLock::new(),
         })
-    }
-
-    /// The re-timable attributes of this session's net: one symbol per
-    /// strictly-positive known attribute, in transition order (E, F, f
-    /// per transition). [`Session::retimed`] accepts exactly these
-    /// names; each call lifts over the subset its perturbation actually
-    /// names.
-    pub fn retimable_symbols(&self) -> Vec<Symbol> {
-        let mut syms = Vec::new();
-        for t in self.net.transitions() {
-            let tr = self.net.transition(t);
-            if let Some(v) = tr.enabling().known() {
-                if v.is_positive() {
-                    syms.push(symbols::enabling(tr.name()));
-                }
-            }
-            if let Some(v) = tr.firing().known() {
-                if v.is_positive() {
-                    syms.push(symbols::firing(tr.name()));
-                }
-            }
-            if let Frequency::Weight(w) = tr.frequency() {
-                if w.is_positive() {
-                    syms.push(symbols::frequency(tr.name()));
-                }
-            }
-        }
-        syms
-    }
-
-    /// A session over this net re-timed by `timing` (a partial override
-    /// of attribute values, `"E(t)"`/`"F(t)"`/`"f(t)"` keys), answered
-    /// **incrementally**: instead of rebuilding the reachability graph
-    /// for the perturbed net, a lift over exactly the perturbed
-    /// attributes — memoized per attribute set, so every re-timing
-    /// naming the same attributes shares one skeleton — is instantiated
-    /// at the perturbed point. Because all arithmetic is exact
-    /// rational, the seeded graphs — and every artifact derived from
-    /// them — are byte-identical to what a cold session over the
-    /// perturbed net would compute.
-    ///
-    /// The substitution is only valid while the perturbed point keeps
-    /// every comparison frozen during the lifted construction: points
-    /// outside that recorded region are rejected with
-    /// [`RetimeError::OutOfRegion`] (rebuild cold instead). Overrides
-    /// must name known attributes with strictly positive base *and* new
-    /// values — zero times and frequencies are structural statements,
-    /// not timings ([`RetimeError::Invalid`]).
-    ///
-    /// The returned session shares this session's options and stage
-    /// counters; its graph, rates and performance cells are pre-seeded
-    /// from the lift's re-timing template and symbolic closed forms
-    /// (evaluation at an in-region point is a ring homomorphism, so the
-    /// seeded artifacts equal what a cold rebuild would produce), while
-    /// any lifted/compiled artifacts of the perturbed net itself rebuild
-    /// lazily as usual.
-    pub fn retimed(&self, timing: &TimingAssignment) -> Result<Session, RetimeError> {
-        // The perturbed net (validates names and rejects negatives).
-        let perturbed = self
-            .net
-            .with_timing(timing)
-            .map_err(|e| RetimeError::Invalid(e.to_string()))?;
-        // Validate every override before touching the lift: each must
-        // name a re-timable attribute (strictly positive base — zero
-        // times and frequencies are structural) and carry a strictly
-        // positive new value.
-        let retimable = self.retimable_symbols();
-        for (name, value) in timing.iter() {
-            if !retimable.contains(&Symbol::intern(name)) {
-                return Err(RetimeError::Invalid(format!(
-                    "cannot re-time {name}: its base value is not strictly positive \
-                     (zero times and frequencies are structural)"
-                )));
-            }
-            if !value.is_positive() {
-                return Err(RetimeError::Invalid(format!(
-                    "cannot re-time {name} to {value}: the new value must be \
-                     strictly positive"
-                )));
-            }
-        }
-        // The shared skeleton: a lift over exactly the perturbed
-        // attributes, in net order (so any two re-timings naming the
-        // same set share one ShapeMap cell). Classify the demand before
-        // making it: a hit means the skeleton was already materialised.
-        let swept: Vec<Symbol> = retimable
-            .into_iter()
-            .filter(|s| timing.iter().any(|(name, _)| Symbol::intern(name) == *s))
-            .collect();
-        let already = {
-            let mut map = self.lifted.lock().expect("lifted map lock");
-            map.cell(&swept).get().is_some()
-        };
-        if already {
-            self.counters.hit(Stage::Retimed);
-        } else {
-            self.counters.miss(Stage::Retimed);
-        }
-        let lifted = self.lifted(&swept)?;
-        // The perturbed point: base values overridden by `timing`.
-        let mut point = lifted.domain.base().clone();
-        for (name, value) in timing.iter() {
-            point.set(Symbol::intern(name), *value);
-        }
-        lifted
-            .domain
-            .check_point(&point)
-            .map_err(|e| RetimeError::OutOfRegion(e.to_string()))?;
-        // Instantiate the skeleton at the point and seed a fresh session
-        // over the perturbed net; downstream stages (rates, performance)
-        // rebuild lazily from the seeded decision graph as usual. The
-        // substitution is the Retimed stage's "build": time it like any
-        // other stage execution.
-        let _span = tpn_obs::trace::span(Stage::Retimed.name());
-        let build_start = std::time::Instant::now();
-        let internal = || {
-            RetimeError::Pipeline(SessionError::new(
-                Stage::Retimed,
-                "internal: a lifted label failed to evaluate at the checked point",
-            ))
-        };
-        let template = lifted.retiming_template().ok_or_else(internal)?;
-        let trg = template
-            .instantiate(|t| t.eval(&point), |p| p.eval(&point))
-            .ok_or_else(internal)?;
-        let dg = lifted
-            .dg
-            .map::<NumericDomain, _, _>(|t| t.eval(&point), |p| p.eval(&point))
-            .ok_or_else(internal)?;
-        let perf = lifted
-            .perf
-            .map::<NumericDomain, _>(|p| p.eval(&point))
-            .ok_or_else(internal)?;
-        let rates = perf.rates().clone();
-        let session =
-            Session::with_counters(perturbed, self.options.clone(), Arc::clone(&self.counters));
-        let _ = session.trg.set(Ok(Arc::new(trg)));
-        let _ = session.dg.set(Ok(Arc::new(dg)));
-        let _ = session.rates.set(Ok(Arc::new(rates)));
-        let _ = session.perf.set(Ok(Arc::new(perf)));
-        self.counters
-            .build_timed(Stage::Retimed, build_start.elapsed());
-        Ok(session)
     }
 
     /// The compiled program for `(swept, targets)`: exports each
@@ -677,82 +509,6 @@ mod tests {
         let seeded = Session::new(s.net().clone(), SessionOptions::new()).with_digest(digest);
         assert_eq!(seeded.digest.get(), Some(&digest));
         assert_eq!(seeded.digest(), digest);
-    }
-
-    #[test]
-    fn retimed_matches_cold_session_exactly() {
-        let s = session();
-        let timing = TimingAssignment::new().with("F(back)".to_string(), Rational::from_int(7));
-        let warm = s.retimed(&timing).unwrap();
-        // A cold session over the textually perturbed net.
-        let cold_net = parse_tpn(&CYCLE.replace("firing 3", "firing 7")).unwrap();
-        assert_eq!(warm.net().digest(), cold_net.digest());
-        let cold = Session::new(cold_net, SessionOptions::new());
-        let go = warm.net().transition_by_name("go").unwrap();
-        let wd = warm.decision_graph().unwrap();
-        let cd = cold.decision_graph().unwrap();
-        assert_eq!(wd.describe(warm.net()), cd.describe(cold.net()));
-        assert_eq!(
-            warm.performance().unwrap().throughput(&wd, go),
-            cold.performance().unwrap().throughput(&cd, go)
-        );
-        assert_eq!(
-            warm.performance().unwrap().throughput(&wd, go).to_string(),
-            "1/9"
-        );
-        // No TRG build ran for the re-timed session: its cells were
-        // seeded from the lift (the one recorded build is the base
-        // session's lifted chain, not a Stage::Trg build).
-        assert_eq!(s.counters().snapshot(Stage::Trg).builds, 0);
-        let retimed = s.counters().snapshot(Stage::Retimed);
-        assert_eq!((retimed.misses, retimed.builds), (1, 1));
-        // A second re-timing of the same attribute hits the memoized
-        // per-attribute-set lift.
-        let timing2 = TimingAssignment::new().with("F(back)".to_string(), Rational::from_int(5));
-        s.retimed(&timing2).unwrap();
-        assert_eq!(s.counters().snapshot(Stage::Retimed).hits, 1);
-        assert_eq!(s.counters().snapshot(Stage::Lifted).builds, 1);
-        // Perturbing a different attribute sweeps a different symbol
-        // set: a fresh (smaller) lift, not a hit on the first one.
-        let other = TimingAssignment::new().with("F(go)".to_string(), Rational::from_int(5));
-        s.retimed(&other).unwrap();
-        assert_eq!(s.counters().snapshot(Stage::Retimed).hits, 1);
-        assert_eq!(s.counters().snapshot(Stage::Lifted).builds, 2);
-    }
-
-    #[test]
-    fn retimed_rejects_invalid_and_out_of_region_perturbations() {
-        let s = session();
-        // Unknown attribute name.
-        let bad = TimingAssignment::new().with("F(nope)".to_string(), Rational::from_int(1));
-        assert!(matches!(s.retimed(&bad), Err(RetimeError::Invalid(_))));
-        // Structural attribute: enabling times default to zero.
-        let structural = TimingAssignment::new().with("E(go)".to_string(), Rational::from_int(1));
-        assert!(matches!(
-            s.retimed(&structural),
-            Err(RetimeError::Invalid(_))
-        ));
-        // Non-positive new value.
-        let zeroed = TimingAssignment::new().with("F(go)".to_string(), Rational::ZERO);
-        assert!(matches!(s.retimed(&zeroed), Err(RetimeError::Invalid(_))));
-        // In this deterministic cycle any positive timing stays in
-        // region, so exercise OutOfRegion through a min choice: two
-        // concurrent branches joined back together.
-        let net = parse_tpn(
-            "net fj\nplace s init 1\nplace a\nplace b\nplace a2\nplace b2\n\
-             trans fork in s out a,b firing 1\n\
-             trans fast in a out a2 firing 1\n\
-             trans slow in b out b2 firing 2\n\
-             trans join in a2,b2 out s firing 1",
-        )
-        .unwrap();
-        let s = Session::new(net, SessionOptions::new());
-        let ok = TimingAssignment::new().with("F(slow)".to_string(), Rational::new(3, 2));
-        s.retimed(&ok).unwrap();
-        let flip = TimingAssignment::new().with("F(slow)".to_string(), Rational::new(1, 2));
-        let err = s.retimed(&flip).unwrap_err();
-        assert!(matches!(err, RetimeError::OutOfRegion(_)), "{err}");
-        assert!(err.to_string().contains("validity region"), "{err}");
     }
 
     #[test]

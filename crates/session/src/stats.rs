@@ -39,22 +39,16 @@ pub enum Stage {
     /// A compiled expression program, one artifact per distinct
     /// (swept, targets, derivatives) request.
     Compiled,
-    /// An incremental re-timing ([`Session::retimed`](crate::Session::retimed)):
-    /// a hit means the full lift it substitutes into was already
-    /// materialised, a miss that the lift had to be built first, and a
-    /// build counts the substitution itself.
-    Retimed,
 }
 
 /// Every stage, in derivation order (the order `/stats` renders).
-pub const STAGES: [Stage; 7] = [
+pub const STAGES: [Stage; 6] = [
     Stage::Trg,
     Stage::DecisionGraph,
     Stage::Rates,
     Stage::Performance,
     Stage::Lifted,
     Stage::Compiled,
-    Stage::Retimed,
 ];
 
 impl Stage {
@@ -67,7 +61,6 @@ impl Stage {
             Stage::Performance => "performance",
             Stage::Lifted => "lifted",
             Stage::Compiled => "compiled",
-            Stage::Retimed => "retimed",
         }
     }
 
@@ -79,7 +72,6 @@ impl Stage {
             Stage::Performance => 3,
             Stage::Lifted => 4,
             Stage::Compiled => 5,
-            Stage::Retimed => 6,
         }
     }
 }
@@ -89,10 +81,10 @@ impl Stage {
 /// server creates, aggregating artifact effectiveness service-wide.
 #[derive(Debug, Default)]
 pub struct StageCounters {
-    hits: [AtomicU64; 7],
-    misses: [AtomicU64; 7],
-    builds: [AtomicU64; 7],
-    build_time: [Histogram; 7],
+    hits: [AtomicU64; 6],
+    misses: [AtomicU64; 6],
+    builds: [AtomicU64; 6],
+    build_time: [Histogram; 6],
 }
 
 impl StageCounters {

@@ -1,80 +1,87 @@
-//! Incremental what-if re-timing over the paper's Figure-1 protocol:
-//! one base session, a batch of timeout perturbations, every analysis
-//! answered from one shared symbolic lift.
+//! What-if re-timing over the paper's Figure-1 protocol: one base net,
+//! a batch of timeout perturbations, one `/whatif` envelope.
 //!
 //! ```sh
 //! cargo run --release --example whatif
 //! ```
 //!
-//! The base [`Session`] materialises the timeout lift **once**; each
-//! [`Session::retimed`] call substitutes a perturbed timing point into
-//! the memoized skeleton — no reachability rebuild, no recompilation —
-//! and, because the whole pipeline is exact rational arithmetic, every
-//! re-timed body is byte-identical to a cold analysis of the perturbed
-//! net. The example asserts both the byte-identity and the reuse (one
-//! `Retimed` build per distinct point, zero extra TRG builds), so it
-//! doubles as an end-to-end check of the what-if path (CI runs it).
+//! [`Service::respond_whatif_spec`] answers each perturbation with an
+//! ordinary session over the perturbed net, so every entry equals the
+//! cold `/analyze` body of that net, byte for byte — and a perturbation
+//! whose net cannot be analysed gets the same 422 `analysis` error a
+//! plain request would. The example asserts both, so it doubles as an
+//! end-to-end check of the what-if path (CI runs it).
 
 use timed_petri::net::TimingAssignment;
 use timed_petri::prelude::*;
 use timed_petri::protocols::simple;
-use timed_petri::service::run_with_session;
+use timed_petri::service::json::escape;
+use timed_petri::service::{Json, WhatifSpec};
 
 fn main() {
-    let proto = simple::paper();
-    let base = Session::new(proto.net.clone(), SessionOptions::new());
-    let t7 = proto.t[6];
+    let base = simple::paper().net;
 
-    // Eight timeout candidates around the paper's 1000 ms value.
-    let timeouts = [300, 500, 750, 1000, 1250, 1500, 1750, 2000];
+    // Eight timeout candidates around the paper's 1000 ms value, plus
+    // one below the ACK round trip (~226.9 ms).
+    let timeouts = [300, 500, 750, 1000, 1250, 1500, 1750, 2000, 100];
+    let perturbations: Vec<String> = timeouts
+        .iter()
+        .map(|t| format!(r#"{{"E(t3)":"{t}"}}"#))
+        .collect();
+    let spec = WhatifSpec::from_json(
+        &Json::parse(&format!(
+            r#"{{"perturbations":[{}]}}"#,
+            perturbations.join(",")
+        ))
+        .unwrap(),
+    )
+    .unwrap();
+    let service = Service::new(ServiceConfig::default());
+    let envelope = service.respond_whatif_spec(base.clone(), &spec);
+    let doc = Json::parse(&envelope).unwrap();
+    let entries = doc.get("perturbations").and_then(Json::as_arr).unwrap();
+
     println!("what-if over E(t3) (paper value 1000 ms):");
-    for timeout in timeouts {
-        let delta = TimingAssignment::new().with("E(t3)", Rational::from_int(timeout));
-        let retimed = base
-            .retimed(&delta)
-            .expect("timeouts above the ACK round trip");
-        let dg = retimed.decision_graph().unwrap();
-        let th = retimed.performance().unwrap().throughput(&dg, t7);
+    for (timeout, entry) in timeouts.iter().zip(entries) {
+        let delta = TimingAssignment::new().with("E(t3)", Rational::from_int(*timeout));
+        let perturbed = base.with_timing(&delta).unwrap();
+        // The cold reference: a fresh service's /analyze of the
+        // perturbed net text.
+        let (status, cold) = Service::new(ServiceConfig::default())
+            .respond(RequestKind::Analyze, &perturbed.to_tpn());
+        if *timeout == 100 {
+            // Below the round trip the timeout races the ACK: the
+            // perturbed net violates the conflict-set restriction.
+            assert_eq!(entry.get("status").and_then(Json::as_num), Some("422"));
+            let error = entry.get("error").unwrap();
+            assert_eq!(error.get("code").and_then(Json::as_str), Some("analysis"));
+            let message = error.get("message").and_then(Json::as_str).unwrap();
+            assert_eq!(status, 422, "{cold}");
+            assert_eq!(
+                *cold,
+                format!(
+                    r#"{{"error":{}}}"#,
+                    escape(&format!("analysis error: {message}"))
+                )
+            );
+            println!("  E(t3) = {timeout:>4} ms  →  422 analysis: {message}");
+            continue;
+        }
+        assert_eq!(status, 200, "{cold}");
+        // Byte-identity: the entry embeds the cold body verbatim.
+        let wrapped = format!(r#"{{"kind":"analyze","status":200,"body":{cold}}}"#);
+        assert!(
+            envelope.contains(&wrapped),
+            "what-if and cold bodies diverged at E(t3)={timeout}"
+        );
+        let session = Session::new(perturbed, SessionOptions::new());
+        let dg = session.decision_graph().unwrap();
+        let t7 = session.net().transition_by_name("t7").unwrap();
+        let th = session.performance().unwrap().throughput(&dg, t7);
         println!(
             "  E(t3) = {timeout:>4} ms  →  throughput(t7) ≈ {:.4} msg/s",
             th.to_f64() * 1000.0
         );
-
-        // Byte-identity: the re-timed body equals a cold analysis of
-        // the perturbed net, byte for byte.
-        let cold = Session::new(
-            base.net().with_timing(&delta).unwrap(),
-            SessionOptions::new(),
-        );
-        assert_eq!(
-            run_with_session(&retimed, RequestKind::Analyze).unwrap(),
-            run_with_session(&cold, RequestKind::Analyze).unwrap(),
-            "re-timed and cold bodies diverged at E(t3)={timeout}"
-        );
     }
-
-    // A perturbation below the ACK round trip (~240.4 ms) leaves the
-    // lift's validity region: rejected as such, not silently wrong.
-    let low = TimingAssignment::new().with("E(t3)", Rational::from_int(100));
-    match base.retimed(&low) {
-        Err(RetimeError::OutOfRegion(m)) => {
-            println!("E(t3) = 100 ms rejected: out of region ({m})")
-        }
-        other => panic!("expected OutOfRegion, got {:?}", other.map(|_| "a session")),
-    }
-
-    // The whole point: the shared lift was built once; each in-region
-    // perturbation was one substitution through it (a `Retimed` build),
-    // and every one after the first found the lift memoized (a hit).
-    assert_eq!(base.stage_stats(Stage::Lifted).builds, 1);
-    let retimed = base.stage_stats(Stage::Retimed);
-    assert_eq!(retimed.builds, timeouts.len() as u64);
-    assert!(
-        retimed.hits >= timeouts.len() as u64 - 1,
-        "every perturbation after the first re-used the lift: {retimed:?}"
-    );
-    println!(
-        "lift built once, {} perturbations substituted through it",
-        retimed.builds
-    );
+    println!("{} entries, each equal to a cold /analyze", entries.len());
 }

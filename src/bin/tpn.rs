@@ -10,7 +10,7 @@
 //! tpn simulate <net.tpn> [EVENTS [SEED]]  Monte-Carlo run
 //! tpn sweep <net.tpn> <spec.json>       compiled parameter sweep (JSON rows)
 //! tpn optimize <net.tpn> <spec.json>    certified optimal timing parameters (JSON)
-//! tpn whatif <net.tpn> <spec.json>      incremental re-timed analyses over a perturbation batch (JSON)
+//! tpn whatif <net.tpn> <spec.json>      analyses of a net under a batch of timing perturbations (JSON)
 //! tpn serve <addr> [OPTIONS]            HTTP analysis daemon (JSON API)
 //! tpn stats <addr> [--metrics] [--watch N]  counters of a running daemon (pretty table or raw /metrics)
 //! tpn top <addr> [--interval N]         live dashboard: req/s, latency, burn rates, RSS
@@ -95,8 +95,8 @@ const COMMANDS: &[CommandHelp] = &[
     CommandHelp {
         name: "whatif",
         usage: "tpn whatif <net.tpn> <spec.json>",
-        summary: "re-time the memoized pipeline over a batch of timing perturbations — no \
-                  reachability rebuild, bodies byte-identical to cold analyses (JSON)",
+        summary: "analyse a net under a batch of timing perturbations — each entry equals \
+                  the cold analysis of its perturbed net (JSON)",
     },
     CommandHelp {
         name: "serve",
@@ -489,8 +489,8 @@ fn run_spec_command(
 }
 
 /// `tpn whatif <net.tpn> <spec.json>` — run a batch of timing
-/// perturbations against one net's memoized pipeline, answering every
-/// perturbation from one shared symbolic lift. Prints exactly the JSON
+/// perturbations against one net, answering each from an ordinary
+/// session over the perturbed net. Prints exactly the JSON
 /// document the daemon's `POST /whatif` endpoint returns for the same
 /// net and spec (byte-identical: both assemble through the same
 /// in-process [`Service`]).

@@ -88,9 +88,7 @@ pub mod prelude {
         TrgOptions,
     };
     pub use tpn_service::{RequestKind, Service, ServiceConfig};
-    pub use tpn_session::{
-        RetimeError, Session, SessionError, SessionOptions, Stage, StageCounters,
-    };
+    pub use tpn_session::{Session, SessionError, SessionOptions, Stage, StageCounters};
     pub use tpn_sim::{simulate, SimOptions};
     pub use tpn_symbolic::{Assignment, ConstraintSet, LinExpr, Poly, RatFn, Symbol};
 }

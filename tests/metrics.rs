@@ -60,7 +60,8 @@ fn http_raw(addr: SocketAddr, method: &str, target: &str, body: &str) -> (u16, S
 
 /// Replay the capture sequence the golden `/stats` fixture was made
 /// with: two analyzes (miss + hit), a graph, a sweep, an optimize, and
-/// a two-perturbation what-if (one re-time, one out-of-region reject).
+/// a two-perturbation what-if (one 200 entry, and one 422 entry whose
+/// perturbed net fails to analyse).
 fn replay_capture_sequence(addr: SocketAddr) {
     let net = fig1_text();
     let (s, _) = http(addr, "POST", "/analyze", &net);
@@ -90,7 +91,8 @@ fn replay_capture_sequence(addr: SocketAddr) {
     let (s, body) = http(addr, "POST", "/whatif", &whatif);
     assert_eq!(s, 200, "{body}");
     assert!(body.contains("\"status\":200"), "{body}");
-    assert!(body.contains("out_of_region"), "{body}");
+    assert!(body.contains("\"status\":422"), "{body}");
+    assert!(body.contains("\"code\":\"analysis\""), "{body}");
 }
 
 /// The tentpole's byte-compatibility contract: the `/stats` document
@@ -219,8 +221,8 @@ fn metrics_document_validates_and_covers_every_stats_counter() {
     for expected in [
         "tpn_service_requests_total 6\n",
         "tpn_cache_hits_total 1\n",
-        "tpn_cache_misses_total 7\n",
-        "tpn_cache_computations_total 7\n",
+        "tpn_cache_misses_total 8\n",
+        "tpn_cache_computations_total 8\n",
         "tpn_sweeps_total 1\n",
         "tpn_sweep_compiles_total 1\n",
         "tpn_sweep_points_total 12\n",
@@ -228,16 +230,15 @@ fn metrics_document_validates_and_covers_every_stats_counter() {
         "tpn_optimize_certified_total 1\n",
         "tpn_whatifs_total 1\n",
         "tpn_whatif_perturbations_total 2\n",
-        "tpn_whatif_retimes_total 1\n",
         "tpn_whatif_rejects_total 1\n",
         "tpn_v1_envelopes_total 0\n",
         "tpn_session_hits_total 5\n",
         "tpn_session_misses_total 3\n",
-        "tpn_sessions 2\n",
+        "tpn_sessions 3\n",
         "tpn_threads 4\n",
         "tpn_queue_cap 64\n",
-        "tpn_artifact_demands_total{stage=\"trg\",event=\"build\"} 1\n",
-        "tpn_artifact_demands_total{stage=\"retimed\",event=\"build\"} 1\n",
+        // fig1, then one TRG per what-if perturbation.
+        "tpn_artifact_demands_total{stage=\"trg\",event=\"build\"} 3\n",
     ] {
         assert!(text.contains(expected), "missing {expected:?} in:\n{text}");
     }
@@ -253,16 +254,28 @@ fn metrics_document_validates_and_covers_every_stats_counter() {
         text.contains("tpn_request_duration_seconds_bucket{endpoint=\"analyze\",le=\"+Inf\"} 2\n"),
         "{text}"
     );
-    // Stage build histograms render for all seven stages, with one
+    // Stage build histograms render for all six stages, with one
     // build sample per pipeline execution.
     assert!(
-        text.contains("tpn_stage_build_seconds_count{stage=\"trg\"} 1\n"),
+        text.contains("tpn_stage_build_seconds_count{stage=\"trg\"} 3\n"),
         "{text}"
     );
-    assert!(
-        text.contains("tpn_stage_build_seconds_count{stage=\"retimed\"} 1\n"),
-        "{text}"
-    );
+    // What-if perturbations run ordinary sessions: every stage label is
+    // one of the six pipeline stages.
+    let stages: Vec<&str> = timed_petri::session::STAGES
+        .iter()
+        .map(|s| s.name())
+        .collect();
+    for line in text.lines().filter(|l| l.contains("{stage=\"")) {
+        let label = line
+            .split("{stage=\"")
+            .nth(1)
+            .and_then(|r| r.split('"').next());
+        assert!(
+            label.is_some_and(|l| stages.contains(&l)),
+            "unknown stage in {line}"
+        );
+    }
     handle.shutdown();
 }
 

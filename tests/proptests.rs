@@ -197,90 +197,226 @@ proptest! {
     }
 }
 
-/// One shared base session over the paper's Figure-1 protocol. The
-/// full symbolic lift is memoized inside the session, so every
-/// re-timing case below substitutes through the same skeleton — which
-/// is exactly the code path `POST /whatif` exercises.
-fn fig1_base() -> &'static Session {
-    static BASE: std::sync::OnceLock<Session> = std::sync::OnceLock::new();
-    BASE.get_or_init(|| Session::new(simple::paper().net, SessionOptions::new()))
+/// Serve one single-perturbation `/whatif` batch against `base` and
+/// assert its entry equals what `/v1` answers for the perturbed net
+/// (`base.with_timing(delta).to_tpn()`), on a separate service: the
+/// same status, and the same result bytes or the same error object.
+/// A 200 entry wraps the `/v1` results verbatim; a failing entry
+/// carries the error of the first failing `/v1` result.
+fn assert_whatif_entry_equals_v1(
+    base: &TimedPetriNet,
+    requests: &[&str],
+    delta: &str,
+) -> Result<(), TestCaseError> {
+    use timed_petri::service::json::{error_object, escape};
+    use timed_petri::service::{Json, WhatifSpec};
+
+    let kinds: Vec<String> = requests.iter().map(|k| escape(k)).collect();
+    let spec = WhatifSpec::from_json(
+        &Json::parse(&format!(
+            r#"{{"requests":[{}],"perturbations":[{delta}]}}"#,
+            kinds.join(",")
+        ))
+        .unwrap(),
+    )
+    .unwrap();
+    let envelope = Service::new(ServiceConfig::default()).respond_whatif_spec(base.clone(), &spec);
+
+    let delta = &spec.perturbations[0];
+    let perturbed = base.with_timing(delta).unwrap();
+    let v1_requests: Vec<String> = kinds.iter().map(|k| format!(r#"{{"kind":{k}}}"#)).collect();
+    let (status, v1) = Service::new(ServiceConfig::default()).respond_v1(&format!(
+        r#"{{"net":{},"requests":[{}]}}"#,
+        escape(&perturbed.to_tpn()),
+        v1_requests.join(",")
+    ));
+    prop_assert_eq!(status, 200, "{}", v1);
+    let results_at = v1.find(r#""results":["#).expect("v1 results") + r#""results":["#.len();
+    let results = v1[results_at..]
+        .strip_suffix("]}")
+        .expect("v1 envelope tail");
+
+    let echo: Vec<String> = delta
+        .iter()
+        .map(|(attr, value)| format!(r#"{}:"{value}""#, escape(attr)))
+        .collect();
+    let mut expected = format!(r#"{{"perturbation":{{{}}},"#, echo.join(","));
+    let doc = Json::parse(&v1).unwrap();
+    let failed = doc
+        .get("results")
+        .and_then(Json::as_arr)
+        .unwrap()
+        .iter()
+        .find(|r| r.get("status").and_then(Json::as_num) != Some("200"));
+    match failed {
+        None => expected.push_str(&format!(
+            r#""status":200,"body":{{"digest":"{}","timing":"{}","results":[{results}]}}}}"#,
+            perturbed.digest().to_hex(),
+            perturbed.timing().hash_hex(),
+        )),
+        Some(entry) => {
+            let status = entry.get("status").and_then(Json::as_num).unwrap();
+            let error = entry.get("body").unwrap();
+            let field = |key: &str| error.get(key).and_then(Json::as_str).unwrap();
+            let error = error_object(field("code"), field("message"));
+            let kind = entry.get("kind").and_then(Json::as_str).unwrap();
+            prop_assert!(
+                results.contains(&format!(
+                    r#"{{"kind":{},"status":{status},"body":{error}}}"#,
+                    escape(kind)
+                )),
+                "{}",
+                v1
+            );
+            expected.push_str(&format!(r#""status":{status},"error":{error}}}"#));
+        }
+    }
+    prop_assert!(
+        envelope.ends_with(&format!(r#""perturbations":[{expected}]}}"#)),
+        "whatif entry differs from /v1 on the perturbed net\n--- whatif ---\n{}\n--- expected entry ---\n{}",
+        envelope,
+        expected
+    );
+    Ok(())
+}
+
+/// The lift-fidelity oracle for `/sweep`: sweep `net` at the single
+/// point `axes` (exact backend, every transition's throughput) and, if
+/// the sweep flags the row `in_region`, assert the base session's
+/// compiled closed forms evaluate there to exactly the throughputs a
+/// cold session over the perturbed net computes. Returns the flag.
+fn assert_in_region_lift_matches_cold(
+    net: &TimedPetriNet,
+    axes: &[(&str, Rational)],
+) -> Result<bool, TestCaseError> {
+    use timed_petri::service::json::escape;
+    use timed_petri::service::Json;
+
+    let names: Vec<&str> = net
+        .transitions()
+        .map(|t| net.transition(t).name())
+        .collect();
+    let targets: Vec<String> = names
+        .iter()
+        .map(|n| escape(&format!("throughput:{n}")))
+        .collect();
+    let sweep: Vec<String> = axes
+        .iter()
+        .map(|(s, v)| format!(r#"{{"symbol":{},"values":["{v}"]}}"#, escape(s)))
+        .collect();
+    let svc = Service::new(ServiceConfig::default());
+    let (status, body) = svc.respond_sweep(&format!(
+        r#"{{"net":{},"targets":[{}],"sweep":[{}],"backend":"exact"}}"#,
+        escape(&net.to_tpn()),
+        targets.join(","),
+        sweep.join(",")
+    ));
+    prop_assert_eq!(status, 200, "{}", body);
+    let doc = Json::parse(&body).unwrap();
+    let row = &doc.get("rows").and_then(Json::as_arr).unwrap()[0];
+    let in_region = row.as_arr().unwrap()[2].as_bool().unwrap();
+    if !in_region {
+        return Ok(false);
+    }
+
+    let session = svc.session_for(net.clone());
+    let swept: Vec<Symbol> = axes.iter().map(|(s, _)| Symbol::intern(s)).collect();
+    let exprs: Vec<ExprTarget> = net.transitions().map(ExprTarget::Throughput).collect();
+    let compiled = session.compiled(&swept, &exprs, false).unwrap();
+    let point: Vec<Rational> = compiled
+        .program
+        .vars()
+        .iter()
+        .map(|v| axes.iter().find(|(s, _)| *s == v.name()).unwrap().1)
+        .collect();
+    let lifted = compiled.program.eval_exact_once(&point);
+
+    let mut delta = TimingAssignment::new();
+    for (s, v) in axes {
+        delta.set(s.to_string(), *v);
+    }
+    let cold = Session::new(net.with_timing(&delta).unwrap(), SessionOptions::new());
+    let dg = cold.decision_graph().unwrap();
+    let mut throughputs = cold.performance().unwrap().throughputs(&dg);
+    throughputs.resize(names.len(), Rational::ZERO);
+    for (i, name) in names.iter().enumerate() {
+        prop_assert_eq!(
+            lifted[i],
+            Some(throughputs[i]),
+            "throughput:{} at {:?}",
+            name,
+            axes
+        );
+    }
+    Ok(true)
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+    #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn retimed_ring_sessions_are_byte_identical_to_cold_ones(
-        pairs in proptest::collection::vec(
-            ((1i128..=50, 1i128..=4), (1i128..=50, 1i128..=4)), 1..6)
+    fn whatif_entries_equal_v1_on_the_perturbed_net(raw in 1i128..=5000, low in 0i128..=3) {
+        // A quarter of the draws fold into 1..=300 so both sides of the
+        // ~226.9 ms ACK round trip are always exercised: below it the
+        // perturbed net violates the conflict-set restriction and the
+        // entry is /v1's 422.
+        let timeout = if low == 0 { 1 + raw % 300 } else { raw };
+        assert_whatif_entry_equals_v1(
+            &simple::paper().net,
+            &["analyze", "graph"],
+            &format!(r#"{{"E(t3)":"{timeout}"}}"#),
+        )?;
+    }
+
+    #[test]
+    fn whatif_ring_entries_equal_v1_including_zero_times(
+        stages in proptest::collection::vec(
+            ((1i128..=50, 1i128..=4), (-12i128..=50, 1i128..=4), 0i128..=2), 1..6)
     ) {
-        use timed_petri::service::run_with_session;
+        // Negative draws clamp to zero (about one stage in five): zero
+        // times, and re-timing an enabling time whose base is zero, are
+        // analysed like any perturbed net.
         let times: Vec<Rational> =
-            pairs.iter().map(|((n, d), _)| Rational::new(*n, *d)).collect();
-        let retimes: Vec<Rational> =
-            pairs.iter().map(|(_, (n, d))| Rational::new(*n, *d)).collect();
-        let base = Session::new(families::cycle(&times), SessionOptions::new());
-        let mut delta = TimingAssignment::new();
-        for (i, t) in retimes.iter().enumerate() {
-            delta.set(format!("F(advance{i})"), *t);
+            stages.iter().map(|((n, d), _, _)| Rational::new(*n, *d)).collect();
+        let mut delta = Vec::new();
+        for (i, (_, (n, d), which)) in stages.iter().enumerate() {
+            let value = Rational::new((*n).max(0), *d);
+            if *which != 1 {
+                delta.push(format!(r#""F(advance{i})":"{value}""#));
+            }
+            if *which != 0 {
+                delta.push(format!(r#""E(advance{i})":"{value}""#));
+            }
         }
-        // A 1-token ring has no timing races, so every positive
-        // retiming stays inside the lift's validity region.
-        let retimed = base.retimed(&delta).unwrap();
-        let cold = Session::new(
-            base.net().with_timing(&delta).unwrap(),
-            SessionOptions::new(),
-        );
-        prop_assert_eq!(retimed.net().digest(), cold.net().digest());
-        for kind in [
-            RequestKind::Analyze,
-            RequestKind::Graph,
-            RequestKind::Correctness,
-            RequestKind::Invariants,
-        ] {
-            prop_assert_eq!(
-                run_with_session(&retimed, kind).unwrap(),
-                run_with_session(&cold, kind).unwrap(),
-                "kind {}",
-                kind.name()
-            );
-        }
+        assert_whatif_entry_equals_v1(
+            &families::cycle(&times),
+            &["analyze", "graph", "correctness", "invariants"],
+            &format!("{{{}}}", delta.join(",")),
+        )?;
     }
 
     #[test]
-    fn retimed_protocol_timeouts_match_cold_sessions(timeout in 250i128..=5000) {
-        use timed_petri::service::run_with_session;
-        let base = fig1_base();
-        let delta = TimingAssignment::new().with("E(t3)", Rational::from_int(timeout));
-        let retimed = base.retimed(&delta).unwrap();
-        let cold = Session::new(
-            base.net().with_timing(&delta).unwrap(),
-            SessionOptions::new(),
-        );
-        prop_assert_eq!(retimed.net().digest(), cold.net().digest());
-        prop_assert_eq!(
-            run_with_session(&retimed, RequestKind::Analyze).unwrap(),
-            run_with_session(&cold, RequestKind::Analyze).unwrap()
-        );
+    fn fig1_timeout_lift_equals_cold_sessions_in_region(timeout in 1i128..=5000) {
+        assert_in_region_lift_matches_cold(
+            &simple::paper().net,
+            &[("E(t3)", Rational::from_int(timeout))],
+        )?;
     }
 
     #[test]
-    fn out_of_region_retimings_are_rejected_with_a_structured_error(
-        timeout in 1i128..=200
+    fn lossy_chain_hop_lift_equals_cold_sessions_in_region(
+        hop in 1i128..=40, drop in 1i128..=40
     ) {
-        // Below the ACK round trip the timeout/ACK race resolves the
-        // other way: the memoized lift's validity region excludes the
-        // point and the rejection must say so (not a parse or pipeline
-        // failure — the distinction drives the 400-vs-422 mapping).
-        let delta = TimingAssignment::new().with("E(t3)", Rational::from_int(timeout));
-        match fig1_base().retimed(&delta) {
-            Err(RetimeError::OutOfRegion(m)) => prop_assert!(!m.is_empty()),
-            other => prop_assert!(
-                false,
-                "expected OutOfRegion, got {:?}",
-                other.map(|_| "a session")
-            ),
-        }
+        // The hop's two outcomes are chosen by frequency before either
+        // fires, so this lift records no region: every point is in it.
+        let in_region = assert_in_region_lift_matches_cold(
+            &lossy_chain(8),
+            &[
+                ("F(hop3)", Rational::from_int(hop)),
+                ("F(drop3)", Rational::from_int(drop)),
+            ],
+        )?;
+        prop_assert!(in_region);
     }
 }
 
@@ -387,7 +523,22 @@ fn rate_oracle_agrees_on_the_lifted_abp_chain() {
         abp::abp(&simple::Params::paper()).net,
         SessionOptions::new(),
     );
-    let swept = session.retimable_symbols();
+    // Every strictly positive known attribute becomes a symbol.
+    let net = session.net();
+    let mut swept = Vec::new();
+    for t in net.transitions() {
+        let tr = net.transition(t);
+        let name = tr.name();
+        if tr.enabling().known().is_some_and(|v| v.is_positive()) {
+            swept.push(tpn_net::symbols::enabling(name));
+        }
+        if tr.firing().known().is_some_and(|v| v.is_positive()) {
+            swept.push(tpn_net::symbols::firing(name));
+        }
+        if matches!(tr.frequency(), tpn_net::Frequency::Weight(w) if w.is_positive()) {
+            swept.push(tpn_net::symbols::frequency(name));
+        }
+    }
     let lifted = session.lifted(&swept).unwrap();
     let rates = solve_rates(&lifted.dg, 0).unwrap();
     assert_eq!(rates.as_slice(), null_space_rates(&lifted.dg));

@@ -1,12 +1,11 @@
-//! Acceptance suite for the incremental what-if surface: `POST
-//! /whatif`, the `/v1` `whatif` request kind, and `tpn whatif` — one
-//! base net, a batch of timing perturbations, every analysis answered
-//! from one shared symbolic lift.
+//! Acceptance suite for the what-if surface: `POST /whatif`, the `/v1`
+//! `whatif` request kind, and `tpn whatif` — one base net, a batch of
+//! timing perturbations, each answered by an ordinary session over the
+//! perturbed net.
 //!
-//! The load-bearing property throughout is **byte-identity**: because
-//! the whole pipeline is exact rational arithmetic, a re-timed body
-//! must equal, byte for byte, what a cold analysis of the perturbed
-//! net would produce.
+//! The load-bearing property throughout is **byte-identity**: each
+//! entry must equal, byte for byte, what a cold analysis of the
+//! perturbed net produces — its body on success, its error otherwise.
 
 // These tests drive the daemon over loopback; it serves on Linux only.
 #![cfg(target_os = "linux")]
@@ -115,8 +114,8 @@ fn whatif_failures_are_isolated_per_perturbation() {
         addr,
         "POST",
         "/whatif",
-        // valid · unknown attribute · outside the lift's validity
-        // region (E(t3)=100 flips fig1's timeout/ACK race)
+        // valid · unknown attribute · a net that fails to analyse
+        // (E(t3)=100 flips fig1's timeout/ACK race)
         &whatif_body(r#"[{"E(t3)":"500"},{"E(nope)":"1"},{"E(t3)":"100"}]"#),
     );
     assert_eq!(
@@ -131,9 +130,33 @@ fn whatif_failures_are_isolated_per_perturbation() {
         body.contains(r#"{"perturbation":{"E(nope)":"1"},"status":400,"error":{"code":"bad_request","message":""#),
         "{body}"
     );
+    // The failing entry carries the very error /v1 returns for the
+    // perturbed net.
+    let error = r#"{"code":"analysis","message":"transition \"t4\" would fire more than once at the same instant in state 13 (conflict-set restriction violated)"}"#;
     assert!(
-        body.contains(r#"{"perturbation":{"E(t3)":"100"},"status":422,"error":{"code":"out_of_region","message":""#),
+        body.contains(&format!(
+            r#"{{"perturbation":{{"E(t3)":"100"}},"status":422,"error":{error}}}"#
+        )),
         "{body}"
+    );
+    let perturbed = fig1_net()
+        .with_timing(&TimingAssignment::new().with("E(t3)", Rational::from_int(100)))
+        .unwrap();
+    let (status, v1) = http(
+        addr,
+        "POST",
+        "/v1",
+        &format!(
+            r#"{{"net":{},"requests":[{{"kind":"analyze"}}]}}"#,
+            timed_petri::service::json::escape(&perturbed.to_tpn())
+        ),
+    );
+    assert_eq!(status, 200, "{v1}");
+    assert!(
+        v1.contains(&format!(
+            r#"{{"kind":"analyze","status":422,"body":{error}}}"#
+        )),
+        "{v1}"
     );
     // Spec-shaped problems are a single structured 400.
     let (status, body) = http(addr, "POST", "/whatif", &whatif_body("[]"));
@@ -157,15 +180,17 @@ fn whatif_entries_are_cached_across_batches() {
     assert!(stats.contains(r#""whatifs":2"#), "{stats}");
     assert!(stats.contains(r#""whatif_perturbations":4"#), "{stats}");
     assert!(stats.contains(r#""whatif_hits":2"#), "{stats}");
-    assert!(stats.contains(r#""whatif_retimes":2"#), "{stats}");
     assert!(stats.contains(r#""whatif_rejects":0"#), "{stats}");
+    // One session per perturbed net: the base net's plus one miss per
+    // distinct timing point, built only on the first batch.
+    assert_eq!(svc.sessions().stats().misses, 3);
     // A different batch sharing one timing point hits that entry: the
     // cache key is (structural digest, timing, requests), not the batch.
     let second = spec(r#"{"perturbations":[{"E(t3)":"750"},{"E(t3)":"1250"}]}"#);
     svc.respond_whatif_spec(fig1_net(), &second);
     let stats = svc.stats_json();
     assert!(stats.contains(r#""whatif_hits":3"#), "{stats}");
-    assert!(stats.contains(r#""whatif_retimes":3"#), "{stats}");
+    assert_eq!(svc.sessions().stats().misses, 4);
 }
 
 #[test]
@@ -185,8 +210,8 @@ fn whatif_shares_cache_lines_with_plain_analyses() {
     let (status, _) = svc.respond(RequestKind::Analyze, &format!("{perturbed}"));
     assert_eq!(status, 200);
     assert_eq!(svc.cache().stats().hits, hits_before + 1);
-    // ... and the session tier holds the re-timed session under the
-    // perturbed digest, so no pipeline stage re-ran either.
+    // ... and the session tier holds the perturbed net's session under
+    // its digest, so no pipeline stage re-ran either.
     assert!(svc.sessions().stats().hits >= 1);
 }
 
