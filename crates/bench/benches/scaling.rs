@@ -3,8 +3,6 @@
 //!
 //! * TRG construction vs. cycle length, fork/join width,
 //!   producer–consumer capacity and lossy-chain length;
-//! * serial vs. parallel frontier expansion (the `parallel` feature of
-//!   `tpn-reach`) on the widest parametric families;
 //! * decision-graph rate solving (GTH reduction over the decision
 //!   nodes) on lossy forwarding chains.
 
@@ -59,43 +57,6 @@ fn bench_trg_scaling(c: &mut Criterion) {
     g.finish();
 }
 
-/// Serial (`threads: 1`) vs. parallel (`threads: 0`, i.e. all cores)
-/// TRG construction. Fork/join nets have the widest breadth-first
-/// frontiers of the parametric families, so they are where frontier
-/// fan-out can actually win; the cycle family (frontier width 1) is
-/// included as the worst case for the parallel path.
-fn bench_trg_parallel(c: &mut Criterion) {
-    let domain = NumericDomain::new();
-    let serial = TrgOptions::default();
-    let parallel = TrgOptions {
-        threads: 0,
-        ..TrgOptions::default()
-    };
-
-    let mut g = c.benchmark_group("scaling/trg_serial_vs_parallel/fork_join");
-    for n in [8usize, 12, 14] {
-        let net = families::fork_join(n);
-        g.bench_with_input(BenchmarkId::new("serial", n), &net, |b, net| {
-            b.iter(|| build_trg(black_box(net), &domain, &serial).unwrap())
-        });
-        g.bench_with_input(BenchmarkId::new("parallel", n), &net, |b, net| {
-            b.iter(|| build_trg(black_box(net), &domain, &parallel).unwrap())
-        });
-    }
-    g.finish();
-
-    let mut g = c.benchmark_group("scaling/trg_serial_vs_parallel/cycle");
-    let times: Vec<Rational> = (1..=256).map(Rational::from_int).collect();
-    let net = families::cycle(&times);
-    g.bench_with_input(BenchmarkId::new("serial", 256), &net, |b, net| {
-        b.iter(|| build_trg(black_box(net), &domain, &serial).unwrap())
-    });
-    g.bench_with_input(BenchmarkId::new("parallel", 256), &net, |b, net| {
-        b.iter(|| build_trg(black_box(net), &domain, &parallel).unwrap())
-    });
-    g.finish();
-}
-
 fn bench_rate_solver(c: &mut Criterion) {
     let domain = NumericDomain::new();
     let opts = TrgOptions::default();
@@ -122,10 +83,5 @@ fn bench_rate_solver(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_trg_scaling,
-    bench_trg_parallel,
-    bench_rate_solver
-);
+criterion_group!(benches, bench_trg_scaling, bench_rate_solver);
 criterion_main!(benches);

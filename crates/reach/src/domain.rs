@@ -19,16 +19,11 @@ use tpn_symbolic::{ConstraintSet, LinExpr, Poly, RatFn, Relation};
 use crate::ReachError;
 
 /// The time/probability interpretation used by a reachability analysis.
-///
-/// Domains and their times/probabilities are `Send + Sync` so the
-/// graph construction can expand frontier states on worker threads
-/// (the `parallel` feature of this crate); all existing domains are
-/// plain data and satisfy the bounds for free.
-pub trait AnalysisDomain: Sync {
+pub trait AnalysisDomain {
     /// Representation of delays (RET/RFT entries, edge delays).
-    type Time: Clone + Eq + Hash + fmt::Debug + fmt::Display + Send + Sync;
+    type Time: Clone + Eq + Hash + fmt::Debug + fmt::Display;
     /// Representation of branching probabilities.
-    type Prob: Clone + Eq + fmt::Debug + fmt::Display + Send + Sync;
+    type Prob: Clone + Eq + fmt::Debug + fmt::Display;
 
     /// The enabling time `E(t)`.
     fn enabling_time(&self, net: &TimedPetriNet, t: TransId) -> Result<Self::Time, ReachError>;

@@ -6,8 +6,8 @@
 //! in-flight budget within the queue capacity and, at the budget,
 //! stops accepting, which pushes the pressure into the listener's
 //! kernel backlog where clients experience it as connection latency,
-//! not memory growth. [`ThreadPool::execute`] is the blocking submit
-//! for callers that would rather wait than be refused.
+//! not memory growth. Submitting never blocks: a full queue hands the
+//! job back to the caller.
 //!
 //! Shutdown is cooperative: dropping the pool wakes every worker,
 //! lets the queue drain, and joins the threads. Panicking jobs are
@@ -28,7 +28,6 @@ struct State {
 struct Shared {
     state: Mutex<State>,
     not_empty: Condvar,
-    not_full: Condvar,
     queue_cap: usize,
 }
 
@@ -63,7 +62,6 @@ impl ThreadPool {
                 shutdown: false,
             }),
             not_empty: Condvar::new(),
-            not_full: Condvar::new(),
             queue_cap: queue_cap.max(1),
         });
         let workers = (0..threads)
@@ -82,27 +80,12 @@ impl ThreadPool {
         }
     }
 
-    /// Enqueue a job, blocking while the queue is full. Returns
-    /// [`PoolClosed`] if the pool is (or becomes) shut down instead of
-    /// accepting work that would never run.
-    pub fn execute(&self, job: impl FnOnce() + Send + 'static) -> Result<(), PoolClosed> {
-        let mut state = self.shared.state.lock().expect("pool lock");
-        while state.queue.len() >= self.shared.queue_cap && !state.shutdown {
-            state = self.shared.not_full.wait(state).expect("pool lock");
-        }
-        if state.shutdown {
-            return Err(PoolClosed);
-        }
-        state.queue.push_back(Box::new(job));
-        drop(state);
-        self.shared.not_empty.notify_one();
-        Ok(())
-    }
-
     /// Enqueue a job without blocking. Returns the job back as
     /// `Ok(Some(job))` when the queue is full — the epoll reactor must
     /// never block its event loop on the pool, so it keeps the request
-    /// parked on the connection and pauses accepting instead.
+    /// parked on the connection and pauses accepting instead. Returns
+    /// [`PoolClosed`] once the pool is shutting down instead of
+    /// accepting work that would never run.
     #[allow(clippy::type_complexity)]
     pub fn try_execute(
         &self,
@@ -144,7 +127,6 @@ impl Drop for ThreadPool {
             state.shutdown = true;
         }
         self.shared.not_empty.notify_all();
-        self.shared.not_full.notify_all();
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
@@ -157,7 +139,6 @@ fn worker_loop(shared: &Shared) {
             let mut state = shared.state.lock().expect("pool lock");
             loop {
                 if let Some(job) = state.queue.pop_front() {
-                    shared.not_full.notify_one();
                     break Some(job);
                 }
                 if state.shutdown {
@@ -184,7 +165,15 @@ fn worker_loop(shared: &Shared) {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc;
     use std::time::Duration;
+
+    /// Submit `job`, retrying while the queue is full.
+    fn submit(pool: &ThreadPool, job: impl FnOnce() + Send + Clone + 'static) {
+        while pool.try_execute(job.clone()).unwrap().is_some() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
 
     #[test]
     fn runs_every_job() {
@@ -192,10 +181,9 @@ mod tests {
         let done = Arc::new(AtomicUsize::new(0));
         for _ in 0..50 {
             let done = Arc::clone(&done);
-            pool.execute(move || {
+            submit(&pool, move || {
                 done.fetch_add(1, Ordering::Relaxed);
-            })
-            .unwrap();
+            });
         }
         drop(pool); // drains the queue and joins
         assert_eq!(done.load(Ordering::Relaxed), 50);
@@ -203,19 +191,37 @@ mod tests {
 
     #[test]
     fn bounded_queue_applies_backpressure_then_drains() {
-        // One worker blocked on a slow job, capacity 1: the third submit
-        // must wait until the worker frees a slot — but everything still
-        // completes.
+        // One worker held inside a job, capacity 1: the second job fills
+        // the queue and the third is handed back, then runs once
+        // resubmitted after the queue drains.
         let pool = ThreadPool::new(1, 1);
         let done = Arc::new(AtomicUsize::new(0));
-        for _ in 0..3 {
+        let job = {
             let done = Arc::clone(&done);
-            pool.execute(move || {
-                std::thread::sleep(Duration::from_millis(20));
+            move || {
                 done.fetch_add(1, Ordering::Relaxed);
-            })
-            .unwrap();
+            }
+        };
+        let (started_tx, started) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel::<()>();
+        let held = job.clone();
+        let first = move || {
+            started_tx.send(()).unwrap();
+            release_rx.recv().unwrap();
+            held();
+        };
+        assert!(pool.try_execute(first).unwrap().is_none());
+        started.recv().unwrap(); // the worker is busy, the queue empty
+        assert!(pool.try_execute(job.clone()).unwrap().is_none());
+        let refused = pool
+            .try_execute(job)
+            .unwrap()
+            .expect("a full queue hands the job back");
+        release.send(()).unwrap();
+        while pool.queued() > 0 {
+            std::thread::sleep(Duration::from_millis(1));
         }
+        assert!(pool.try_execute(refused).unwrap().is_none());
         drop(pool);
         assert_eq!(done.load(Ordering::Relaxed), 3);
     }
@@ -224,14 +230,16 @@ mod tests {
     fn panicking_jobs_do_not_kill_workers() {
         // One worker; the panicking job must not shrink the pool.
         let pool = ThreadPool::new(1, 4);
-        pool.execute(|| panic!("hostile request")).unwrap();
+        assert!(pool
+            .try_execute(|| panic!("hostile request"))
+            .unwrap()
+            .is_none());
         let done = Arc::new(AtomicUsize::new(0));
         for _ in 0..3 {
             let done = Arc::clone(&done);
-            pool.execute(move || {
+            submit(&pool, move || {
                 done.fetch_add(1, Ordering::Relaxed);
-            })
-            .unwrap();
+            });
         }
         drop(pool);
         assert_eq!(done.load(Ordering::Relaxed), 3, "worker survived the panic");
@@ -244,10 +252,12 @@ mod tests {
         assert_eq!(pool.queue_cap(), 1);
         let done = Arc::new(AtomicUsize::new(0));
         let d = Arc::clone(&done);
-        pool.execute(move || {
-            d.fetch_add(1, Ordering::Relaxed);
-        })
-        .unwrap();
+        assert!(pool
+            .try_execute(move || {
+                d.fetch_add(1, Ordering::Relaxed);
+            })
+            .unwrap()
+            .is_none());
         drop(pool);
         assert_eq!(done.load(Ordering::Relaxed), 1);
     }

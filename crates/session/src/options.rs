@@ -23,7 +23,6 @@ use tpn_reach::TrgOptions;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SessionOptions {
     max_states: usize,
-    trg_threads: usize,
     threads: usize,
     max_points: u64,
 }
@@ -32,7 +31,6 @@ impl Default for SessionOptions {
     fn default() -> SessionOptions {
         SessionOptions {
             max_states: TrgOptions::default().max_states,
-            trg_threads: TrgOptions::default().threads,
             threads: 4,
             max_points: 1_000_000,
         }
@@ -50,14 +48,6 @@ impl SessionOptions {
     /// fails (default 100 000).
     pub fn max_states(mut self, n: usize) -> SessionOptions {
         self.max_states = n;
-        self
-    }
-
-    /// Worker threads for TRG frontier expansion: `1` (the default)
-    /// builds serially, `0` uses the machine's parallelism. State
-    /// numbering is identical at every setting.
-    pub fn trg_threads(mut self, n: usize) -> SessionOptions {
-        self.trg_threads = n;
         self
     }
 
@@ -79,11 +69,6 @@ impl SessionOptions {
         self.max_states
     }
 
-    /// The configured TRG thread count.
-    pub fn trg_threads_or_default(&self) -> usize {
-        self.trg_threads
-    }
-
     /// The configured evaluation thread count.
     pub fn threads_or_default(&self) -> usize {
         self.threads
@@ -98,7 +83,6 @@ impl SessionOptions {
     pub fn trg_options(&self) -> TrgOptions {
         TrgOptions {
             max_states: self.max_states,
-            threads: self.trg_threads,
         }
     }
 }

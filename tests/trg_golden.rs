@@ -1,7 +1,6 @@
 //! TRG byte-identity: the state tables, DOT renderings and Figure-7
 //! minimum-resolution records of a fixed corpus of nets must match the
-//! captures under `tests/fixtures/golden/trg/`, serially and with two
-//! frontier workers.
+//! captures under `tests/fixtures/golden/trg/`.
 //!
 //! The captures were taken from the dense-clock construction (every
 //! state carrying a RET and an RFT slot per transition) before states
@@ -64,37 +63,25 @@ fn golden(name: &str) -> String {
 }
 
 #[test]
-fn trg_matches_captured_bytes_serial_and_parallel() {
+fn trg_matches_captured_bytes() {
     let domain = NumericDomain::new();
     for (stem, net) in corpus() {
-        let states = golden(&format!("{stem}.states.txt"));
-        let dot = golden(&format!("{stem}.dot"));
-        let mins = golden(&format!("{stem}.min.txt"));
-        for threads in [1, 2] {
-            let trg = build_trg(
-                &net,
-                &domain,
-                &TrgOptions {
-                    threads,
-                    ..TrgOptions::default()
-                },
-            )
+        let trg = build_trg(&net, &domain, &TrgOptions::default())
             .unwrap_or_else(|e| panic!("{stem}: {e}"));
-            assert_eq!(
-                trg.describe_states(&net),
-                states,
-                "{stem}: state table drifted at threads={threads}"
-            );
-            assert_eq!(
-                trg.to_dot(&net),
-                dot,
-                "{stem}: edges drifted at threads={threads}"
-            );
-            assert_eq!(
-                describe_min_resolutions(&trg, &net),
-                mins,
-                "{stem}: min-resolutions drifted at threads={threads}"
-            );
-        }
+        assert_eq!(
+            trg.describe_states(&net),
+            golden(&format!("{stem}.states.txt")),
+            "{stem}: state table drifted"
+        );
+        assert_eq!(
+            trg.to_dot(&net),
+            golden(&format!("{stem}.dot")),
+            "{stem}: edges drifted"
+        );
+        assert_eq!(
+            describe_min_resolutions(&trg, &net),
+            golden(&format!("{stem}.min.txt")),
+            "{stem}: min-resolutions drifted"
+        );
     }
 }
