@@ -1,6 +1,5 @@
 //! Multisets of places (input/output bags).
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::PlaceId;
@@ -8,9 +7,16 @@ use crate::PlaceId;
 /// A bag (multiset) of places, as used for transition input and output
 /// functions. The paper writes `#(p, I(t))` for the multiplicity of
 /// place `p` in the input bag of `t`; that is [`Bag::count`].
+///
+/// Stored flat: a `Vec` of `(place, multiplicity)` pairs sorted by
+/// place, with each place at most once and no zero multiplicities.
+/// Bags are small (a transition touches a handful of places), so the
+/// enabling test and the token moves of every firing walk contiguous
+/// pairs, and a lookup is a binary search. The derived `Eq` and `Hash`
+/// rely on that canonical form: equal multisets have equal vectors.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Bag {
-    counts: BTreeMap<PlaceId, u32>, // invariant: no zero counts
+    entries: Vec<(PlaceId, u32)>, // invariant: sorted, distinct places, no zero counts
 }
 
 impl Bag {
@@ -22,11 +28,16 @@ impl Bag {
     /// Build a bag from (place, multiplicity) pairs; multiplicities of
     /// the same place accumulate.
     pub fn from_pairs<I: IntoIterator<Item = (PlaceId, u32)>>(pairs: I) -> Bag {
-        let mut b = Bag::new();
-        for (p, n) in pairs {
-            b.insert(p, n);
-        }
-        b
+        let mut entries: Vec<(PlaceId, u32)> = pairs.into_iter().filter(|&(_, n)| n > 0).collect();
+        entries.sort_unstable_by_key(|&(p, _)| p);
+        entries.dedup_by(|next, kept| {
+            let same = next.0 == kept.0;
+            if same {
+                kept.1 += next.1;
+            }
+            same
+        });
+        Bag { entries }
     }
 
     /// Add `n` occurrences of `p`.
@@ -34,49 +45,62 @@ impl Bag {
         if n == 0 {
             return;
         }
-        *self.counts.entry(p).or_insert(0) += n;
+        match self.position(p) {
+            Ok(i) => self.entries[i].1 += n,
+            Err(i) => self.entries.insert(i, (p, n)),
+        }
+    }
+
+    /// Where `p` is (`Ok`), or where it would go (`Err`). Appending in
+    /// place order, as builders usually do, never searches.
+    fn position(&self, p: PlaceId) -> Result<usize, usize> {
+        match self.entries.last() {
+            None => Err(0),
+            Some(&(last, _)) if last < p => Err(self.entries.len()),
+            _ => self.entries.binary_search_by_key(&p, |&(q, _)| q),
+        }
     }
 
     /// Multiplicity of `p` (zero if absent).
     pub fn count(&self, p: PlaceId) -> u32 {
-        self.counts.get(&p).copied().unwrap_or(0)
+        self.position(p).map_or(0, |i| self.entries[i].1)
     }
 
     /// `true` iff the bag is empty.
     pub fn is_empty(&self) -> bool {
-        self.counts.is_empty()
+        self.entries.is_empty()
     }
 
     /// Number of *distinct* places.
     pub fn num_distinct(&self) -> usize {
-        self.counts.len()
+        self.entries.len()
     }
 
     /// Total multiplicity.
     pub fn total(&self) -> u32 {
-        self.counts.values().sum()
+        self.entries.iter().map(|&(_, n)| n).sum()
     }
 
     /// Iterate over (place, multiplicity) pairs in place order.
     pub fn iter(&self) -> impl Iterator<Item = (PlaceId, u32)> + '_ {
-        self.counts.iter().map(|(p, n)| (*p, *n))
+        self.entries.iter().copied()
     }
 
     /// The distinct places.
     pub fn places(&self) -> impl Iterator<Item = PlaceId> + '_ {
-        self.counts.keys().copied()
+        self.entries.iter().map(|&(p, _)| p)
     }
 
     /// `true` iff the two bags share at least one place — the paper's
     /// conflict condition `I(tᵢ) ∩ I(tⱼ) ≠ ∅`.
     pub fn intersects(&self, other: &Bag) -> bool {
         // Walk the smaller bag.
-        let (small, big) = if self.counts.len() <= other.counts.len() {
+        let (small, big) = if self.entries.len() <= other.entries.len() {
             (self, other)
         } else {
             (other, self)
         };
-        small.counts.keys().any(|p| big.counts.contains_key(p))
+        small.places().any(|p| big.position(p).is_ok())
     }
 }
 
@@ -89,11 +113,11 @@ impl FromIterator<PlaceId> for Bag {
 impl fmt::Display for Bag {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{")?;
-        for (i, (p, n)) in self.counts.iter().enumerate() {
+        for (i, (p, n)) in self.iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
-            if *n == 1 {
+            if n == 1 {
                 write!(f, "{p}")?;
             } else {
                 write!(f, "{n}×{p}")?;
@@ -139,6 +163,43 @@ mod tests {
         assert!(b.intersects(&a));
         assert!(!a.intersects(&c));
         assert!(!Bag::new().intersects(&a));
+    }
+
+    /// The derived `Eq` and `Hash` rest on the canonical sorted form:
+    /// any order and any split of the same multiset builds the same bag.
+    #[test]
+    fn permuted_and_repeated_pairs_build_equal_bags() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        fn hash(b: &Bag) -> u64 {
+            let mut h = DefaultHasher::new();
+            b.hash(&mut h);
+            h.finish()
+        }
+        let reference = Bag::from_pairs([(p(0), 2), (p(3), 1), (p(5), 4)]);
+        let variants = [
+            Bag::from_pairs([(p(5), 4), (p(0), 2), (p(3), 1)]),
+            Bag::from_pairs([(p(3), 1), (p(5), 1), (p(0), 1), (p(5), 3), (p(0), 1)]),
+            Bag::from_pairs([(p(5), 2), (p(7), 0), (p(0), 2), (p(5), 2), (p(3), 1)]),
+            {
+                let mut b = Bag::new();
+                for (q, n) in [(p(5), 1), (p(3), 1), (p(0), 1), (p(5), 3), (p(0), 1)] {
+                    b.insert(q, n);
+                }
+                b
+            },
+        ];
+        for b in &variants {
+            assert_eq!(b, &reference);
+            assert_eq!(hash(b), hash(&reference));
+            assert_eq!(
+                b.iter().collect::<Vec<_>>(),
+                vec![(p(0), 2), (p(3), 1), (p(5), 4)]
+            );
+            assert_eq!(b.to_string(), "{2×p0, p3, 4×p5}");
+            assert_eq!((b.count(p(3)), b.count(p(4)), b.count(p(9))), (1, 0, 0));
+        }
+        assert_ne!(reference, Bag::from_pairs([(p(0), 2), (p(3), 1)]));
     }
 
     #[test]

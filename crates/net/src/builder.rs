@@ -67,7 +67,7 @@ impl NetBuilder {
 
     /// Validate and build the net.
     pub fn build(self) -> Result<TimedPetriNet, NetError> {
-        let mut place_index = HashMap::new();
+        let mut place_index = HashMap::with_capacity(self.place_names.len());
         for (i, name) in self.place_names.iter().enumerate() {
             if place_index
                 .insert(name.clone(), PlaceId::from_index(i))
@@ -76,7 +76,7 @@ impl NetBuilder {
                 return Err(NetError::DuplicatePlace { name: name.clone() });
             }
         }
-        let mut trans_index = HashMap::new();
+        let mut trans_index = HashMap::with_capacity(self.transitions.len());
         for (i, t) in self.transitions.iter().enumerate() {
             if trans_index
                 .insert(t.name.clone(), TransId::from_index(i))

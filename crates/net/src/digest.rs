@@ -52,12 +52,15 @@ impl fmt::Display for NetDigest {
     }
 }
 
-/// One FNV-1a lane.
-pub(crate) struct Fnv(u64);
+/// Both FNV-1a lanes, advanced together: each byte is read once and
+/// feeds two independent multiply chains.
+pub(crate) struct Fnv([u64; 2]);
 
 impl Fnv {
     pub(crate) fn byte(&mut self, b: u8) {
-        self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        let b = u64::from(b);
+        self.0[0] = (self.0[0] ^ b).wrapping_mul(FNV_PRIME);
+        self.0[1] = (self.0[1] ^ b).wrapping_mul(FNV_PRIME);
     }
 
     fn bytes(&mut self, bs: &[u8]) {
@@ -104,21 +107,26 @@ impl Fnv {
 }
 
 /// Hash one record through both lanes.
-pub(crate) fn record(write: impl Fn(&mut Fnv)) -> [u64; 2] {
-    let mut a = Fnv(FNV_OFFSET);
-    let mut b = Fnv(LANE2_SEED);
-    write(&mut a);
-    write(&mut b);
-    [a.0, b.0]
+pub(crate) fn record(write: impl FnOnce(&mut Fnv)) -> [u64; 2] {
+    let mut h = Fnv([FNV_OFFSET, LANE2_SEED]);
+    write(&mut h);
+    h.0
 }
 
 /// Write a bag as (name, multiplicity) pairs sorted by place name, so
-/// the hash does not depend on place declaration order.
-pub(crate) fn bag_entries(net: &TimedPetriNet, bag: &Bag, h: &mut Fnv) {
-    let mut entries: Vec<(&str, u32)> = bag.iter().map(|(p, n)| (net.place_name(p), n)).collect();
-    entries.sort_unstable();
-    h.u64(entries.len() as u64);
-    for (name, mult) in entries {
+/// the hash does not depend on place declaration order. `scratch` is
+/// reused across bags to keep the sort allocation-free.
+pub(crate) fn bag_entries<'n>(
+    net: &'n TimedPetriNet,
+    bag: &Bag,
+    h: &mut Fnv,
+    scratch: &mut Vec<(&'n str, u32)>,
+) {
+    scratch.clear();
+    scratch.extend(bag.iter().map(|(p, n)| (net.place_name(p), n)));
+    scratch.sort_unstable();
+    h.u64(scratch.len() as u64);
+    for &(name, mult) in scratch.iter() {
         h.str(name);
         h.u64(u64::from(mult));
     }
@@ -139,13 +147,14 @@ impl TimedPetriNet {
                 h.u64(u64::from(self.initial_marking().tokens(p)));
             }));
         }
+        let mut scratch = Vec::new();
         for t in self.transitions() {
             let tr = self.transition(t);
             records.push(record(|h| {
                 h.byte(b'T');
                 h.str(tr.name());
-                bag_entries(self, tr.input(), h);
-                bag_entries(self, tr.output(), h);
+                bag_entries(self, tr.input(), h, &mut scratch);
+                bag_entries(self, tr.output(), h, &mut scratch);
                 h.time(tr.enabling());
                 h.time(tr.firing());
                 h.frequency(tr.frequency());

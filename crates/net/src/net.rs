@@ -181,12 +181,12 @@ impl TimedPetriNet {
             }
         }
         // Collect the classes in deterministic (first-member) order.
-        let mut class_of_root: HashMap<usize, usize> = HashMap::new();
+        let mut class_of_root: Vec<Option<usize>> = vec![None; n];
         let mut sets: Vec<ConflictSet> = Vec::new();
         let mut conflict_of: Vec<ConflictSetId> = Vec::with_capacity(n);
         for i in 0..n {
             let root = find(&mut parent, i);
-            let class = *class_of_root.entry(root).or_insert_with(|| {
+            let class = *class_of_root[root].get_or_insert_with(|| {
                 sets.push(ConflictSet {
                     members: Vec::new(),
                 });

@@ -32,6 +32,7 @@
 //! assert_eq!(net.conflict_sets().len(), 1);
 //! ```
 
+use std::collections::HashMap;
 use std::fmt;
 
 use tpn_rational::Rational;
@@ -70,10 +71,11 @@ fn err(line: usize, message: impl Into<String>) -> ParseError {
 /// Parse a `.tpn` document into a validated net.
 pub fn parse_tpn(src: &str) -> Result<TimedPetriNet, ParseError> {
     let mut builder: Option<NetBuilder> = None;
-    let mut places: Vec<(String, PlaceId)> = Vec::new();
-    // Transitions are collected first so places may be declared in any
-    // order before... no: places must be declared before use, which keeps
-    // the format single-pass and error messages precise.
+    // Places must be declared before use: the format is read in one
+    // pass, and an arc naming a place not yet declared is an error on
+    // its own line. Names are borrowed from `src`; the first
+    // declaration of a name wins here, and `build()` rejects the rest.
+    let mut places: HashMap<&str, PlaceId> = HashMap::new();
     for (idx, raw) in src.lines().enumerate() {
         let lineno = idx + 1;
         let line = match raw.find('#') {
@@ -125,7 +127,7 @@ pub fn parse_tpn(src: &str) -> Result<TimedPetriNet, ParseError> {
                     return Err(err(lineno, "place: trailing tokens"));
                 }
                 let id = b.place(name, init);
-                places.push((name.to_string(), id));
+                places.entry(name).or_insert(id);
             }
             "trans" => {
                 let b = builder
@@ -134,31 +136,30 @@ pub fn parse_tpn(src: &str) -> Result<TimedPetriNet, ParseError> {
                 let name = tokens
                     .next()
                     .ok_or_else(|| err(lineno, "trans: missing name"))?;
-                let rest: Vec<&str> = tokens.collect();
                 let mut t = b.transition(name);
-                let mut i = 0usize;
                 let mut saw_in = false;
-                while i < rest.len() {
-                    let key = rest[i];
-                    let val = rest.get(i + 1).ok_or_else(|| {
+                while let Some(key) = tokens.next() {
+                    let val = tokens.next().ok_or_else(|| {
                         err(lineno, format!("trans: missing value after {key:?}"))
                     })?;
                     match key {
                         "in" | "out" => {
-                            for part in parse_bag(val, lineno)? {
-                                let (mult, pname) = part;
-                                let pid = lookup(&places, &pname).ok_or_else(|| {
-                                    err(lineno, format!("unknown place {pname:?}"))
-                                })?;
-                                t = if key == "in" {
-                                    saw_in = true;
-                                    t.input_n(pid, mult)
-                                } else {
-                                    t.output_n(pid, mult)
-                                };
+                            saw_in |= key == "in";
+                            // A malformed entry is reported before any
+                            // unknown place, wherever it stands.
+                            let mut unknown = None;
+                            for entry in bag_entries(val, lineno) {
+                                let (mult, pname) = entry?;
+                                match places.get(pname) {
+                                    Some(&pid) if key == "in" => t = t.input_n(pid, mult),
+                                    Some(&pid) => t = t.output_n(pid, mult),
+                                    None => {
+                                        unknown.get_or_insert(pname);
+                                    }
+                                }
                             }
-                            if key == "in" {
-                                saw_in = true;
+                            if let Some(pname) = unknown {
+                                return Err(err(lineno, format!("unknown place {pname:?}")));
                             }
                         }
                         "enabling" => {
@@ -183,7 +184,6 @@ pub fn parse_tpn(src: &str) -> Result<TimedPetriNet, ParseError> {
                             return Err(err(lineno, format!("trans: unknown attribute {other:?}")));
                         }
                     }
-                    i += 2;
                 }
                 if !saw_in {
                     return Err(err(lineno, format!("trans {name:?}: missing `in` bag")));
@@ -197,18 +197,12 @@ pub fn parse_tpn(src: &str) -> Result<TimedPetriNet, ParseError> {
     builder.build().map_err(|e: NetError| err(0, e.to_string()))
 }
 
-fn lookup(places: &[(String, PlaceId)], name: &str) -> Option<PlaceId> {
-    places.iter().find(|(n, _)| n == name).map(|(_, id)| *id)
-}
-
-/// Parse a bag literal: `a,b,2*c` or `-`.
-fn parse_bag(s: &str, lineno: usize) -> Result<Vec<(u32, String)>, ParseError> {
-    if s == "-" {
-        return Ok(Vec::new());
-    }
-    let mut out = Vec::new();
-    for part in s.split(',') {
-        let part = part.trim();
+/// The entries of a bag literal, `a,b,2*c` or `-`: each one's
+/// multiplicity and place name, or the error of a malformed entry.
+fn bag_entries(s: &str, lineno: usize) -> impl Iterator<Item = Result<(u32, &str), ParseError>> {
+    let parts = (s != "-").then(|| s.split(','));
+    // A bag literal is one whitespace-free token: no trimming needed.
+    parts.into_iter().flatten().map(move |part| {
         if part.is_empty() {
             return Err(err(lineno, "empty bag entry"));
         }
@@ -220,12 +214,11 @@ fn parse_bag(s: &str, lineno: usize) -> Result<Vec<(u32, String)>, ParseError> {
                 if mult == 0 {
                     return Err(err(lineno, "zero multiplicity"));
                 }
-                out.push((mult, pname.to_string()));
+                Ok((mult, pname))
             }
-            None => out.push((1, part.to_string())),
+            None => Ok((1, part)),
         }
-    }
-    Ok(out)
+    })
 }
 
 /// Parse a time/weight literal: a rational, or `?` for unknown.
@@ -311,6 +304,218 @@ mod tests {
                 "source {src:?}: expected {fragment:?} in {e}"
             );
         }
+    }
+
+    /// Every `ParseError` branch, pinned to its full `Display` text and
+    /// line number.
+    #[test]
+    fn every_parse_error_is_pinned() {
+        const P: &str = "net n\nplace a init 1\n";
+        let cases: Vec<(String, usize, &str)> = vec![
+            // tokens
+            ("net".into(), 1, "tpn line 1: net: missing name"),
+            ("net a b".into(), 1, "tpn line 1: net: trailing tokens"),
+            ("net n\nplace".into(), 2, "tpn line 2: place: missing name"),
+            (
+                "net n\nplace a init 1 x".into(),
+                2,
+                "tpn line 2: place: trailing tokens",
+            ),
+            ("net n\ntrans".into(), 2, "tpn line 2: trans: missing name"),
+            (
+                "bogus x".into(),
+                1,
+                "tpn line 1: unknown directive \"bogus\"",
+            ),
+            // directive order
+            (
+                "net n\n# c\nnet m".into(),
+                3,
+                "tpn line 3: duplicate `net` directive",
+            ),
+            ("place a".into(), 1, "tpn line 1: `place` before `net`"),
+            (
+                "\ntrans t in a".into(),
+                2,
+                "tpn line 2: `trans` before `net`",
+            ),
+            ("".into(), 0, "tpn: missing `net` directive"),
+            // place attributes
+            (
+                "net n\nplace a init".into(),
+                2,
+                "tpn line 2: place: missing init count",
+            ),
+            (
+                "net n\nplace a init x".into(),
+                2,
+                "tpn line 2: place: invalid init count \"x\"",
+            ),
+            (
+                "net n\nplace a init -1".into(),
+                2,
+                "tpn line 2: place: invalid init count \"-1\"",
+            ),
+            (
+                "net n\nplace a tokens 1".into(),
+                2,
+                "tpn line 2: place: unexpected token \"tokens\"",
+            ),
+            // transition attributes
+            (
+                format!("{P}trans t in"),
+                3,
+                "tpn line 3: trans: missing value after \"in\"",
+            ),
+            (
+                format!("{P}trans t in a firing"),
+                3,
+                "tpn line 3: trans: missing value after \"firing\"",
+            ),
+            (
+                format!("{P}trans t in a bad 1"),
+                3,
+                "tpn line 3: trans: unknown attribute \"bad\"",
+            ),
+            (
+                format!("{P}trans t in b"),
+                3,
+                "tpn line 3: unknown place \"b\"",
+            ),
+            (
+                format!("{P}trans t out a,b"),
+                3,
+                "tpn line 3: unknown place \"b\"",
+            ),
+            (
+                format!("{P}trans t in 2*"),
+                3,
+                "tpn line 3: unknown place \"\"",
+            ),
+            (
+                format!("{P}trans t out a"),
+                3,
+                "tpn line 3: trans \"t\": missing `in` bag",
+            ),
+            // bags
+            (
+                format!("{P}trans t in a,,a"),
+                3,
+                "tpn line 3: empty bag entry",
+            ),
+            (
+                format!("{P}trans t in a,"),
+                3,
+                "tpn line 3: empty bag entry",
+            ),
+            (
+                format!("{P}trans t in x*a"),
+                3,
+                "tpn line 3: invalid multiplicity \"x\"",
+            ),
+            (
+                format!("{P}trans t in *a"),
+                3,
+                "tpn line 3: invalid multiplicity \"\"",
+            ),
+            (
+                format!("{P}trans t in 0*a"),
+                3,
+                "tpn line 3: zero multiplicity",
+            ),
+            // a bag is checked whole before its places are resolved
+            (
+                format!("{P}trans t in b,,a"),
+                3,
+                "tpn line 3: empty bag entry",
+            ),
+            (
+                format!("{P}trans t in b,0*a"),
+                3,
+                "tpn line 3: zero multiplicity",
+            ),
+            (
+                format!("{P}trans t in a,b,c"),
+                3,
+                "tpn line 3: unknown place \"b\"",
+            ),
+            // rational literals
+            (
+                format!("{P}trans t in a firing abc"),
+                3,
+                "tpn line 3: cannot parse \"abc\" as a rational: invalid integer",
+            ),
+            (
+                format!("{P}trans t in a firing x/2"),
+                3,
+                "tpn line 3: cannot parse \"x/2\" as a rational: invalid numerator",
+            ),
+            (
+                format!("{P}trans t in a enabling 1/y"),
+                3,
+                "tpn line 3: cannot parse \"1/y\" as a rational: invalid denominator",
+            ),
+            (
+                format!("{P}trans t in a weight 1/0"),
+                3,
+                "tpn line 3: cannot parse \"1/0\" as a rational: zero denominator",
+            ),
+            (
+                format!("{P}trans t in a firing 1.x"),
+                3,
+                "tpn line 3: cannot parse \"1.x\" as a rational: invalid fractional digits",
+            ),
+            (
+                format!("{P}trans t in a firing 1."),
+                3,
+                "tpn line 3: cannot parse \"1.\" as a rational: missing fractional digits",
+            ),
+            // validation in build()
+            (
+                "net n\nplace a init 1\nplace a\ntrans t in a".into(),
+                0,
+                "tpn: duplicate place name \"a\"",
+            ),
+            (
+                format!("{P}trans t in a\ntrans t in a"),
+                0,
+                "tpn: duplicate transition name \"t\"",
+            ),
+            (
+                format!("{P}trans t in -"),
+                0,
+                "tpn: transition \"t\" has an empty input bag (would be permanently enabled)",
+            ),
+            (
+                format!("{P}trans t in a enabling -1"),
+                0,
+                "tpn: transition \"t\" has a negative enabling time",
+            ),
+            (
+                format!("{P}trans t in a firing -0.5"),
+                0,
+                "tpn: transition \"t\" has a negative firing time",
+            ),
+            (
+                format!("{P}trans t in a weight -1/2"),
+                0,
+                "tpn: transition \"t\" has a negative firing frequency",
+            ),
+        ];
+        for (src, line, display) in &cases {
+            let e = parse_tpn(src).unwrap_err();
+            assert_eq!(
+                (e.line, e.to_string().as_str()),
+                (*line, *display),
+                "source {src:?}"
+            );
+        }
+        // A whitespace-split token is never empty, so the empty-literal
+        // branch is only reachable through `parse_time` itself.
+        assert_eq!(
+            parse_time("", 7).unwrap_err().to_string(),
+            "tpn line 7: cannot parse \"\" as a rational: empty string"
+        );
     }
 
     #[test]

@@ -191,13 +191,14 @@ impl TimedPetriNet {
                 h.u64(u64::from(self.initial_marking().tokens(p)));
             }));
         }
+        let mut scratch = Vec::new();
         for t in self.transitions() {
             let tr = self.transition(t);
             records.push(record(|h| {
                 h.byte(b'T');
                 h.str(tr.name());
-                crate::digest::bag_entries(self, tr.input(), h);
-                crate::digest::bag_entries(self, tr.output(), h);
+                crate::digest::bag_entries(self, tr.input(), h, &mut scratch);
+                crate::digest::bag_entries(self, tr.output(), h, &mut scratch);
                 h.byte(if tr.enabling().known().is_some() {
                     1
                 } else {

@@ -215,7 +215,7 @@ fn header(w: &mut JsonWriter, session: &Session, kind: RequestKind) {
     w.key("net");
     w.string(session.net().name());
     w.key("digest");
-    w.string(&session.digest().to_hex());
+    w.display(session.digest());
 }
 
 fn analyze_json(session: &Session) -> Result<String, ServiceError> {
@@ -237,9 +237,9 @@ fn analyze_json(session: &Session) -> Result<String, ServiceError> {
     for (i, e) in dg.edges().iter().enumerate() {
         w.begin_object();
         w.key("from");
-        w.string(&dg.nodes()[e.from].to_string());
+        w.display(dg.nodes()[e.from]);
         w.key("to");
-        w.string(&dg.nodes()[e.to].to_string());
+        w.display(dg.nodes()[e.to]);
         w.key("prob");
         w.rational(&e.prob);
         w.key("delay");
@@ -293,13 +293,13 @@ fn graph_json(session: &Session) -> Result<String, ServiceError> {
     w.key("decision_states");
     w.begin_array();
     for s in trg.decision_states() {
-        w.string(&s.to_string());
+        w.display(s);
     }
     w.end_array();
     w.key("terminal_states");
     w.begin_array();
     for s in trg.terminal_states() {
-        w.string(&s.to_string());
+        w.display(s);
     }
     w.end_array();
     w.key("state_table");
@@ -326,7 +326,7 @@ fn correctness_json(session: &Session) -> Result<String, ServiceError> {
     w.key("deadlocks");
     w.begin_array();
     for s in &report.deadlocks {
-        w.string(&s.to_string());
+        w.display(s);
     }
     w.end_array();
     w.key("safe");

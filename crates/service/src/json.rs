@@ -13,29 +13,43 @@
 //! [`JsonWriter::fixed`] helper for 6-decimal approximations where a
 //! human-scale number is wanted.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 use tpn_rational::Rational;
 
 /// Escape `s` as a JSON string literal, quotes included.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    escape_into(&mut out, s);
     out
+}
+
+/// Append `s` to `out` as a JSON string literal, quotes included.
+/// Runs of bytes that need no escaping are copied whole; a string with
+/// none (every key and almost every value) is one copy.
+fn escape_into(out: &mut String, s: &str) {
+    out.push('"');
+    let mut start = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        // `b` is ASCII, so `i` falls on a char boundary.
+        out.push_str(&s[start..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        start = i + 1;
+    }
+    out.push_str(&s[start..]);
+    out.push('"');
 }
 
 /// What container the writer is currently inside.
@@ -113,7 +127,7 @@ impl JsonWriter {
             self.out.push(',');
         }
         *has = true;
-        self.out.push_str(&escape(k));
+        escape_into(&mut self.out, k);
         self.out.push(':');
         self.pending_key = true;
     }
@@ -149,8 +163,7 @@ impl JsonWriter {
     /// A string value.
     pub fn string(&mut self, s: &str) {
         self.before_value();
-        let escaped = escape(s);
-        self.out.push_str(&escaped);
+        escape_into(&mut self.out, s);
     }
 
     /// An unsigned integer value.
@@ -209,9 +222,23 @@ impl JsonWriter {
     /// An exact rational as its `"n/d"` (or `"n"` when integral)
     /// string rendering.
     pub fn rational(&mut self, r: &Rational) {
-        self.before_value();
         // Digits, '-' and '/' only: nothing to escape.
-        let _ = write!(self.out, "\"{r}\"");
+        self.display(r);
+    }
+
+    /// A string value written straight from `v`'s `Display`, with no
+    /// intermediate `String` — for renderings that never need escaping
+    /// (numbers, ids such as `s12`, hex digests).
+    pub fn display(&mut self, v: impl fmt::Display) {
+        self.before_value();
+        let start = self.out.len();
+        let _ = write!(self.out, "\"{v}\"");
+        debug_assert!(
+            !self.out[start + 1..self.out.len() - 1]
+                .bytes()
+                .any(|b| b < 0x20 || b == b'"' || b == b'\\'),
+            "display() given a value that needs escaping"
+        );
     }
 }
 
@@ -276,6 +303,59 @@ mod tests {
         assert_eq!(escape("a\"b\\c\n"), r#""a\"b\\c\n""#);
         assert_eq!(escape("\u{1}"), "\"\\u0001\"");
         assert_eq!(escape("héllo"), "\"héllo\"");
+    }
+
+    /// The char-by-char escaper the writer used before it escaped in
+    /// place, kept as the oracle.
+    fn reference_escape(s: &str) -> String {
+        let mut out = String::from("\"");
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    #[test]
+    fn writer_keys_and_strings_escape_like_escape() {
+        for s in [
+            "",
+            "plain",
+            "a\"b",
+            "back\\slash",
+            "line\nbreak\r\t",
+            "\u{1}ctl\u{1f}",
+            "héllo — ✓ 日本",
+            "\"\\\n\u{1}é",
+            "é\"",
+        ] {
+            assert_eq!(escape(s), reference_escape(s), "{s:?}");
+            let mut w = JsonWriter::new();
+            w.begin_object();
+            w.key(s);
+            w.string(s);
+            w.end_object();
+            let e = escape(s);
+            assert_eq!(w.finish(), format!("{{{e}:{e}}}"), "{s:?}");
+        }
+    }
+
+    #[test]
+    fn display_writes_an_unescaped_string() {
+        let mut w = JsonWriter::new();
+        w.begin_array();
+        w.display(12);
+        w.display(format_args!("s{}", 3));
+        w.end_array();
+        assert_eq!(w.finish(), r#"["12","s3"]"#);
     }
 
     #[test]
