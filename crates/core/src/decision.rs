@@ -1,8 +1,8 @@
 //! Collapsing a timed reachability graph into a decision graph
 //! (paper §2, Figure 5; symbolically §4, Figure 8).
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::ops::Range;
 
 use tpn_net::{TimedPetriNet, TransId};
 use tpn_reach::{AnalysisDomain, StateId, TimedReachabilityGraph};
@@ -11,6 +11,11 @@ use crate::CoreError;
 
 /// An edge of the decision graph: a maximal deterministic path of the
 /// TRG starting with one branching choice at a decision node.
+///
+/// The collapsed path, the transitions fired along it and its dwell
+/// times are ranges into three arrays shared by all edges of the
+/// [`DecisionGraph`]; read them with [`DecisionGraph::path`],
+/// [`DecisionGraph::fired`] and [`DecisionGraph::dwell`].
 #[derive(Debug, Clone)]
 pub struct DecisionEdge<D: AnalysisDomain> {
     /// Index of the source decision node (into [`DecisionGraph::nodes`]).
@@ -21,22 +26,18 @@ pub struct DecisionEdge<D: AnalysisDomain> {
     pub prob: D::Prob,
     /// Total delay accumulated along the collapsed path.
     pub delay: D::Time,
-    /// The TRG states visited, source and target included.
-    pub path: Vec<StateId>,
-    /// Every transition that *begins firing* somewhere along the path,
-    /// with multiplicity. Used to attribute throughput events to edges.
-    pub fired: Vec<TransId>,
-    /// Dwell times: `(state, duration)` for each elapse step along the
-    /// path. Used for utilisation measures.
-    pub dwell: Vec<(StateId, D::Time)>,
+    path: Range<u32>,
+    fired: Range<u32>,
+    dwell: Range<u32>,
 }
 
-impl<D: AnalysisDomain> DecisionEdge<D> {
-    /// How many times `t` begins firing along this edge.
-    pub fn firings_of(&self, t: TransId) -> usize {
-        self.fired.iter().filter(|&&x| x == t).count()
-    }
+/// `v[r]` for a `u32` range.
+fn slice<'a, X>(v: &'a [X], r: &Range<u32>) -> &'a [X] {
+    &v[r.start as usize..r.end as usize]
 }
+
+/// Marks a TRG state that is not a decision node.
+const NOT_A_NODE: u32 = u32::MAX;
 
 /// The decision graph: decision nodes of the TRG plus collapsed edges.
 ///
@@ -47,8 +48,16 @@ impl<D: AnalysisDomain> DecisionEdge<D> {
 #[derive(Debug, Clone)]
 pub struct DecisionGraph<D: AnalysisDomain> {
     nodes: Vec<StateId>,
+    /// Edges grouped by source node, in node order.
     edges: Vec<DecisionEdge<D>>,
-    out: Vec<Vec<usize>>, // per node: indices into `edges`
+    /// `nodes.len() + 1` offsets into `edges`.
+    out: Vec<u32>,
+    /// Every edge's collapsed path.
+    paths: Vec<StateId>,
+    /// Every edge's fired transitions.
+    fired: Vec<TransId>,
+    /// Every edge's dwell times.
+    dwell: Vec<(StateId, D::Time)>,
 }
 
 impl<D: AnalysisDomain> DecisionGraph<D> {
@@ -63,34 +72,53 @@ impl<D: AnalysisDomain> DecisionGraph<D> {
             // recurrent cycle (walk until a state repeats).
             nodes = vec![find_cycle_anchor(trg)?];
         }
-        let node_of: HashMap<StateId, usize> =
-            nodes.iter().enumerate().map(|(i, s)| (*s, i)).collect();
-        let mut edges: Vec<DecisionEdge<D>> = Vec::new();
-        let mut out: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
-        for (ni, &n) in nodes.iter().enumerate() {
+        let mut node_of = vec![NOT_A_NODE; trg.num_states()];
+        for (i, s) in nodes.iter().enumerate() {
+            node_of[s.index()] = i as u32;
+        }
+        // Per TRG state: the last walk that visited it, so a walk
+        // detects a revisit in constant time.
+        let mut seen = vec![0u32; trg.num_states()];
+        let mut walk = 0u32;
+        let mut dg = DecisionGraph {
+            nodes,
+            edges: Vec::new(),
+            out: vec![0],
+            paths: Vec::new(),
+            fired: Vec::new(),
+            dwell: Vec::new(),
+        };
+        for ni in 0..dg.nodes.len() {
+            let n = dg.nodes[ni];
             for first in trg.edges_from(n) {
+                walk += 1;
+                let (path, fired, dwell) = (
+                    dg.paths.len() as u32,
+                    dg.fired.len() as u32,
+                    dg.dwell.len() as u32,
+                );
                 let mut delay = first.delay.clone();
-                let mut fired = first.fired.clone();
-                let mut path = vec![n];
-                let mut dwell: Vec<(StateId, D::Time)> = Vec::new();
+                dg.fired.extend_from_slice(trg.fired(first));
+                dg.paths.push(n);
+                seen[n.index()] = walk;
                 if !domain.is_zero(&first.delay) {
-                    dwell.push((n, first.delay.clone()));
+                    dg.dwell.push((n, first.delay.clone()));
                 }
                 let mut cur = first.to;
                 loop {
-                    path.push(cur);
-                    if let Some(&ti) = node_of.get(&cur) {
-                        let idx = edges.len();
-                        edges.push(DecisionEdge {
+                    dg.paths.push(cur);
+                    seen[cur.index()] = walk;
+                    let to = node_of[cur.index()];
+                    if to != NOT_A_NODE {
+                        dg.edges.push(DecisionEdge {
                             from: ni,
-                            to: ti,
+                            to: to as usize,
                             prob: first.prob.clone(),
                             delay,
-                            path,
-                            fired,
-                            dwell,
+                            path: path..dg.paths.len() as u32,
+                            fired: fired..dg.fired.len() as u32,
+                            dwell: dwell..dg.dwell.len() as u32,
                         });
-                        out[ni].push(idx);
                         break;
                     }
                     let nexts = trg.edges_from(cur);
@@ -101,21 +129,22 @@ impl<D: AnalysisDomain> DecisionGraph<D> {
                     }
                     debug_assert_eq!(nexts.len(), 1, "non-decision nodes have one successor");
                     let e = &nexts[0];
-                    if path.contains(&e.to) && !node_of.contains_key(&e.to) {
+                    if seen[e.to.index()] == walk && node_of[e.to.index()] == NOT_A_NODE {
                         return Err(CoreError::AbsorbingCycle {
                             state: e.to.index(),
                         });
                     }
                     if !domain.is_zero(&e.delay) {
-                        dwell.push((cur, e.delay.clone()));
+                        dg.dwell.push((cur, e.delay.clone()));
                     }
                     delay = domain.add(&delay, &e.delay);
-                    fired.extend_from_slice(&e.fired);
+                    dg.fired.extend_from_slice(trg.fired(e));
                     cur = e.to;
                 }
             }
+            dg.out.push(dg.edges.len() as u32);
         }
-        Ok(DecisionGraph { nodes, edges, out })
+        Ok(dg)
     }
 
     /// The decision nodes (TRG state ids).
@@ -128,9 +157,33 @@ impl<D: AnalysisDomain> DecisionGraph<D> {
         &self.edges
     }
 
+    /// The TRG states an edge of this graph visits, source and target
+    /// included.
+    pub fn path(&self, edge: &DecisionEdge<D>) -> &[StateId] {
+        slice(&self.paths, &edge.path)
+    }
+
+    /// Every transition that *begins firing* somewhere along an edge of
+    /// this graph, with multiplicity. Used to attribute throughput
+    /// events to edges.
+    pub fn fired(&self, edge: &DecisionEdge<D>) -> &[TransId] {
+        slice(&self.fired, &edge.fired)
+    }
+
+    /// Dwell times of an edge of this graph: `(state, duration)` for
+    /// each elapse step along its path. Used for utilisation measures.
+    pub fn dwell(&self, edge: &DecisionEdge<D>) -> &[(StateId, D::Time)] {
+        slice(&self.dwell, &edge.dwell)
+    }
+
+    /// How many times `t` begins firing along an edge of this graph.
+    pub fn firings_of(&self, edge: &DecisionEdge<D>, t: TransId) -> usize {
+        self.fired(edge).iter().filter(|&&x| x == t).count()
+    }
+
     /// Outgoing edge indices of a node.
-    pub fn edges_from(&self, node: usize) -> &[usize] {
-        &self.out[node]
+    pub fn edges_from(&self, node: usize) -> Range<usize> {
+        self.out[node] as usize..self.out[node + 1] as usize
     }
 
     /// Edge indices entering a node.
@@ -159,7 +212,7 @@ impl<D: AnalysisDomain> DecisionGraph<D> {
     pub fn edge_firing_first(&self, from: StateId, t: TransId) -> Option<usize> {
         self.edges
             .iter()
-            .position(|e| self.nodes[e.from] == from && e.fired.first() == Some(&t))
+            .position(|e| self.nodes[e.from] == from && self.fired(e).first() == Some(&t))
     }
 
     /// Human-readable rendering in the style of the paper's Figure 5/8:
@@ -167,8 +220,12 @@ impl<D: AnalysisDomain> DecisionGraph<D> {
     pub fn describe(&self, net: &TimedPetriNet) -> String {
         let mut outs = String::new();
         for (i, e) in self.edges.iter().enumerate() {
-            let path: Vec<String> = e.path.iter().map(|s| s.to_string()).collect();
-            let fired: Vec<&str> = e.fired.iter().map(|t| net.transition(*t).name()).collect();
+            let path: Vec<String> = self.path(e).iter().map(|s| s.to_string()).collect();
+            let fired: Vec<&str> = self
+                .fired(e)
+                .iter()
+                .map(|t| net.transition(*t).name())
+                .collect();
             let _ = writeln!(
                 outs,
                 "edge {i}: {} -> {}  p = {}  d = {}  path {}  fires [{}]",
@@ -225,8 +282,8 @@ mod tests {
         let e = &dg.edges()[0];
         assert_eq!(e.prob, Rational::ONE);
         assert_eq!(e.delay, r(5, 1)); // 2 + 3
-        assert_eq!(e.fired.len(), 2);
-        assert_eq!(e.dwell.len(), 2);
+        assert_eq!(dg.fired(e).len(), 2);
+        assert_eq!(dg.dwell(e).len(), 2);
     }
 
     fn tpn_protocols_cycle() -> tpn_net::TimedPetriNet {
@@ -324,6 +381,46 @@ mod tests {
     }
 
     #[test]
+    fn absorbing_cycle_is_rejected_where_it_closes() {
+        // At the decision node `stay` loops back, but `leave` enters a
+        // two-stage ring that never returns: the walk along `leave`
+        // revisits a ring state before reaching any decision node.
+        let mut b = NetBuilder::new("trap");
+        let p = b.place("p", 1);
+        let q = b.place("q", 0);
+        let r = b.place("r", 0);
+        b.transition("stay")
+            .input(p)
+            .output(p)
+            .firing_const(1)
+            .weight_const(1)
+            .add();
+        b.transition("leave")
+            .input(p)
+            .output(q)
+            .firing_const(1)
+            .weight_const(1)
+            .add();
+        b.transition("spin")
+            .input(q)
+            .output(r)
+            .firing_const(2)
+            .add();
+        b.transition("spun")
+            .input(r)
+            .output(q)
+            .firing_const(3)
+            .add();
+        let net = b.build().unwrap();
+        let trg = build_trg(&net, &NumericDomain::new(), &TrgOptions::default()).unwrap();
+        let err = DecisionGraph::from_trg(&trg, &NumericDomain::new()).unwrap_err();
+        assert_eq!(err, CoreError::AbsorbingCycle { state: 3 });
+        // s3 is where the ring starts: the token sits in `q`.
+        let s3 = trg.state(trg.state_ids().nth(3).unwrap());
+        assert_eq!(s3.marking().as_slice(), [0, 1, 0]);
+    }
+
+    #[test]
     fn edge_lookup_and_describe() {
         let mut b = NetBuilder::new("branch2");
         let p = b.place("p", 1);
@@ -345,7 +442,7 @@ mod tests {
         let a = net.transition_by_name("a").unwrap();
         let anchor = dg.nodes()[0];
         let ia = dg.edge_firing_first(anchor, a).unwrap();
-        assert_eq!(dg.edges()[ia].fired, vec![a]);
+        assert_eq!(dg.fired(&dg.edges()[ia]), [a]);
         let text = dg.describe(&net);
         assert!(text.contains("edge 0"), "{text}");
         assert!(text.contains("fires"), "{text}");

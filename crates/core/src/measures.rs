@@ -90,7 +90,7 @@ where
     pub fn throughput(&self, dg: &DecisionGraph<D>, t: TransId) -> D::Prob {
         let mut num = D::Prob::zero();
         for (ei, e) in dg.edges().iter().enumerate() {
-            let k = e.firings_of(t);
+            let k = dg.firings_of(e, t);
             if k > 0 {
                 num = num.add(&scaled(k, self.rates.rate(ei)));
             }
@@ -108,11 +108,12 @@ where
     pub fn throughputs(&self, dg: &DecisionGraph<D>) -> Vec<D::Prob> {
         let mut num: Vec<D::Prob> = Vec::new();
         for (ei, e) in dg.edges().iter().enumerate() {
-            for (i, &t) in e.fired.iter().enumerate() {
-                if e.fired[..i].contains(&t) {
+            let fired = dg.fired(e);
+            for (i, &t) in fired.iter().enumerate() {
+                if fired[..i].contains(&t) {
                     continue; // counted at its first occurrence
                 }
-                let k = 1 + e.fired[i + 1..].iter().filter(|&&x| x == t).count();
+                let k = 1 + fired[i + 1..].iter().filter(|&&x| x == t).count();
                 if num.len() <= t.index() {
                     num.resize(t.index() + 1, D::Prob::zero());
                 }
@@ -170,7 +171,7 @@ where
         let mut num = D::Prob::zero();
         for (ei, e) in dg.edges().iter().enumerate() {
             let mut acc = D::Prob::zero();
-            for (s, d) in &e.dwell {
+            for (s, d) in dg.dwell(e) {
                 if pred(*s) {
                     acc = acc.add(&domain.time_as_prob(d));
                 }
@@ -186,7 +187,11 @@ where
         use std::fmt::Write as _;
         let mut out = String::new();
         for (i, e) in dg.edges().iter().enumerate() {
-            let fired: Vec<&str> = e.fired.iter().map(|t| net.transition(*t).name()).collect();
+            let fired: Vec<&str> = dg
+                .fired(e)
+                .iter()
+                .map(|t| net.transition(*t).name())
+                .collect();
             let _ = writeln!(
                 out,
                 "edge {i} ({} -> {}): r = {}  d = {}  w = {}  [{}]",

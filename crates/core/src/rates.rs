@@ -99,8 +99,8 @@ where
     let n = dg.num_nodes();
     debug_assert!(
         (0..n).all(|u| {
-            let out = dg.edges_from(u).iter();
-            out.fold(D::Prob::zero(), |acc, &e| acc.add(&dg.edges()[e].prob)) == D::Prob::one()
+            let out = dg.edges_from(u);
+            out.fold(D::Prob::zero(), |acc, e| acc.add(&dg.edges()[e].prob)) == D::Prob::one()
         }),
         "the branching probabilities at every decision node sum to one"
     );
@@ -465,9 +465,9 @@ mod tests {
         assert_eq!(solve_rates(&ldg, 0).unwrap_err(), expect);
         // Normalised on an edge of the loop instead, the start edges
         // carry no flow.
-        let loop_edge = dg.edges_from(1)[0];
+        let loop_edge = dg.edges_from(1).start;
         let rates = solve_rates(&dg, loop_edge).unwrap();
-        for &e in dg.edges_from(0) {
+        for e in dg.edges_from(0) {
             assert!(rates.rate(e).is_zero());
         }
     }

@@ -7,10 +7,13 @@ use crate::{Bag, PlaceId};
 /// A marking `μ : P → ℕ`, stored densely by place index.
 ///
 /// Markings are the first component of a timed reachability-graph state;
-/// they are hashable so states can be deduplicated.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Marking {
-    tokens: Vec<u32>,
+/// they are hashable so states can be deduplicated. The storage `S` is
+/// an owned `Vec<u32>` by default; a graph that keeps every state's
+/// tokens in one flat array hands out `Marking<&[u32]>` views over its
+/// slices, with the same read-only API.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct Marking<S = Vec<u32>> {
+    tokens: S,
 }
 
 impl Marking {
@@ -26,29 +29,15 @@ impl Marking {
         Marking { tokens }
     }
 
-    /// Number of places.
-    pub fn num_places(&self) -> usize {
-        self.tokens.len()
-    }
-
-    /// Tokens on a place: the paper's `μ(p)`.
-    pub fn tokens(&self, p: PlaceId) -> u32 {
-        self.tokens[p.index()]
+    /// Overwrite every token count with `tokens`, reusing the storage.
+    pub fn copy_from(&mut self, tokens: &[u32]) {
+        self.tokens.clear();
+        self.tokens.extend_from_slice(tokens);
     }
 
     /// Set the token count of a place.
     pub fn set_tokens(&mut self, p: PlaceId, n: u32) {
         self.tokens[p.index()] = n;
-    }
-
-    /// Total number of tokens.
-    pub fn total_tokens(&self) -> u32 {
-        self.tokens.iter().sum()
-    }
-
-    /// The paper's enabling rule: `μ(pᵢ) ≥ #(pᵢ, I(t))` for all `pᵢ`.
-    pub fn covers(&self, bag: &Bag) -> bool {
-        bag.iter().all(|(p, n)| self.tokens(p) >= n)
     }
 
     /// Remove the tokens of `bag` (the absorb-at-firing-start step).
@@ -70,10 +59,39 @@ impl Marking {
             self.tokens[p.index()] += n;
         }
     }
+}
+
+impl<'a> Marking<&'a [u32]> {
+    /// A view over a dense token slice.
+    pub fn from_slice(tokens: &'a [u32]) -> Self {
+        Marking { tokens }
+    }
+}
+
+impl<S: AsRef<[u32]>> Marking<S> {
+    /// Number of places.
+    pub fn num_places(&self) -> usize {
+        self.as_slice().len()
+    }
+
+    /// Tokens on a place: the paper's `μ(p)`.
+    pub fn tokens(&self, p: PlaceId) -> u32 {
+        self.as_slice()[p.index()]
+    }
+
+    /// Total number of tokens.
+    pub fn total_tokens(&self) -> u32 {
+        self.as_slice().iter().sum()
+    }
+
+    /// The paper's enabling rule: `μ(pᵢ) ≥ #(pᵢ, I(t))` for all `pᵢ`.
+    pub fn covers(&self, bag: &Bag) -> bool {
+        bag.iter().all(|(p, n)| self.tokens(p) >= n)
+    }
 
     /// Iterate over (place, tokens) for *marked* places only.
     pub fn marked_places(&self) -> impl Iterator<Item = (PlaceId, u32)> + '_ {
-        self.tokens
+        self.as_slice()
             .iter()
             .enumerate()
             .filter(|(_, n)| **n > 0)
@@ -82,20 +100,20 @@ impl Marking {
 
     /// The dense token vector.
     pub fn as_slice(&self) -> &[u32] {
-        &self.tokens
+        self.tokens.as_ref()
     }
 
     /// `true` iff every place holds at most one token (1-safeness of this
     /// particular marking).
     pub fn is_safe(&self) -> bool {
-        self.tokens.iter().all(|&n| n <= 1)
+        self.as_slice().iter().all(|&n| n <= 1)
     }
 }
 
-impl fmt::Display for Marking {
+impl<S: AsRef<[u32]>> fmt::Display for Marking<S> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[")?;
-        for (i, n) in self.tokens.iter().enumerate() {
+        for (i, n) in self.as_slice().iter().enumerate() {
             if i > 0 {
                 write!(f, " ")?;
             }

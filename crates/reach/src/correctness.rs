@@ -115,7 +115,7 @@ pub fn analyze<D: AnalysisDomain>(
     }
     let mut fired: HashSet<TransId> = HashSet::new();
     for e in trg.all_edges() {
-        fired.extend(e.fired.iter().copied());
+        fired.extend(trg.fired(e).iter().copied());
     }
     let dead_transitions: Vec<TransId> = net.transitions().filter(|t| !fired.contains(t)).collect();
     // Reversibility: every state reachable from the initial state can

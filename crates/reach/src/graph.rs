@@ -1,12 +1,47 @@
 //! Construction and queries of timed reachability graphs — the paper's
 //! Figure-3 procedure, domain-generic.
+//!
+//! # Storage
+//!
+//! A finished graph is a handful of flat arrays; no state, edge or
+//! clock list owns an allocation of its own:
+//!
+//! * every state's marking sits in one `u32` array, `num_places`
+//!   counts per state;
+//! * every state's clocks sit in one `(TransId, T)` array, its RET
+//!   entries then its RFT entries, located by two offsets per state;
+//! * the edges are CSR: one edge array in source-state order plus one
+//!   offset per state, so a state's outgoing edges are a slice;
+//! * each edge's fired and completed transitions are ranges into one
+//!   shared `TransId` array, read through
+//!   [`TimedReachabilityGraph::fired`] and
+//!   [`TimedReachabilityGraph::completed`];
+//! * each Figure-7 [`MinResolution`] is a range into one candidate
+//!   array.
+//!
+//! # Construction
+//!
+//! States are expanded in id order, which is breadth-first discovery
+//! order. Each successor is assembled in scratch buffers reused across
+//! the whole build, hashed and looked up; only a state seen for the
+//! first time is copied into the arrays.
+//!
+//! Restoring the RET invariant after a step does not re-test every
+//! transition. A step removes tokens only from its selector's input
+//! places, and removing tokens can only disable a transition; it adds
+//! tokens only to the output places of the transitions that complete.
+//! So the transitions that can be enabled afterwards are those of the
+//! previous RET plus the consumers of the places that gained tokens,
+//! and only those are re-tested. The initial state tests every
+//! transition.
 
 use std::collections::hash_map::RandomState;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::hash::{BuildHasher, Hash};
+use std::hash::BuildHasher;
+use std::ops::Range;
 
-use tpn_net::{ConflictSetId, Marking, TimedPetriNet, TransId};
+use tpn_net::{Marking, TimedPetriNet, TransId};
 
 use crate::{AnalysisDomain, ReachError, TimedState};
 
@@ -40,6 +75,11 @@ pub enum EdgeKind {
 }
 
 /// An edge of the timed reachability graph.
+///
+/// The transitions an edge fires and completes are ranges into the
+/// graph's shared transition array: read them with
+/// [`TimedReachabilityGraph::fired`] and
+/// [`TimedReachabilityGraph::completed`].
 #[derive(Debug, Clone)]
 pub struct Edge<D: AnalysisDomain> {
     /// Source state.
@@ -52,25 +92,32 @@ pub struct Edge<D: AnalysisDomain> {
     pub delay: D::Time,
     /// Branching probability (one for [`EdgeKind::Elapse`]).
     pub prob: D::Prob,
-    /// Transitions that *begin* firing on this edge (the selector).
-    pub fired: Vec<TransId>,
-    /// Transitions that *finish* firing on this edge (elapse completions
-    /// plus instantaneous zero-firing-time transitions).
-    pub completed: Vec<TransId>,
+    fired: Range<u32>,
+    completed: Range<u32>,
 }
 
 /// Audit record of one minimum-delay decision taken during construction,
 /// the information the paper tabulates in Figure 7 ("timing constraints
-/// used in reachability graph").
-#[derive(Debug, Clone)]
-pub struct MinResolution<T> {
+/// used in reachability graph"). A view into the graph's flat
+/// candidate array.
+#[derive(Debug)]
+pub struct MinResolution<'a, T> {
     /// The state (by index) where the decision was taken.
     pub state: StateId,
     /// The competing candidate delays: `(transition, is_rft, remaining)`.
     /// `is_rft == false` means the entry was a remaining *enabling* time.
-    pub candidates: Vec<(TransId, bool, T)>,
+    pub candidates: &'a [(TransId, bool, T)],
     /// Index into `candidates` of the chosen minimum.
     pub chosen: usize,
+}
+
+/// A stored [`MinResolution`]: its candidates are a range of the
+/// graph's candidate array.
+#[derive(Debug, Clone)]
+struct Resolution {
+    state: StateId,
+    candidates: Range<u32>,
+    chosen: u32,
 }
 
 /// Options for graph construction.
@@ -89,23 +136,46 @@ impl Default for TrgOptions {
     }
 }
 
-/// A fully constructed timed reachability graph.
+/// `v[r]` for a `u32` range.
+fn slice<'a, X>(v: &'a [X], r: &Range<u32>) -> &'a [X] {
+    &v[r.start as usize..r.end as usize]
+}
+
+/// A fully constructed timed reachability graph, stored in a handful of
+/// flat arrays: no state, edge or clock list owns an allocation.
+/// [`state`](Self::state) hands out [`TimedState`] views, and an
+/// [`Edge`]'s transitions are read through [`fired`](Self::fired) and
+/// [`completed`](Self::completed).
 #[derive(Debug, Clone)]
 pub struct TimedReachabilityGraph<D: AnalysisDomain> {
-    states: Vec<TimedState<D::Time>>,
-    edges: Vec<Vec<Edge<D>>>,
-    min_resolutions: Vec<MinResolution<D::Time>>,
+    num_places: usize,
+    /// Every state's marking, `num_places` token counts per state.
+    tokens: Vec<u32>,
+    /// Every state's RET entries then RFT entries, state after state.
+    clocks: Vec<(TransId, D::Time)>,
+    /// `2 × num_states + 1` offsets into `clocks`: state `i`'s RET is
+    /// `[2i]..[2i+1]` and its RFT `[2i+1]..[2i+2]`.
+    clock_offs: Vec<u32>,
+    /// All edges, grouped by source state in state order.
+    edges: Vec<Edge<D>>,
+    /// `num_states + 1` offsets into `edges`.
+    edge_offs: Vec<u32>,
+    /// The fired and completed transitions of every edge.
+    labels: Vec<TransId>,
+    resolutions: Vec<Resolution>,
+    /// The candidates of every resolution.
+    candidates: Vec<(TransId, bool, D::Time)>,
 }
 
 impl<D: AnalysisDomain> TimedReachabilityGraph<D> {
     /// Number of states.
     pub fn num_states(&self) -> usize {
-        self.states.len()
+        self.clock_offs.len() / 2
     }
 
     /// Total number of edges.
     pub fn num_edges(&self) -> usize {
-        self.edges.iter().map(Vec::len).sum()
+        self.edges.len()
     }
 
     /// The initial state's id.
@@ -115,22 +185,42 @@ impl<D: AnalysisDomain> TimedReachabilityGraph<D> {
 
     /// Iterate over all state ids in discovery order.
     pub fn state_ids(&self) -> impl Iterator<Item = StateId> {
-        (0..self.states.len() as u32).map(StateId)
+        (0..self.num_states() as u32).map(StateId)
     }
 
     /// A state by id.
-    pub fn state(&self, id: StateId) -> &TimedState<D::Time> {
-        &self.states[id.index()]
+    pub fn state(&self, id: StateId) -> TimedState<'_, D::Time> {
+        let i = id.index();
+        let offs = &self.clock_offs[2 * i..2 * i + 3];
+        TimedState::new(
+            &self.tokens[i * self.num_places..(i + 1) * self.num_places],
+            slice(&self.clocks, &(offs[0]..offs[1])),
+            slice(&self.clocks, &(offs[1]..offs[2])),
+        )
     }
 
     /// Outgoing edges of a state.
     pub fn edges_from(&self, id: StateId) -> &[Edge<D>] {
-        &self.edges[id.index()]
+        let i = id.index();
+        slice(&self.edges, &(self.edge_offs[i]..self.edge_offs[i + 1]))
     }
 
     /// Iterate over every edge.
     pub fn all_edges(&self) -> impl Iterator<Item = &Edge<D>> {
-        self.edges.iter().flatten()
+        self.edges.iter()
+    }
+
+    /// The transitions that *begin* firing on an edge of this graph
+    /// (the selector).
+    pub fn fired(&self, edge: &Edge<D>) -> &[TransId] {
+        slice(&self.labels, &edge.fired)
+    }
+
+    /// The transitions that *finish* firing on an edge of this graph
+    /// (elapse completions plus instantaneous zero-firing-time
+    /// transitions).
+    pub fn completed(&self, edge: &Edge<D>) -> &[TransId] {
+        slice(&self.labels, &edge.completed)
     }
 
     /// States with more than one successor — the paper's *decision
@@ -150,8 +240,15 @@ impl<D: AnalysisDomain> TimedReachabilityGraph<D> {
 
     /// The minimum-delay decisions taken during construction (Figure-7
     /// material). Only states with *competing* candidates are recorded.
-    pub fn min_resolutions(&self) -> &[MinResolution<D::Time>] {
-        &self.min_resolutions
+    pub fn min_resolutions(&self) -> Vec<MinResolution<'_, D::Time>> {
+        self.resolutions
+            .iter()
+            .map(|r| MinResolution {
+                state: r.state,
+                candidates: slice(&self.candidates, &r.candidates),
+                chosen: r.chosen as usize,
+            })
+            .collect()
     }
 
     /// Re-label the graph into another domain by mapping every time and
@@ -169,61 +266,41 @@ impl<D: AnalysisDomain> TimedReachabilityGraph<D> {
         FT: FnMut(&D::Time) -> Option<D2::Time>,
         FP: FnMut(&D::Prob) -> Option<D2::Prob>,
     {
-        let map_clocks = |clocks: &[(TransId, D::Time)], time: &mut FT| {
-            clocks
-                .iter()
-                .map(|(t, x)| Some((*t, time(x)?)))
-                .collect::<Option<Vec<_>>>()
-        };
-        let states = self
-            .states
+        let clocks = self
+            .clocks
             .iter()
-            .map(|s| {
-                Some(TimedState {
-                    marking: s.marking.clone(),
-                    ret: map_clocks(&s.ret, &mut time)?,
-                    rft: map_clocks(&s.rft, &mut time)?,
-                })
-            })
+            .map(|(t, x)| Some((*t, time(x)?)))
             .collect::<Option<Vec<_>>>()?;
         let edges = self
             .edges
             .iter()
-            .map(|es| {
-                es.iter()
-                    .map(|e| {
-                        Some(Edge {
-                            from: e.from,
-                            to: e.to,
-                            kind: e.kind,
-                            delay: time(&e.delay)?,
-                            prob: prob(&e.prob)?,
-                            fired: e.fired.clone(),
-                            completed: e.completed.clone(),
-                        })
-                    })
-                    .collect::<Option<Vec<_>>>()
-            })
-            .collect::<Option<Vec<_>>>()?;
-        let min_resolutions = self
-            .min_resolutions
-            .iter()
-            .map(|m| {
-                Some(MinResolution {
-                    state: m.state,
-                    candidates: m
-                        .candidates
-                        .iter()
-                        .map(|(t, is_rft, x)| Some((*t, *is_rft, time(x)?)))
-                        .collect::<Option<Vec<_>>>()?,
-                    chosen: m.chosen,
+            .map(|e| {
+                Some(Edge {
+                    from: e.from,
+                    to: e.to,
+                    kind: e.kind,
+                    delay: time(&e.delay)?,
+                    prob: prob(&e.prob)?,
+                    fired: e.fired.clone(),
+                    completed: e.completed.clone(),
                 })
             })
             .collect::<Option<Vec<_>>>()?;
+        let candidates = self
+            .candidates
+            .iter()
+            .map(|(t, is_rft, x)| Some((*t, *is_rft, time(x)?)))
+            .collect::<Option<Vec<_>>>()?;
         Some(TimedReachabilityGraph {
-            states,
+            num_places: self.num_places,
+            tokens: self.tokens.clone(),
+            clocks,
+            clock_offs: self.clock_offs.clone(),
             edges,
-            min_resolutions,
+            edge_offs: self.edge_offs.clone(),
+            labels: self.labels.clone(),
+            resolutions: self.resolutions.clone(),
+            candidates,
         })
     }
 
@@ -246,10 +323,8 @@ impl<D: AnalysisDomain> TimedReachabilityGraph<D> {
     /// labelled with probability and delay).
     pub fn to_dot(&self, net: &TimedPetriNet) -> String {
         let mut out = String::from("digraph trg {\n  rankdir=LR;\n");
-        let decisions: std::collections::HashSet<usize> =
-            self.decision_states().iter().map(|s| s.index()).collect();
         for id in self.state_ids() {
-            let shape = if decisions.contains(&id.index()) {
+            let shape = if self.edges_from(id).len() > 1 {
                 "doublecircle"
             } else {
                 "circle"
@@ -260,8 +335,11 @@ impl<D: AnalysisDomain> TimedReachabilityGraph<D> {
             let mut label = String::new();
             match e.kind {
                 EdgeKind::Fire => {
-                    let names: Vec<&str> =
-                        e.fired.iter().map(|t| net.transition(*t).name()).collect();
+                    let names: Vec<&str> = self
+                        .fired(e)
+                        .iter()
+                        .map(|t| net.transition(*t).name())
+                        .collect();
                     let _ = write!(label, "fire {} p={}", names.join("+"), e.prob);
                 }
                 EdgeKind::Elapse => {
@@ -273,6 +351,52 @@ impl<D: AnalysisDomain> TimedReachabilityGraph<D> {
         out.push_str("}\n");
         out
     }
+
+    /// An empty graph over `num_places` places.
+    fn empty(num_places: usize) -> Self {
+        TimedReachabilityGraph {
+            num_places,
+            tokens: Vec::new(),
+            clocks: Vec::new(),
+            clock_offs: vec![0],
+            edges: Vec::new(),
+            edge_offs: vec![0],
+            labels: Vec::new(),
+            resolutions: Vec::new(),
+            candidates: Vec::new(),
+        }
+    }
+
+    /// Append a copy of `state` and return its id.
+    fn push_state(&mut self, state: TimedState<'_, D::Time>) -> StateId {
+        let id = StateId(self.num_states() as u32);
+        self.tokens.extend_from_slice(state.marking.as_slice());
+        self.clocks.extend_from_slice(state.ret);
+        self.clock_offs.push(self.clocks.len() as u32);
+        self.clocks.extend_from_slice(state.rft);
+        self.clock_offs.push(self.clocks.len() as u32);
+        id
+    }
+
+    /// Record that the elapse from `state` chose candidate `chosen`
+    /// among all of the state's clocks, RET entries first.
+    fn push_resolution(&mut self, state: StateId, chosen: usize) {
+        let i = state.index();
+        let (ret, rft, end) = (
+            self.clock_offs[2 * i] as usize,
+            self.clock_offs[2 * i + 1] as usize,
+            self.clock_offs[2 * i + 2] as usize,
+        );
+        let start = self.candidates.len() as u32;
+        for (k, (t, x)) in self.clocks[ret..end].iter().enumerate() {
+            self.candidates.push((*t, ret + k >= rft, x.clone()));
+        }
+        self.resolutions.push(Resolution {
+            state,
+            candidates: start..self.candidates.len() as u32,
+            chosen: chosen as u32,
+        });
+    }
 }
 
 /// Build the timed reachability graph of `net` under `domain`, starting
@@ -283,81 +407,49 @@ pub fn build_trg<D: AnalysisDomain>(
     domain: &D,
     opts: &TrgOptions,
 ) -> Result<TimedReachabilityGraph<D>, ReachError> {
-    let mut arena = StateArena::new(initial_state(net, domain)?);
-    let mut edges: Vec<Vec<Edge<D>>> = vec![Vec::new()];
-    let mut min_resolutions = Vec::new();
-    let mut queue: VecDeque<StateId> = VecDeque::from([StateId(0)]);
-
-    while let Some(sid) = queue.pop_front() {
-        let (successors, resolution) = successors_of(net, domain, &arena.states[sid.index()], sid)?;
-        min_resolutions.extend(resolution);
-        for (mut edge, succ) in successors {
-            let hash = arena.hash_of(&succ);
-            let to = match arena.find(hash, &succ) {
-                Some(id) => id,
-                None => {
-                    let id = arena.push(hash, succ, opts.max_states)?;
-                    edges.push(Vec::new());
-                    queue.push_back(id);
-                    id
-                }
-            };
-            edge.from = sid;
-            edge.to = to;
-            edges[sid.index()].push(edge);
-        }
+    let mut builder = Builder::new(net, domain, opts.max_states)?;
+    let mut next = 0;
+    while next < builder.graph.num_states() {
+        builder.expand(StateId(next as u32))?;
+        let graph = &mut builder.graph;
+        graph.edge_offs.push(graph.edges.len() as u32);
+        next += 1;
     }
-
-    Ok(TimedReachabilityGraph {
-        states: arena.states,
-        edges,
-        min_resolutions,
-    })
+    Ok(builder.graph)
 }
 
-/// The states discovered so far, each stored once and numbered by its
-/// position (`u32` ids in discovery order), plus the index that finds a
-/// state's id from its contents.
+/// The index that finds a state's id from its contents while the graph
+/// is built.
 ///
-/// The index maps a 64-bit state hash to the newest id with that hash;
-/// older ids sharing the hash are chained through `next`. A lookup
-/// confirms every candidate against the arena, so a hash collision
-/// costs one comparison and never a wrong id. The hash is keyed per
-/// build, like a default `HashMap`'s, so a net cannot be crafted to
-/// collide. The index is dropped when construction ends: the finished
-/// graph keeps only the states.
-struct StateArena<T> {
-    states: Vec<TimedState<T>>,
+/// It maps a 64-bit state hash to the newest id with that hash; older
+/// ids sharing the hash are chained through `next`. A lookup confirms
+/// every candidate against the graph, so a hash collision costs one
+/// comparison and never a wrong id. The hash is keyed per build, like a
+/// default `HashMap`'s, so a net cannot be crafted to collide. The
+/// index is dropped when construction ends: the finished graph keeps
+/// only the states.
+struct StateIndex {
     hasher: RandomState,
     heads: HashMap<u64, u32>,
     /// Per id: the next-older id with the same hash, or [`NO_STATE`].
     next: Vec<u32>,
 }
 
-/// End of a hash chain in [`StateArena::next`].
+/// End of a hash chain in [`StateIndex::next`].
 const NO_STATE: u32 = u32::MAX;
 
-impl<T: Eq + Hash> StateArena<T> {
-    fn new(initial: TimedState<T>) -> Self {
-        let hasher = RandomState::new();
-        let hash = hasher.hash_one(&initial);
-        StateArena {
-            states: vec![initial],
-            hasher,
-            heads: HashMap::from([(hash, 0)]),
-            next: vec![NO_STATE],
-        }
-    }
-
-    fn hash_of(&self, state: &TimedState<T>) -> u64 {
-        self.hasher.hash_one(state)
-    }
-
-    /// The id of a state equal to `state`, whose hash is `hash`.
-    fn find(&self, hash: u64, state: &TimedState<T>) -> Option<StateId> {
+impl StateIndex {
+    /// The id of a state of `graph` equal to `state`, whose hash is
+    /// `hash`.
+    fn find<D: AnalysisDomain>(
+        &self,
+        graph: &TimedReachabilityGraph<D>,
+        hash: u64,
+        state: TimedState<'_, D::Time>,
+    ) -> Option<StateId> {
         let mut id = *self.heads.get(&hash)?;
         while id != NO_STATE {
-            if self.states[id as usize] == *state {
+            if graph.state(StateId(id)) == state {
                 return Some(StateId(id));
             }
             id = self.next[id as usize];
@@ -365,153 +457,369 @@ impl<T: Eq + Hash> StateArena<T> {
         None
     }
 
-    /// Add a state that [`find`](Self::find) reported absent, failing
-    /// once the arena already holds `max_states` states.
-    fn push(
-        &mut self,
-        hash: u64,
-        state: TimedState<T>,
-        max_states: usize,
-    ) -> Result<StateId, ReachError> {
-        if self.states.len() >= max_states {
-            return Err(ReachError::StateLimitExceeded { limit: max_states });
-        }
-        let id = self.states.len() as u32;
+    /// Index the newest state, `id`, under `hash`.
+    fn insert(&mut self, hash: u64, id: StateId) {
+        debug_assert_eq!(id.index(), self.next.len());
         self.next
-            .push(self.heads.insert(hash, id).unwrap_or(NO_STATE));
-        self.states.push(state);
-        Ok(StateId(id))
+            .push(self.heads.insert(hash, id.0).unwrap_or(NO_STATE));
     }
 }
 
-/// The initial state: the initial marking with every enabled
-/// transition's clock at `E(t)` and nothing firing.
-fn initial_state<D: AnalysisDomain>(
-    net: &TimedPetriNet,
-    domain: &D,
-) -> Result<TimedState<D::Time>, ReachError> {
-    let marking = net.initial_marking().clone();
-    Ok(TimedState {
-        ret: refresh_enablement(net, domain, &marking, &[])?,
-        marking,
-        rft: Vec::new(),
-    })
+/// For every transition `t`, the transitions whose input bag shares a
+/// place with `t`'s output bag — the only ones `t`'s completion can
+/// enable — as CSR over transition ids, each list sorted.
+struct Wakes {
+    offs: Vec<u32>,
+    targets: Vec<TransId>,
 }
 
-/// One successor candidate: the edge label (with placeholder endpoints)
-/// and the raw successor state.
-type Succ<D> = (Edge<D>, TimedState<<D as AnalysisDomain>::Time>);
+impl Wakes {
+    fn new(net: &TimedPetriNet) -> Wakes {
+        // Consumers per place, as CSR.
+        let mut place_offs = vec![0u32; net.num_places() + 1];
+        for t in net.transitions() {
+            for p in net.transition(t).input().places() {
+                place_offs[p.index() + 1] += 1;
+            }
+        }
+        for i in 1..place_offs.len() {
+            place_offs[i] += place_offs[i - 1];
+        }
+        let mut consumers = vec![TransId::from_index(0); place_offs[net.num_places()] as usize];
+        let mut fill = place_offs.clone();
+        for t in net.transitions() {
+            for p in net.transition(t).input().places() {
+                consumers[fill[p.index()] as usize] = t;
+                fill[p.index()] += 1;
+            }
+        }
+        // Per transition: the union over its output places.
+        let mut offs = Vec::with_capacity(net.num_transitions() + 1);
+        offs.push(0);
+        let (mut targets, mut union) = (Vec::new(), Vec::new());
+        for t in net.transitions() {
+            union.clear();
+            for p in net.transition(t).output().places() {
+                let i = p.index();
+                union.extend_from_slice(
+                    &consumers[place_offs[i] as usize..place_offs[i + 1] as usize],
+                );
+            }
+            union.sort_unstable();
+            union.dedup();
+            targets.extend_from_slice(&union);
+            offs.push(targets.len() as u32);
+        }
+        Wakes { offs, targets }
+    }
 
-/// All successors of one state plus its Figure-7 audit record, if any.
-type Successors<D> = (
-    Vec<Succ<D>>,
-    Option<MinResolution<<D as AnalysisDomain>::Time>>,
-);
-
-fn successors_of<D: AnalysisDomain>(
-    net: &TimedPetriNet,
-    domain: &D,
-    state: &TimedState<D::Time>,
-    sid: StateId,
-) -> Result<Successors<D>, ReachError> {
-    // Firable = enabled with elapsed RET.
-    let firable: Vec<TransId> = state
-        .ret
-        .iter()
-        .filter(|(_, x)| domain.is_zero(x))
-        .map(|(t, _)| *t)
-        .collect();
-
-    if !firable.is_empty() {
-        Ok((fire_successors(net, domain, state, sid, &firable)?, None))
-    } else {
-        let (succ, resolution) = elapse_successor(net, domain, state, sid)?;
-        Ok((succ.into_iter().collect(), resolution))
+    fn of(&self, t: TransId) -> &[TransId] {
+        slice(
+            &self.targets,
+            &(self.offs[t.index()]..self.offs[t.index() + 1]),
+        )
     }
 }
 
-/// The if-branch of Figure 3: one zero-delay successor per selector.
-fn fire_successors<D: AnalysisDomain>(
-    net: &TimedPetriNet,
-    domain: &D,
-    state: &TimedState<D::Time>,
-    sid: StateId,
-    firable: &[TransId],
-) -> Result<Vec<Succ<D>>, ReachError> {
-    // A firable transition that is already firing would constitute a
-    // second simultaneous firing: the paper's self-conflict restriction.
-    for &t in firable {
-        if state.rft(t).is_some() {
+/// Buffers one successor is assembled in, reused for every successor
+/// of the build.
+struct Scratch<D: AnalysisDomain> {
+    marking: Marking,
+    /// The successor's RET.
+    ret: Vec<(TransId, D::Time)>,
+    /// The RET after an elapse, before newly enabled transitions join.
+    elapsed: Vec<(TransId, D::Time)>,
+    /// The successor's RFT.
+    rft: Vec<(TransId, D::Time)>,
+    /// The selector that begins firing.
+    fired: Vec<TransId>,
+    /// The transitions that finish firing.
+    completed: Vec<TransId>,
+    /// The transitions whose enablement is re-tested.
+    woken: Vec<TransId>,
+    /// A decision state's firable transitions, grouped by conflict set.
+    firable: Vec<TransId>,
+    /// Branching probability of each `firable` entry within its set.
+    probs: Vec<D::Prob>,
+    /// Where each firable conflict set lies in `firable`.
+    sets: Vec<Range<usize>>,
+    /// The selector odometer: one member index per firable set.
+    choice: Vec<usize>,
+    /// An elapse's candidate delays, RET entries first.
+    exprs: Vec<D::Time>,
+}
+
+/// The state of one [`build_trg`] call.
+struct Builder<'n, D: AnalysisDomain> {
+    net: &'n TimedPetriNet,
+    domain: &'n D,
+    max_states: usize,
+    graph: TimedReachabilityGraph<D>,
+    index: StateIndex,
+    wakes: Wakes,
+    scratch: Scratch<D>,
+}
+
+impl<'n, D: AnalysisDomain> Builder<'n, D> {
+    /// A builder whose graph holds the initial state: the initial
+    /// marking with every enabled transition's clock at `E(t)` and
+    /// nothing firing.
+    fn new(net: &'n TimedPetriNet, domain: &'n D, max_states: usize) -> Result<Self, ReachError> {
+        let mut scratch = Scratch {
+            marking: net.initial_marking().clone(),
+            ret: Vec::new(),
+            elapsed: Vec::new(),
+            rft: Vec::new(),
+            fired: Vec::new(),
+            completed: Vec::new(),
+            woken: net.transitions().collect(),
+            firable: Vec::new(),
+            probs: Vec::new(),
+            sets: Vec::new(),
+            choice: Vec::new(),
+            exprs: Vec::new(),
+        };
+        enable(
+            net,
+            domain,
+            &scratch.marking,
+            &[],
+            &scratch.woken,
+            &mut scratch.ret,
+        )?;
+        let mut graph = TimedReachabilityGraph::empty(net.num_places());
+        let mut index = StateIndex {
+            hasher: RandomState::new(),
+            heads: HashMap::new(),
+            next: Vec::new(),
+        };
+        let initial = TimedState::new(scratch.marking.as_slice(), &scratch.ret, &[]);
+        let hash = index.hasher.hash_one(initial);
+        index.insert(hash, graph.push_state(initial));
+        Ok(Builder {
+            net,
+            domain,
+            max_states,
+            graph,
+            index,
+            wakes: Wakes::new(net),
+            scratch,
+        })
+    }
+
+    /// Add every successor of state `sid` and its edges to the graph.
+    fn expand(&mut self, sid: StateId) -> Result<(), ReachError> {
+        // Firable = enabled with elapsed RET.
+        let domain = self.domain;
+        let s = &mut self.scratch;
+        s.firable.clear();
+        s.firable.extend(
+            self.graph
+                .state(sid)
+                .ret
+                .iter()
+                .filter(|(_, x)| domain.is_zero(x))
+                .map(|(t, _)| *t),
+        );
+        if s.firable.is_empty() {
+            self.elapse(sid)
+        } else {
+            self.fire(sid)
+        }
+    }
+
+    /// Add the edge from `from` to the successor assembled in the
+    /// scratch buffers, adding that state to the graph if it is new.
+    fn add_successor(
+        &mut self,
+        from: StateId,
+        kind: EdgeKind,
+        delay: D::Time,
+        prob: D::Prob,
+    ) -> Result<(), ReachError> {
+        let (s, graph) = (&self.scratch, &mut self.graph);
+        let state = TimedState::new(s.marking.as_slice(), &s.ret, &s.rft);
+        let hash = self.index.hasher.hash_one(state);
+        let to = match self.index.find(graph, hash, state) {
+            Some(id) => id,
+            None if graph.num_states() >= self.max_states => {
+                return Err(ReachError::StateLimitExceeded {
+                    limit: self.max_states,
+                })
+            }
+            None => {
+                let id = graph.push_state(state);
+                self.index.insert(hash, id);
+                id
+            }
+        };
+        let start = graph.labels.len() as u32;
+        if kind == EdgeKind::Fire {
+            graph.labels.extend_from_slice(&s.fired);
+        }
+        let mid = graph.labels.len() as u32;
+        graph.labels.extend_from_slice(&s.completed);
+        graph.edges.push(Edge {
+            from,
+            to,
+            kind,
+            delay,
+            prob,
+            fired: start..mid,
+            completed: mid..graph.labels.len() as u32,
+        });
+        Ok(())
+    }
+
+    /// The if-branch of Figure 3: one zero-delay successor per selector.
+    fn fire(&mut self, sid: StateId) -> Result<(), ReachError> {
+        let (net, domain) = (self.net, self.domain);
+        let s = &mut self.scratch;
+        // A firable transition that is already firing would constitute a
+        // second simultaneous firing: the paper's self-conflict
+        // restriction.
+        let state = self.graph.state(sid);
+        if let Some(&t) = s.firable.iter().find(|&&t| state.rft(t).is_some()) {
             return Err(ReachError::MultipleFiring {
                 transition: net.transition(t).name().to_string(),
                 state: sid.index(),
             });
         }
-    }
-    // Partition the firable set into firable conflict sets.
-    let mut by_set: BTreeMap<ConflictSetId, Vec<TransId>> = BTreeMap::new();
-    for &t in firable {
-        by_set.entry(net.conflict_set_of(t)).or_default().push(t);
-    }
-    // Per-set branching probabilities.
-    let mut sets: Vec<(Vec<TransId>, Vec<D::Prob>)> = Vec::with_capacity(by_set.len());
-    for members in by_set.into_values() {
-        let probs = domain.probabilities(net, &members)?;
-        sets.push((members, probs));
-    }
-    // "Let the set of selectors Sel = cross product of firable conflict
-    // sets" — enumerate with an odometer.
-    let mut out = Vec::new();
-    let mut choice = vec![0usize; sets.len()];
-    loop {
-        // Selector probability and member list.
-        let mut prob = domain.prob_one();
-        let mut selector = Vec::with_capacity(sets.len());
-        for (si, &ci) in choice.iter().enumerate() {
-            prob = domain.prob_mul(&prob, &sets[si].1[ci]);
-            selector.push(sets[si].0[ci]);
+        // Partition the firable set into firable conflict sets, in set
+        // order; the stable sort keeps each set's members in transition
+        // order. Then the per-set branching probabilities.
+        s.firable.sort_by_key(|&t| net.conflict_set_of(t));
+        s.probs.clear();
+        s.sets.clear();
+        let mut start = 0;
+        while start < s.firable.len() {
+            let set = net.conflict_set_of(s.firable[start]);
+            let end = start
+                + s.firable[start..]
+                    .iter()
+                    .take_while(|&&t| net.conflict_set_of(t) == set)
+                    .count();
+            s.probs
+                .extend(domain.probabilities(net, &s.firable[start..end])?);
+            s.sets.push(start..end);
+            start = end;
         }
-        if !domain.prob_is_zero(&prob) {
-            out.push(apply_selector(net, domain, state, sid, &selector, prob)?);
-        }
-        // Advance the odometer.
-        let mut pos = 0usize;
+        // "Let the set of selectors Sel = cross product of firable conflict
+        // sets" — enumerate with an odometer over one member per set.
+        s.choice.clear();
+        s.choice.resize(s.sets.len(), 0);
         loop {
-            if pos == choice.len() {
-                return Ok(out);
+            let s = &mut self.scratch;
+            let mut prob = domain.prob_one();
+            s.fired.clear();
+            for (set, &member) in s.sets.iter().zip(&s.choice) {
+                prob = domain.prob_mul(&prob, &s.probs[set.start + member]);
+                s.fired.push(s.firable[set.start + member]);
             }
-            choice[pos] += 1;
-            if choice[pos] < sets[pos].0.len() {
-                break;
+            if !domain.prob_is_zero(&prob) {
+                apply_selector(net, domain, &self.wakes, self.graph.state(sid), sid, s)?;
+                self.add_successor(sid, EdgeKind::Fire, domain.zero(), prob)?;
             }
-            choice[pos] = 0;
-            pos += 1;
+            let s = &mut self.scratch;
+            if !advance(&mut s.choice, &s.sets) {
+                return Ok(());
+            }
         }
+    }
+
+    /// The else-branch of Figure 3: let the minimum non-zero RET/RFT
+    /// elapse. A terminal state gets no successor; a state where
+    /// several candidate delays competed gets a Figure-7 record.
+    fn elapse(&mut self, sid: StateId) -> Result<(), ReachError> {
+        let (net, domain) = (self.net, self.domain);
+        let s = &mut self.scratch;
+        let state = self.graph.state(sid);
+        // Candidates: every tracked RET, then every tracked RFT, each in
+        // transition order (all strictly positive here — a zero RET would
+        // have made the state a decision state, and zero RFTs are
+        // completed eagerly).
+        let clocks = state
+            .ret
+            .iter()
+            .map(|(t, x)| (*t, false, x))
+            .chain(state.rft.iter().map(|(t, x)| (*t, true, x)));
+        s.exprs.clear();
+        s.exprs.extend(clocks.clone().map(|(_, _, x)| x.clone()));
+        if s.exprs.is_empty() {
+            return Ok(()); // terminal state
+        }
+        let chosen = domain.min_index(&s.exprs, sid.index())?;
+        let tmin = s.exprs[chosen].clone();
+        // "Generate S' by subtracting Tmin from all non-zero RET and RFT."
+        s.elapsed.clear();
+        s.rft.clear();
+        s.completed.clear();
+        for (t, is_rft, x) in clocks {
+            if domain.time_eq(x, &tmin, sid.index())? {
+                if is_rft {
+                    // "For all transitions whose RFT reaches 0, add tokens
+                    // to output places" — applied below so newly enabled
+                    // transitions see the complete marking.
+                    s.completed.push(t);
+                } else {
+                    s.elapsed.push((t, domain.zero())); // became firable
+                }
+            } else if is_rft {
+                s.rft.push((t, domain.sub(x, &tmin)));
+            } else {
+                s.elapsed.push((t, domain.sub(x, &tmin)));
+            }
+        }
+        s.marking.copy_from(state.marking.as_slice());
+        for &t in &s.completed {
+            s.marking.add(net.transition(t).output());
+        }
+        woken_by(&self.wakes, &s.elapsed, &s.completed, &mut s.woken);
+        enable(net, domain, &s.marking, &s.elapsed, &s.woken, &mut s.ret)?;
+        if s.exprs.len() > 1 {
+            self.graph.push_resolution(sid, chosen);
+        }
+        self.add_successor(sid, EdgeKind::Elapse, tmin, domain.prob_one())
     }
 }
 
+/// Step the selector odometer `choice` (one member index per firable
+/// set); `false` once every selector has been visited.
+fn advance(choice: &mut [usize], sets: &[Range<usize>]) -> bool {
+    for (member, set) in choice.iter_mut().zip(sets) {
+        *member += 1;
+        if *member < set.len() {
+            return true;
+        }
+        *member = 0;
+    }
+    false
+}
+
+/// Assemble in `s` the successor of `state` in which the selector
+/// `s.fired` begins firing.
 fn apply_selector<D: AnalysisDomain>(
     net: &TimedPetriNet,
     domain: &D,
-    state: &TimedState<D::Time>,
+    wakes: &Wakes,
+    state: TimedState<'_, D::Time>,
     sid: StateId,
-    selector: &[TransId],
-    prob: D::Prob,
-) -> Result<Succ<D>, ReachError> {
-    let mut marking = state.marking.clone();
+    s: &mut Scratch<D>,
+) -> Result<(), ReachError> {
+    s.marking.copy_from(state.marking.as_slice());
     // "Remove tokens from input places of transitions in s."
-    for &t in selector {
-        marking.subtract(net.transition(t).input());
+    for &t in &s.fired {
+        s.marking.subtract(net.transition(t).input());
     }
     // The paper's conflict-set restriction: firing must disable every
     // other firable member of each chosen set. If any firable member of
     // a chosen set (including the fired one) is *still* enabled, a
     // second same-instant firing would be possible.
-    for &t in selector {
+    for &t in &s.fired {
         let cs = net.conflict_set(net.conflict_set_of(t));
         for &u in cs.members() {
             let was_firable = matches!(state.ret(u), Some(x) if domain.is_zero(x));
-            if was_firable && marking.covers(net.transition(u).input()) {
+            if was_firable && s.marking.covers(net.transition(u).input()) {
                 return Err(ReachError::MultipleFiring {
                     transition: net.transition(u).name().to_string(),
                     state: sid.index(),
@@ -522,128 +830,58 @@ fn apply_selector<D: AnalysisDomain>(
     // "Set the RFT of each transition in s to F(t)." Transitions with a
     // provably zero firing time complete instantaneously (documented
     // extension; the paper's nets have strictly positive firing times).
-    let mut rft = state.rft.clone();
-    let mut completed = Vec::new();
-    for &t in selector {
+    s.rft.clear();
+    s.rft.extend_from_slice(state.rft);
+    s.completed.clear();
+    for &t in &s.fired {
         let ft = domain.firing_time(net, t)?;
         if domain.is_zero(&ft) {
-            marking.add(net.transition(t).output());
-            completed.push(t);
+            s.marking.add(net.transition(t).output());
+            s.completed.push(t);
         } else {
             // Not already firing (checked above), so this is a new entry.
-            let pos = rft.partition_point(|(u, _)| *u < t);
-            rft.insert(pos, (t, ft));
+            let pos = s.rft.partition_point(|(u, _)| *u < t);
+            s.rft.insert(pos, (t, ft));
         }
     }
-    let succ = TimedState {
-        ret: refresh_enablement(net, domain, &marking, &state.ret)?,
-        marking,
-        rft,
-    };
-    let edge = Edge {
-        from: sid,
-        to: sid, // patched by the caller
-        kind: EdgeKind::Fire,
-        delay: domain.zero(),
-        prob,
-        fired: selector.to_vec(),
-        completed,
-    };
-    Ok((edge, succ))
+    woken_by(wakes, state.ret, &s.completed, &mut s.woken);
+    enable(net, domain, &s.marking, state.ret, &s.woken, &mut s.ret)
 }
 
-/// The else-branch of Figure 3: let the minimum non-zero RET/RFT elapse.
-/// Returns no successor for terminal states; the second component is
-/// the Figure-7 audit record when several candidate delays competed.
-type Elapse<D> = (
-    Option<Succ<D>>,
-    Option<MinResolution<<D as AnalysisDomain>::Time>>,
-);
-
-fn elapse_successor<D: AnalysisDomain>(
-    net: &TimedPetriNet,
-    domain: &D,
-    state: &TimedState<D::Time>,
-    sid: StateId,
-) -> Result<Elapse<D>, ReachError> {
-    // Candidates: every tracked RET, then every tracked RFT, each in
-    // transition order (all strictly positive here — a zero RET would
-    // have made the state a decision state, and zero RFTs are completed
-    // eagerly).
-    let clocks = state
-        .ret
-        .iter()
-        .map(|(t, x)| (*t, false, x))
-        .chain(state.rft.iter().map(|(t, x)| (*t, true, x)));
-    let exprs: Vec<D::Time> = clocks.clone().map(|(_, _, x)| x.clone()).collect();
-    if exprs.is_empty() {
-        return Ok((None, None)); // terminal state
-    }
-    let chosen = domain.min_index(&exprs, sid.index())?;
-    let tmin = exprs[chosen].clone();
-    let resolution = (exprs.len() > 1).then(|| MinResolution {
-        state: sid,
-        candidates: clocks
-            .clone()
-            .map(|(t, is_rft, x)| (t, is_rft, x.clone()))
-            .collect(),
-        chosen,
-    });
-    // "Generate S' by subtracting Tmin from all non-zero RET and RFT."
-    let mut ret = Vec::with_capacity(state.ret.len());
-    let mut rft = Vec::with_capacity(state.rft.len());
-    let mut completed = Vec::new();
-    for (t, is_rft, x) in clocks {
-        if domain.time_eq(x, &tmin, sid.index())? {
-            if is_rft {
-                // "For all transitions whose RFT reaches 0, add tokens to
-                // output places" — applied below so newly enabled
-                // transitions see the complete marking.
-                completed.push(t);
-            } else {
-                ret.push((t, domain.zero())); // became firable
-            }
-        } else if is_rft {
-            rft.push((t, domain.sub(x, &tmin)));
-        } else {
-            ret.push((t, domain.sub(x, &tmin)));
+/// The transitions whose enablement a step can change, sorted: those of
+/// the previous RET `ret` (a step's removals can only disable them)
+/// plus the consumers of every place a `completed` transition deposits
+/// into (only those can become enabled).
+fn woken_by<T>(wakes: &Wakes, ret: &[(TransId, T)], completed: &[TransId], out: &mut Vec<TransId>) {
+    out.clear();
+    out.extend(ret.iter().map(|(t, _)| *t));
+    if !completed.is_empty() {
+        for &t in completed {
+            out.extend_from_slice(wakes.of(t));
         }
+        out.sort_unstable();
+        out.dedup();
     }
-    let mut marking = state.marking.clone();
-    for &t in &completed {
-        marking.add(net.transition(t).output());
-    }
-    let succ = TimedState {
-        ret: refresh_enablement(net, domain, &marking, &ret)?,
-        marking,
-        rft,
-    };
-    let edge = Edge {
-        from: sid,
-        to: sid, // patched by the caller
-        kind: EdgeKind::Elapse,
-        delay: tmin,
-        prob: domain.prob_one(),
-        fired: Vec::new(),
-        completed,
-    };
-    Ok((Some((edge, succ)), resolution))
 }
 
-/// Restore the RET invariant after a marking change: newly enabled
-/// transitions start their enabling clock at `E(t)`; disabled ones are
-/// dropped ("reset its RET to 0"); continuously enabled ones keep their
-/// remaining time. `ret` is the sorted RET list before the change; the
-/// result is the RET list for `marking`, again in transition order.
-fn refresh_enablement<D: AnalysisDomain>(
+/// Restore the RET invariant after a marking change, re-testing the
+/// sorted transitions `woken` (a superset of every transition enabled
+/// under `marking`): newly enabled transitions start their enabling
+/// clock at `E(t)`; disabled ones are dropped ("reset its RET to 0");
+/// continuously enabled ones keep their remaining time. `ret` is the
+/// sorted RET list before the change; `out` receives the RET list for
+/// `marking`, again in transition order.
+fn enable<D: AnalysisDomain>(
     net: &TimedPetriNet,
     domain: &D,
     marking: &Marking,
     ret: &[(TransId, D::Time)],
-) -> Result<Vec<(TransId, D::Time)>, ReachError> {
+    woken: &[TransId],
+    out: &mut Vec<(TransId, D::Time)>,
+) -> Result<(), ReachError> {
+    out.clear();
     let mut before = ret.iter().peekable();
-    let mut out = Vec::with_capacity(ret.len() + 1);
-    for t in net.transitions() {
+    for &t in woken {
         let kept = before.next_if(|(u, _)| *u == t);
         if marking.covers(net.transition(t).input()) {
             let clock = match kept {
@@ -653,7 +891,7 @@ fn refresh_enablement<D: AnalysisDomain>(
             out.push((t, clock));
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -768,7 +1006,7 @@ mod tests {
         // only the preferred transition appears
         let es = trg.edges_from(trg.initial());
         assert_eq!(es.len(), 1);
-        assert_eq!(net.transition(es[0].fired[0]).name(), "preferred");
+        assert_eq!(net.transition(trg.fired(&es[0])[0]).name(), "preferred");
         assert_eq!(es[0].prob, Rational::ONE);
     }
 
@@ -788,13 +1026,13 @@ mod tests {
         let trg = build_trg(&net, &NumericDomain::new(), &TrgOptions::default()).unwrap();
         let es = trg.edges_from(trg.initial());
         assert_eq!(es.len(), 1, "both start in one selector");
-        assert_eq!(es[0].fired.len(), 2);
+        assert_eq!(trg.fired(&es[0]).len(), 2);
         // the elapse chain: 2 elapses (min 2, then 3)
         let s1 = es[0].to;
         let e1 = &trg.edges_from(s1)[0];
         assert_eq!(e1.kind, EdgeKind::Elapse);
         assert_eq!(e1.delay, r(2));
-        assert_eq!(e1.completed.len(), 1);
+        assert_eq!(trg.completed(e1).len(), 1);
         let e2 = &trg.edges_from(e1.to)[0];
         assert_eq!(e2.delay, r(3));
         // a multi-candidate minimum was recorded (Figure-7 material)
@@ -857,7 +1095,7 @@ mod tests {
         let trg = build_trg(&net, &NumericDomain::new(), &TrgOptions::default()).unwrap();
         // "slow" never fires: no edge fires it
         for e in trg.all_edges() {
-            for &t in &e.fired {
+            for &t in trg.fired(e) {
                 assert_ne!(net.transition(t).name(), "slow");
             }
         }
@@ -915,7 +1153,8 @@ mod tests {
         let e0 = &trg.edges_from(trg.initial())[0];
         assert_eq!(e0.kind, EdgeKind::Fire);
         assert_eq!(
-            e0.completed, e0.fired,
+            trg.completed(e0),
+            trg.fired(e0),
             "zero-time firing completes on the same edge"
         );
         // and "later" is immediately enabled in the successor
@@ -1010,8 +1249,9 @@ mod tests {
         // The premise: some symbolic RET and RFT clock is not the first
         // live entry of its list.
         let behind = |rft: bool| {
-            trg.states.iter().any(|s| {
-                let clocks = if rft { &s.rft } else { &s.ret };
+            trg.state_ids().any(|id| {
+                let s = trg.state(id);
+                let clocks = if rft { s.rft } else { s.ret };
                 clocks
                     .iter()
                     .enumerate()

@@ -345,7 +345,7 @@ mod tests {
         let e0 = &trg.edges_from(trg.initial())[0];
         let e1 = &trg.edges_from(e0.to)[0];
         assert_eq!(e1.delay, iv(1, 2));
-        assert_eq!(e1.completed.len(), 1);
+        assert_eq!(trg.completed(e1).len(), 1);
         let e2 = &trg.edges_from(e1.to)[0];
         // residual of slow: [5−2, 6−1] = [3, 5] — widened by fast's width
         assert_eq!(e2.delay, iv(3, 5));

@@ -22,9 +22,12 @@
 //! The model is the paper's, stored compactly: a [`TimedState`] keeps
 //! RET and RFT as sparse lists sorted by transition, one entry per
 //! enabled or firing transition, rather than one slot per transition
-//! of the net. [`build_trg`] stores each discovered state once, in an
-//! arena numbered by [`StateId`], and finds repeats through a hash
-//! index over that arena.
+//! of the net. [`build_trg`] numbers each discovered state by a
+//! [`StateId`], finds repeats through a hash index, and stores the
+//! whole graph in a few flat arrays: every marking in one token array,
+//! every clock in one clock array, the edges as CSR and their
+//! transitions as ranges of one shared array. Each successor's
+//! enablement is re-tested only for transitions the step can affect.
 //!
 //! The construction is generic over an [`AnalysisDomain`]:
 //! [`NumericDomain`] implements Section 2 (all times known a priori —

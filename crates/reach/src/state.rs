@@ -1,4 +1,5 @@
-//! Timed states: marking + RET + RFT, with sparse clocks.
+//! Timed states: marking + RET + RFT, as views into a graph's flat
+//! arrays.
 
 use std::fmt;
 use std::hash::Hash;
@@ -13,10 +14,13 @@ use tpn_net::{Marking, TransId};
 /// entry per transition. Only *enabled* transitions carry a remaining
 /// enabling time and only *firing* ones a remaining firing time, so
 /// both vectors are stored sparsely: `(transition, time)` pairs sorted
-/// by transition, one per live clock. A state of a net with many
-/// transitions and few tokens therefore costs its marking plus a
-/// handful of entries, and the derived `Eq`/`Hash` stay canonical
-/// because the lists are sorted.
+/// by transition, one per live clock. A graph owns no per-state
+/// allocation: every state's tokens sit in one flat `u32` array
+/// (`num_places` per state) and every state's clocks in one shared
+/// `(TransId, T)` array, RET entries then RFT entries, found through
+/// per-state offsets. A `TimedState` is a borrowed view over those
+/// slices; the derived `Eq`/`Hash` compare and hash the slices, and
+/// stay canonical because the clock lists are sorted.
 ///
 /// Invariants maintained by the construction:
 ///
@@ -27,12 +31,20 @@ use tpn_net::{Marking, TransId};
 /// * an RFT entry for `t` exists **iff** `t` is currently firing; the
 ///   value is always strictly positive (completions are processed
 ///   eagerly).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct TimedState<T> {
-    pub(crate) marking: Marking,
-    pub(crate) ret: Vec<(TransId, T)>,
-    pub(crate) rft: Vec<(TransId, T)>,
+#[derive(Debug, PartialEq, Eq, Hash)]
+pub struct TimedState<'a, T> {
+    pub(crate) marking: Marking<&'a [u32]>,
+    pub(crate) ret: &'a [(TransId, T)],
+    pub(crate) rft: &'a [(TransId, T)],
 }
+
+impl<T> Clone for TimedState<'_, T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<T> Copy for TimedState<'_, T> {}
 
 /// The clock of `t` in a sorted sparse clock list.
 fn lookup<T>(clocks: &[(TransId, T)], t: TransId) -> Option<&T> {
@@ -42,31 +54,40 @@ fn lookup<T>(clocks: &[(TransId, T)], t: TransId) -> Option<&T> {
         .map(|i| &clocks[i].1)
 }
 
-impl<T: Clone + Eq + Hash> TimedState<T> {
+impl<'a, T> TimedState<'a, T> {
+    /// A view over a token slice and two sorted clock lists.
+    pub(crate) fn new(tokens: &'a [u32], ret: &'a [(TransId, T)], rft: &'a [(TransId, T)]) -> Self {
+        TimedState {
+            marking: Marking::from_slice(tokens),
+            ret,
+            rft,
+        }
+    }
+
     /// The marking component.
-    pub fn marking(&self) -> &Marking {
-        &self.marking
+    pub fn marking(&self) -> Marking<&'a [u32]> {
+        self.marking
     }
 
     /// The remaining enabling time of a transition (`None` when the
     /// transition is not enabled).
-    pub fn ret(&self, t: TransId) -> Option<&T> {
-        lookup(&self.ret, t)
+    pub fn ret(&self, t: TransId) -> Option<&'a T> {
+        lookup(self.ret, t)
     }
 
     /// The remaining firing time of a transition (`None` when the
     /// transition is not firing).
-    pub fn rft(&self, t: TransId) -> Option<&T> {
-        lookup(&self.rft, t)
+    pub fn rft(&self, t: TransId) -> Option<&'a T> {
+        lookup(self.rft, t)
     }
 
     /// Transitions currently enabled (RET tracked), in transition order.
-    pub fn enabled(&self) -> impl Iterator<Item = TransId> + '_ {
+    pub fn enabled(&self) -> impl Iterator<Item = TransId> + 'a {
         self.ret.iter().map(|(t, _)| *t)
     }
 
     /// Transitions currently firing, in transition order.
-    pub fn firing(&self) -> impl Iterator<Item = TransId> + '_ {
+    pub fn firing(&self) -> impl Iterator<Item = TransId> + 'a {
         self.rft.iter().map(|(t, _)| *t)
     }
 
@@ -76,7 +97,7 @@ impl<T: Clone + Eq + Hash> TimedState<T> {
     }
 }
 
-impl<T: fmt::Display> TimedState<T> {
+impl<T: fmt::Display> TimedState<'_, T> {
     /// Render in the style of the paper's Figure 4b/6b rows:
     /// `marking | RET: t2=…, … | RFT: t4=…, …`.
     pub fn describe(&self, trans_name: impl Fn(TransId) -> String) -> String {
@@ -92,9 +113,9 @@ impl<T: fmt::Display> TimedState<T> {
             parts.join(", ")
         };
         out.push_str(" | RET: ");
-        out.push_str(&fmt_clocks(&self.ret));
+        out.push_str(&fmt_clocks(self.ret));
         out.push_str(" | RFT: ");
-        out.push_str(&fmt_clocks(&self.rft));
+        out.push_str(&fmt_clocks(self.rft));
         out
     }
 }
@@ -110,11 +131,9 @@ mod tests {
 
     #[test]
     fn accessors() {
-        let s = TimedState {
-            marking: Marking::from_vec(vec![1, 0]),
-            ret: vec![(t(0), Rational::from_int(5))],
-            rft: vec![(t(1), Rational::from_int(3))],
-        };
+        let ret = [(t(0), Rational::from_int(5))];
+        let rft = [(t(1), Rational::from_int(3))];
+        let s = TimedState::new(&[1, 0], &ret, &rft);
         assert_eq!(s.ret(t(0)), Some(&Rational::from_int(5)));
         assert_eq!(s.ret(t(1)), None);
         assert_eq!(s.rft(t(1)), Some(&Rational::from_int(3)));
@@ -127,11 +146,9 @@ mod tests {
     fn lookups_before_between_and_after_live_entries() {
         // Live clocks at t2, t5 (RET) and t3, t7 (RFT) of a 9-transition
         // net: every other transition must read as absent.
-        let s = TimedState {
-            marking: Marking::from_vec(vec![1, 1]),
-            ret: vec![(t(2), Rational::from_int(4)), (t(5), Rational::from_int(9))],
-            rft: vec![(t(3), Rational::new(1, 2)), (t(7), Rational::from_int(6))],
-        };
+        let ret = [(t(2), Rational::from_int(4)), (t(5), Rational::from_int(9))];
+        let rft = [(t(3), Rational::new(1, 2)), (t(7), Rational::from_int(6))];
+        let s = TimedState::new(&[1, 1], &ret, &rft);
         let ret: Vec<Option<Rational>> = (0..9).map(|i| s.ret(t(i)).copied()).collect();
         let rft: Vec<Option<Rational>> = (0..9).map(|i| s.rft(t(i)).copied()).collect();
         let (four, nine) = (Some(Rational::from_int(4)), Some(Rational::from_int(9)));
@@ -144,29 +161,33 @@ mod tests {
 
     #[test]
     fn terminal_detection() {
-        let s: TimedState<Rational> = TimedState {
-            marking: Marking::from_vec(vec![0]),
-            ret: Vec::new(),
-            rft: Vec::new(),
-        };
+        let s: TimedState<Rational> = TimedState::new(&[0], &[], &[]);
         assert!(s.is_terminal());
     }
 
     #[test]
+    fn views_compare_by_contents() {
+        let (a, b) = ([(t(0), Rational::ONE)], [(t(0), Rational::ONE)]);
+        let tokens = vec![1, 0];
+        assert_eq!(
+            TimedState::new(&tokens, &a, &[]),
+            TimedState::new(&[1, 0], &b, &[])
+        );
+        assert_ne!(
+            TimedState::new(&tokens, &a, &[]),
+            TimedState::new(&tokens, &[], &b)
+        );
+    }
+
+    #[test]
     fn describe_format() {
-        let s = TimedState {
-            marking: Marking::from_vec(vec![1]),
-            ret: vec![(t(0), Rational::from_int(1000))],
-            rft: vec![(t(1), Rational::new(1067, 10))],
-        };
+        let ret = [(t(0), Rational::from_int(1000))];
+        let rft = [(t(1), Rational::new(1067, 10))];
+        let s = TimedState::new(&[1], &ret, &rft);
         let d = s.describe(|t| format!("t{}", t.index() + 1));
         assert!(d.contains("RET: t1=1000"), "{d}");
         assert!(d.contains("RFT: t2=1067/10"), "{d}");
-        let idle: TimedState<Rational> = TimedState {
-            marking: Marking::from_vec(vec![0]),
-            ret: Vec::new(),
-            rft: Vec::new(),
-        };
+        let idle: TimedState<Rational> = TimedState::new(&[0], &[], &[]);
         assert!(idle
             .describe(|_| String::new())
             .ends_with("| RET: - | RFT: -"));

@@ -250,7 +250,7 @@ fn analyze_json(session: &Session) -> Result<String, ServiceError> {
         w.rational(&perf.weights()[i]);
         w.key("fires");
         w.begin_array();
-        for t in &e.fired {
+        for t in dg.fired(e) {
             w.string(net.transition(*t).name());
         }
         w.end_array();

@@ -100,6 +100,7 @@ impl SessionCache {
                 last_used: tick,
             },
         );
+        let mut evicted = Vec::new();
         while map.len() > self.capacity {
             // In-flight users keep their Arc; only the cache's handle
             // is dropped.
@@ -108,9 +109,14 @@ impl SessionCache {
                 .min_by_key(|(_, s)| s.last_used)
                 .map(|(d, _)| *d)
                 .expect("non-empty map");
-            map.remove(&victim);
+            evicted.extend(map.remove(&victim));
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
+        // Freeing an evicted session's artifacts is the slow part of an
+        // eviction: do it after unlocking, so warm lookups never wait
+        // for it.
+        drop(map);
+        drop(evicted);
         session
     }
 

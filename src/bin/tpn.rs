@@ -31,6 +31,7 @@
 //! analysis is a library-level feature (constraint sets have no text
 //! syntax yet).
 
+use std::io::Write;
 use std::process::ExitCode;
 
 use timed_petri::prelude::*;
@@ -194,14 +195,51 @@ fn main() -> ExitCode {
     if args.first().map(String::as_str) != Some("serve") {
         std::panic::set_hook(Box::new(|_| {}));
     }
-    let outcome = std::panic::catch_unwind(|| run(&args))
-        .unwrap_or_else(|panic| Err(format!("internal error: {}", panic_message(&*panic))));
+    // Every command writes through this one locked handle.
+    let mut out = std::io::stdout().lock();
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        run(&args, &mut out)?;
+        Ok(out.flush()?)
+    }))
+    .unwrap_or_else(|panic| {
+        Err(Failure::Message(format!(
+            "internal error: {}",
+            panic_message(&*panic)
+        )))
+    });
     match outcome {
         Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
+        // The reader went away (`tpn graph big.tpn | head`): output
+        // nobody reads is not a failure, so stop quietly.
+        Err(Failure::Output(e)) if e.kind() == std::io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(Failure::Output(e)) => {
+            eprintln!("tpn: stdout: {e}");
+            ExitCode::FAILURE
+        }
+        Err(Failure::Message(msg)) => {
             eprintln!("tpn: {msg}");
             ExitCode::FAILURE
         }
+    }
+}
+
+/// Why a command stopped early.
+enum Failure {
+    /// A usage, input or analysis error, reported as one `tpn: …` line.
+    Message(String),
+    /// Writing to stdout failed.
+    Output(std::io::Error),
+}
+
+impl From<String> for Failure {
+    fn from(msg: String) -> Failure {
+        Failure::Message(msg)
+    }
+}
+
+impl From<std::io::Error> for Failure {
+    fn from(e: std::io::Error) -> Failure {
+        Failure::Output(e)
     }
 }
 
@@ -226,77 +264,81 @@ fn session_over(net: TimedPetriNet) -> Session {
     Session::new(net, SessionOptions::new())
 }
 
-fn run(args: &[String]) -> Result<(), String> {
+fn run(args: &[String], out: &mut dyn Write) -> Result<(), Failure> {
     let cmd = match args.first() {
         Some(c) => c.as_str(),
-        None => return Err(global_usage()),
+        None => return Err(global_usage().into()),
     };
     match cmd {
         "--version" | "-V" | "version" => {
-            println!("tpn {}", env!("CARGO_PKG_VERSION"));
+            writeln!(out, "tpn {}", env!("CARGO_PKG_VERSION"))?;
             return Ok(());
         }
         "--help" | "-h" | "help" => {
             match args.get(1) {
                 Some(name) => match command_help(name) {
-                    Some(_) => println!("{}", usage_of(name)),
-                    None => return Err(format!("unknown command {name:?}\n{}", global_usage())),
+                    Some(_) => writeln!(out, "{}", usage_of(name))?,
+                    None => {
+                        return Err(format!("unknown command {name:?}\n{}", global_usage()).into())
+                    }
                 },
-                None => println!("{}", global_usage()),
+                None => writeln!(out, "{}", global_usage())?,
             }
             return Ok(());
         }
         _ => {}
     }
     if command_help(cmd).is_none() {
-        return Err(format!("unknown command {cmd:?}\n{}", global_usage()));
+        return Err(format!("unknown command {cmd:?}\n{}", global_usage()).into());
     }
     // `tpn <command> --help` prints that command's usage.
     if args[1..].iter().any(|a| a == "--help" || a == "-h") {
-        println!("{}", usage_of(cmd));
+        writeln!(out, "{}", usage_of(cmd))?;
         return Ok(());
     }
     match cmd {
-        "serve" => return cmd_serve(&args[1..]),
-        "stats" => return cmd_stats(&args[1..]),
-        "top" => return cmd_top(&args[1..]),
-        "alerts" => return cmd_alerts(&args[1..]),
-        "batch" => return cmd_batch(&args[1..]),
-        "sweep" => return cmd_sweep(&args[1..]),
-        "optimize" => return cmd_optimize(&args[1..]),
-        "whatif" => return cmd_whatif(&args[1..]),
+        "serve" => return cmd_serve(&args[1..], out),
+        "stats" => return cmd_stats(&args[1..], out),
+        "top" => return cmd_top(&args[1..], out),
+        "alerts" => return cmd_alerts(&args[1..], out),
+        "batch" => return cmd_batch(&args[1..], out),
+        "sweep" => return cmd_sweep(&args[1..], out),
+        "optimize" => return cmd_optimize(&args[1..], out),
+        "whatif" => return cmd_whatif(&args[1..], out),
         _ => {}
     }
     let path = args.get(1).ok_or_else(|| usage_of(cmd))?;
     let net = load(path)?;
     match cmd {
         "show" => {
-            print!("{net}");
+            write!(out, "{net}")?;
             let s = net.stats();
-            println!(
+            writeln!(
+                out,
                 "\n{} places, {} transitions, {} arcs, {} conflict sets ({} non-trivial), {} initial tokens",
                 s.places, s.transitions, s.arcs, s.conflict_sets, s.nontrivial_conflict_sets, s.initial_tokens
-            );
-            println!("digest {}", net.digest());
+            )?;
+            writeln!(out, "digest {}", net.digest())?;
             Ok(())
         }
         "dot" => {
-            print!("{}", tpn_net::to_dot(&net));
+            write!(out, "{}", tpn_net::to_dot(&net))?;
             Ok(())
         }
         "graph" => {
             let session = session_over(net);
             let trg = session.trg().map_err(|e| e.to_string())?;
             let net = session.net();
-            println!(
+            writeln!(
+                out,
                 "{} states, {} edges, {} decision states, {} terminal states\n",
                 trg.num_states(),
                 trg.num_edges(),
                 trg.decision_states().len(),
                 trg.terminal_states().len()
-            );
-            print!("{}", trg.describe_states(net));
-            println!("\n{}", trg.to_dot(net));
+            )?;
+            write!(out, "{}", trg.describe_states(net))?;
+            writeln!(out, "\n{}", trg.to_dot(net))?;
             Ok(())
         }
         "analyze" => {
@@ -304,11 +346,11 @@ fn run(args: &[String]) -> Result<(), String> {
             let dg = session.decision_graph().map_err(|e| e.to_string())?;
             let perf = session.performance().map_err(|e| e.to_string())?;
             let net = session.net();
-            println!("decision graph:");
-            print!("{}", dg.describe(net));
-            println!("\nrates and weights (reference edge 0):");
-            print!("{}", perf.describe(net, &dg));
-            println!("\nthroughput (firings per time unit):");
+            writeln!(out, "decision graph:")?;
+            write!(out, "{}", dg.describe(net))?;
+            writeln!(out, "\nrates and weights (reference edge 0):")?;
+            write!(out, "{}", perf.describe(net, &dg))?;
+            writeln!(out, "\nthroughput (firings per time unit):")?;
             let selected: Vec<String> = args[2..].to_vec();
             for t in net.transitions() {
                 let name = net.transition(t).name();
@@ -316,7 +358,7 @@ fn run(args: &[String]) -> Result<(), String> {
                     continue;
                 }
                 let th = perf.throughput(&dg, t);
-                println!("  {name:<16} {th}  ≈ {:.6}", th.to_f64());
+                writeln!(out, "  {name:<16} {th}  ≈ {:.6}", th.to_f64())?;
             }
             Ok(())
         }
@@ -325,16 +367,19 @@ fn run(args: &[String]) -> Result<(), String> {
             let trg = session.trg().map_err(|e| e.to_string())?;
             let net = session.net();
             let report = tpn_reach::analyze(&trg, net);
-            print!("{}", report.describe(net));
+            write!(out, "{}", report.describe(net))?;
             if report.is_correct() {
-                println!("verdict: correct (deadlock-free, 1-safe, live, reversible)");
+                writeln!(
+                    out,
+                    "verdict: correct (deadlock-free, 1-safe, live, reversible)"
+                )?;
             } else {
-                println!("verdict: NOT correct");
+                writeln!(out, "verdict: NOT correct")?;
             }
             Ok(())
         }
         "invariants" => {
-            println!("P-semiflows (conserved token sums):");
+            writeln!(out, "P-semiflows (conserved token sums):")?;
             for f in invariant::p_semiflows(&net) {
                 let parts: Vec<String> = f
                     .support()
@@ -349,13 +394,14 @@ fn run(args: &[String]) -> Result<(), String> {
                         }
                     })
                     .collect();
-                println!(
+                writeln!(
+                    out,
                     "  {} = {}",
                     parts.join(" + "),
                     invariant::conserved_quantity(&net, &f)
-                );
+                )?;
             }
-            println!("T-semiflows (marking-reproducing firing counts):");
+            writeln!(out, "T-semiflows (marking-reproducing firing counts):")?;
             for f in invariant::t_semiflows(&net) {
                 let parts: Vec<String> = f
                     .support()
@@ -370,12 +416,13 @@ fn run(args: &[String]) -> Result<(), String> {
                         }
                     })
                     .collect();
-                println!("  {{{}}}", parts.join(", "));
+                writeln!(out, "  {{{}}}", parts.join(", "))?;
             }
-            println!(
+            writeln!(
+                out,
                 "covered by P-semiflows (structurally bounded): {}",
                 invariant::covered_by_p_semiflows(&net)
-            );
+            )?;
             Ok(())
         }
         "simulate" => {
@@ -398,12 +445,12 @@ fn run(args: &[String]) -> Result<(), String> {
                 },
             )
             .map_err(|e| e.to_string())?;
-            print!("{}", stats.describe(&net));
+            write!(out, "{}", stats.describe(&net))?;
             Ok(())
         }
         // Reached only if COMMANDS gains an entry without a match arm:
         // degrade to the error path rather than panicking.
-        other => Err(format!("unknown command {other:?}\n{}", global_usage())),
+        other => Err(format!("unknown command {other:?}\n{}", global_usage()).into()),
     }
 }
 
@@ -412,8 +459,8 @@ fn run(args: &[String]) -> Result<(), String> {
 /// parameter grid. Prints exactly the JSON document the daemon's
 /// `POST /sweep` endpoint returns for the same net and spec
 /// (byte-identical: both go through `tpn_service::sweep_json`).
-fn cmd_sweep(args: &[String]) -> Result<(), String> {
-    run_spec_command(args, "sweep", "--max-points", |session, doc| {
+fn cmd_sweep(args: &[String], out: &mut dyn Write) -> Result<(), Failure> {
+    run_spec_command(args, out, "sweep", "--max-points", |session, doc| {
         let spec = tpn_service::SweepSpec::from_json(doc).map_err(|e| e.to_string())?;
         let (body, _) = tpn_service::sweep_json(session, &spec).map_err(|e| e.to_string())?;
         Ok(body)
@@ -425,12 +472,19 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
 /// optimises a performance measure. Prints exactly the JSON document
 /// the daemon's `POST /optimize` endpoint returns for the same net and
 /// spec (byte-identical: both go through `tpn_service::optimize_json`).
-fn cmd_optimize(args: &[String]) -> Result<(), String> {
-    run_spec_command(args, "optimize", "--max-seed-points", |session, doc| {
-        let spec = tpn_service::OptimizeSpec::from_json(doc).map_err(|e| e.to_string())?;
-        let (body, _) = tpn_service::optimize_json(session, &spec).map_err(|e| e.to_string())?;
-        Ok(body)
-    })
+fn cmd_optimize(args: &[String], out: &mut dyn Write) -> Result<(), Failure> {
+    run_spec_command(
+        args,
+        out,
+        "optimize",
+        "--max-seed-points",
+        |session, doc| {
+            let spec = tpn_service::OptimizeSpec::from_json(doc).map_err(|e| e.to_string())?;
+            let (body, _) =
+                tpn_service::optimize_json(session, &spec).map_err(|e| e.to_string())?;
+            Ok(body)
+        },
+    )
 }
 
 /// Shared scaffolding of the spec-driven subcommands (`sweep`,
@@ -442,10 +496,11 @@ fn cmd_optimize(args: &[String]) -> Result<(), String> {
 /// serves (both derive through a session).
 fn run_spec_command(
     args: &[String],
+    out: &mut dyn Write,
     cmd: &str,
     budget_flag: &str,
     produce: impl FnOnce(&Session, &tpn_service::Json) -> Result<String, String>,
-) -> Result<(), String> {
+) -> Result<(), Failure> {
     let defaults = ServiceConfig::default();
     let mut threads = defaults.sweep_threads;
     let mut budget = defaults.max_sweep_points;
@@ -463,13 +518,13 @@ fn run_spec_command(
             "--threads" => threads = flag_value("--threads")? as usize,
             flag if flag == budget_flag => budget = flag_value(budget_flag)?,
             flag if flag.starts_with('-') => {
-                return Err(format!("unknown flag {flag:?}\n{}", usage_of(cmd)))
+                return Err(format!("unknown flag {flag:?}\n{}", usage_of(cmd)).into())
             }
             a => positional.push(a),
         }
     }
     let [net_path, spec_path] = positional.as_slice() else {
-        return Err(usage_of(cmd));
+        return Err(usage_of(cmd).into());
     };
     let net = load(net_path)?;
     let spec_text = std::fs::read_to_string(spec_path).map_err(|e| format!("{spec_path}: {e}"))?;
@@ -477,14 +532,15 @@ fn run_spec_command(
     if doc.get("net").is_some() {
         return Err(format!(
             "{spec_path}: the net comes from the <net.tpn> argument; drop the \"net\" member"
-        ));
+        )
+        .into());
     }
     let session = Session::new(
         net,
         SessionOptions::new().threads(threads).max_points(budget),
     );
     let body = produce(&session, &doc)?;
-    println!("{body}");
+    writeln!(out, "{body}")?;
     Ok(())
 }
 
@@ -494,12 +550,12 @@ fn run_spec_command(
 /// document the daemon's `POST /whatif` endpoint returns for the same
 /// net and spec (byte-identical: both assemble through the same
 /// in-process [`Service`]).
-fn cmd_whatif(args: &[String]) -> Result<(), String> {
+fn cmd_whatif(args: &[String], out: &mut dyn Write) -> Result<(), Failure> {
     if let Some(flag) = args.iter().find(|a| a.starts_with('-')) {
-        return Err(format!("unknown flag {flag:?}\n{}", usage_of("whatif")));
+        return Err(format!("unknown flag {flag:?}\n{}", usage_of("whatif")).into());
     }
     let [net_path, spec_path] = args else {
-        return Err(usage_of("whatif"));
+        return Err(usage_of("whatif").into());
     };
     let net = load(net_path)?;
     let spec_text = std::fs::read_to_string(spec_path).map_err(|e| format!("{spec_path}: {e}"))?;
@@ -507,19 +563,20 @@ fn cmd_whatif(args: &[String]) -> Result<(), String> {
     if doc.get("net").is_some() {
         return Err(format!(
             "{spec_path}: the net comes from the <net.tpn> argument; drop the \"net\" member"
-        ));
+        )
+        .into());
     }
     let spec = tpn_service::WhatifSpec::from_json(&doc).map_err(|e| e.to_string())?;
     let service = Service::new(ServiceConfig::default());
     let body = service.respond_whatif_spec(net, &spec);
-    println!("{body}");
+    writeln!(out, "{body}")?;
     Ok(())
 }
 
 /// `tpn serve <addr> [--threads N] [--queue N] [--cache-bytes N]
 /// [--no-metrics] [--log[=FILE]] [--log-sample N]`
 #[cfg(target_os = "linux")]
-fn cmd_serve(args: &[String]) -> Result<(), String> {
+fn cmd_serve(args: &[String], out: &mut dyn Write) -> Result<(), Failure> {
     let mut addr: Option<&str> = None;
     let mut config = ServiceConfig::default();
     let mut log_requested = false;
@@ -577,14 +634,11 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                 log_path = Some(flag["--log=".len()..].to_string());
             }
             flag if flag.starts_with('-') => {
-                return Err(format!("unknown flag {flag:?}\n{}", usage_of("serve")))
+                return Err(format!("unknown flag {flag:?}\n{}", usage_of("serve")).into())
             }
             a if addr.is_none() => addr = Some(a),
             extra => {
-                return Err(format!(
-                    "unexpected argument {extra:?}\n{}",
-                    usage_of("serve")
-                ))
+                return Err(format!("unexpected argument {extra:?}\n{}", usage_of("serve")).into())
             }
         }
     }
@@ -593,7 +647,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             return Err(format!(
                 "--log requires metrics (drop --no-metrics)\n{}",
                 usage_of("serve")
-            ));
+            )
+            .into());
         }
         config.log = Some(tpn_service::LogConfig {
             path: log_path,
@@ -603,20 +658,21 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let addr = addr.ok_or_else(|| usage_of("serve"))?;
     let service = std::sync::Arc::new(Service::new(config));
     let handle = tpn_service::spawn(service, addr).map_err(|e| format!("{addr}: {e}"))?;
-    println!("tpn-service listening on http://{}", handle.addr());
-    println!(
+    writeln!(out, "tpn-service listening on http://{}", handle.addr())?;
+    writeln!(
+        out,
         "endpoints: POST /v1 /analyze /graph /correctness /invariants /simulate /sweep /optimize \
          /whatif /alerts/silence · GET /healthz /stats /metrics /metrics/history /slo /alerts \
          /debug/requests /debug/slow"
-    );
+    )?;
     handle.wait();
     Ok(())
 }
 
 /// The daemon's only listener is the epoll reactor.
 #[cfg(not(target_os = "linux"))]
-fn cmd_serve(_args: &[String]) -> Result<(), String> {
-    Err("serve requires Linux (epoll)".to_string())
+fn cmd_serve(_args: &[String], _out: &mut dyn Write) -> Result<(), Failure> {
+    Err("serve requires Linux (epoll)".to_string().into())
 }
 
 /// Fetch one path from a daemon over a single `Connection: close`
@@ -656,7 +712,7 @@ fn http_get(addr: &str, path: &str) -> Result<String, String> {
 /// with dotted names); `--metrics` prints the raw Prometheus
 /// exposition instead. `--watch SECS` redraws every SECS seconds
 /// (`--ticks N` stops after N frames; mostly for scripting and tests).
-fn cmd_stats(args: &[String]) -> Result<(), String> {
+fn cmd_stats(args: &[String], out: &mut dyn Write) -> Result<(), Failure> {
     let mut addr: Option<&str> = None;
     let mut raw_metrics = false;
     let mut watch: Option<u64> = None;
@@ -675,14 +731,11 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
             "--watch" => watch = Some(flag_value("--watch")?),
             "--ticks" => ticks = flag_value("--ticks")?,
             flag if flag.starts_with('-') => {
-                return Err(format!("unknown flag {flag:?}\n{}", usage_of("stats")))
+                return Err(format!("unknown flag {flag:?}\n{}", usage_of("stats")).into())
             }
             a if addr.is_none() => addr = Some(a),
             extra => {
-                return Err(format!(
-                    "unexpected argument {extra:?}\n{}",
-                    usage_of("stats")
-                ))
+                return Err(format!("unexpected argument {extra:?}\n{}", usage_of("stats")).into())
             }
         }
     }
@@ -700,10 +753,10 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     };
     match watch {
         None => {
-            print!("{}", frame()?);
+            write!(out, "{}", frame()?)?;
             Ok(())
         }
-        Some(secs) => watch_loop(secs, ticks, frame),
+        Some(secs) => watch_loop(secs, ticks, frame, out),
     }
 }
 
@@ -713,7 +766,7 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
 /// aligned row per endpoint with current rates, latency quantiles,
 /// burn rates and health. Redraws every `--interval` seconds (default
 /// 2); `--ticks N` stops after N frames (default: run until ^C).
-fn cmd_top(args: &[String]) -> Result<(), String> {
+fn cmd_top(args: &[String], out: &mut dyn Write) -> Result<(), Failure> {
     let mut addr: Option<&str> = None;
     let mut interval: u64 = 2;
     let mut window: u64 = 60;
@@ -732,20 +785,17 @@ fn cmd_top(args: &[String]) -> Result<(), String> {
             "--window" => window = flag_value("--window")?.max(1),
             "--ticks" => ticks = flag_value("--ticks")?,
             flag if flag.starts_with('-') => {
-                return Err(format!("unknown flag {flag:?}\n{}", usage_of("top")))
+                return Err(format!("unknown flag {flag:?}\n{}", usage_of("top")).into())
             }
             a if addr.is_none() => addr = Some(a),
             extra => {
-                return Err(format!(
-                    "unexpected argument {extra:?}\n{}",
-                    usage_of("top")
-                ))
+                return Err(format!("unexpected argument {extra:?}\n{}", usage_of("top")).into())
             }
         }
     }
     let addr = addr.ok_or_else(|| usage_of("top"))?;
     let step = interval.min(window);
-    watch_loop(interval, ticks, || top_frame(addr, window, step))
+    watch_loop(interval, ticks, || top_frame(addr, window, step), out)
 }
 
 /// `tpn alerts <addr> [--watch SECS] [--ticks N]` — render a running
@@ -753,7 +803,7 @@ fn cmd_top(args: &[String]) -> Result<(), String> {
 /// state, last value vs threshold, time in state, silenced), then the
 /// most recent firing/resolved transitions. `--watch SECS` redraws
 /// every SECS seconds (`--ticks N` stops after N frames).
-fn cmd_alerts(args: &[String]) -> Result<(), String> {
+fn cmd_alerts(args: &[String], out: &mut dyn Write) -> Result<(), Failure> {
     let mut addr: Option<&str> = None;
     let mut watch: Option<u64> = None;
     let mut ticks: u64 = 0;
@@ -770,24 +820,21 @@ fn cmd_alerts(args: &[String]) -> Result<(), String> {
             "--watch" => watch = Some(flag_value("--watch")?),
             "--ticks" => ticks = flag_value("--ticks")?,
             flag if flag.starts_with('-') => {
-                return Err(format!("unknown flag {flag:?}\n{}", usage_of("alerts")))
+                return Err(format!("unknown flag {flag:?}\n{}", usage_of("alerts")).into())
             }
             a if addr.is_none() => addr = Some(a),
             extra => {
-                return Err(format!(
-                    "unexpected argument {extra:?}\n{}",
-                    usage_of("alerts")
-                ))
+                return Err(format!("unexpected argument {extra:?}\n{}", usage_of("alerts")).into())
             }
         }
     }
     let addr = addr.ok_or_else(|| usage_of("alerts"))?;
     match watch {
         None => {
-            print!("{}", alerts_frame(addr)?);
+            write!(out, "{}", alerts_frame(addr)?)?;
             Ok(())
         }
-        Some(secs) => watch_loop(secs, ticks, || alerts_frame(addr)),
+        Some(secs) => watch_loop(secs, ticks, || alerts_frame(addr), out),
     }
 }
 
@@ -1072,17 +1119,18 @@ fn watch_loop(
     interval_s: u64,
     ticks: u64,
     mut frame: impl FnMut() -> Result<String, String>,
-) -> Result<(), String> {
-    use std::io::{IsTerminal, Write};
+    out: &mut dyn Write,
+) -> Result<(), Failure> {
+    use std::io::IsTerminal;
     let clear = std::io::stdout().is_terminal();
     let mut drawn = 0u64;
     loop {
         let body = frame()?;
         if clear {
-            print!("\x1b[2J\x1b[H");
+            write!(out, "\x1b[2J\x1b[H")?;
         }
-        print!("{body}");
-        std::io::stdout().flush().ok();
+        write!(out, "{body}")?;
+        out.flush()?;
         drawn += 1;
         if ticks != 0 && drawn >= ticks {
             return Ok(());
@@ -1218,7 +1266,7 @@ fn flatten_stats(
 /// `tpn batch nets analyze graph correctness` builds each net's TRG a
 /// single time. Identical nets (by content digest) are computed once
 /// across files too, thanks to the shared two-tier cache.
-fn cmd_batch(args: &[String]) -> Result<(), String> {
+fn cmd_batch(args: &[String], out: &mut dyn Write) -> Result<(), Failure> {
     let dir = args.first().ok_or_else(|| usage_of("batch"))?;
     let kind_names: Vec<&str> = if args.len() > 1 {
         args[1..].iter().map(String::as_str).collect()
@@ -1242,7 +1290,7 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
         .collect();
     files.sort();
     if files.is_empty() {
-        return Err(format!("{dir}: no .tpn files"));
+        return Err(format!("{dir}: no .tpn files").into());
     }
     let service = Service::new(ServiceConfig::default());
     let mut failures = 0usize;
@@ -1254,35 +1302,38 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
         match std::fs::read_to_string(path) {
             Err(e) => {
                 failures += 1;
-                println!(
+                writeln!(
+                    out,
                     "{{\"file\":{},\"error\":{}}}",
                     json::escape(&name),
                     json::escape(&e.to_string())
-                );
+                )?;
             }
             Ok(src) => {
                 // One parse, one session, every kind.
                 for (status, body) in service.respond_many(&kinds, &src) {
                     if status == 200 {
                         // `body` already carries the digest; wrap it verbatim.
-                        println!("{{\"file\":{},\"result\":{body}}}", json::escape(&name));
+                        writeln!(
+                            out,
+                            "{{\"file\":{},\"result\":{body}}}",
+                            json::escape(&name)
+                        )?;
                     } else {
                         failures += 1;
                         // body is the {"error":…} document
-                        println!(
+                        writeln!(
+                            out,
                             "{{\"file\":{},\"status\":{status},\"result\":{body}}}",
                             json::escape(&name)
-                        );
+                        )?;
                     }
                 }
             }
         }
     }
     if failures > 0 {
-        return Err(format!(
-            "{failures} failure(s) over {} file(s)",
-            files.len()
-        ));
+        return Err(format!("{failures} failure(s) over {} file(s)", files.len()).into());
     }
     Ok(())
 }

@@ -3,7 +3,8 @@
 //! Figure-1 protocol and its stdout is checked against the paper's
 //! numbers (18 reachable states, ≈2.85 messages/second throughput).
 
-use std::process::{Command, Output};
+use std::io::{BufRead, BufReader};
+use std::process::{Command, Output, Stdio};
 
 fn fixture() -> String {
     format!("{}/tests/fixtures/fig1.tpn", env!("CARGO_MANIFEST_DIR"))
@@ -216,4 +217,42 @@ fn internal_panic_is_one_error_line_and_exit_1() {
     assert_eq!(err.lines().count(), 1, "{err}");
     assert!(err.starts_with("tpn: internal error: "), "{err}");
     assert!(!err.contains("backtrace"), "{err}");
+}
+
+#[test]
+fn closed_stdout_pipe_ends_quietly() {
+    // `tpn show` of a 3000-stage ring prints ~220 KB, more than any pipe
+    // buffer holds, so writes after the reader hangs up fail with EPIPE.
+    let n = 3000;
+    let mut src = String::from("net ring\n");
+    for i in 0..n {
+        let init = if i == 0 { " init 1" } else { "" };
+        src.push_str(&format!("place p{i}{init}\n"));
+    }
+    for i in 0..n {
+        src.push_str(&format!(
+            "trans t{i} in p{i} out p{} firing 1\n",
+            (i + 1) % n
+        ));
+    }
+    let path = std::env::temp_dir().join(format!("tpn-cli-pipe-{}.tpn", std::process::id()));
+    std::fs::write(&path, src).expect("write the ring net");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_tpn"))
+        .arg("show")
+        .arg(&path)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("tpn binary runs");
+    // Read the first line, as `tpn show ring.tpn | head -1` would, then
+    // close the pipe.
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("first line");
+    let out = child.wait_with_output().expect("tpn exits");
+    std::fs::remove_file(&path).ok();
+    assert_eq!(first, "net ring\n");
+    assert_eq!(String::from_utf8_lossy(&out.stderr), "");
+    assert_eq!(out.status.code(), Some(0));
 }

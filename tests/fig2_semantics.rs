@@ -20,8 +20,8 @@ fn t2_preempts_t1_deterministically() {
     let mut fired_t1 = 0;
     let mut fired_t2 = 0;
     for e in trg.all_edges() {
-        fired_t1 += e.fired.iter().filter(|&&t| t == f.t1).count();
-        fired_t2 += e.fired.iter().filter(|&&t| t == f.t2).count();
+        fired_t1 += trg.fired(e).iter().filter(|&&t| t == f.t1).count();
+        fired_t2 += trg.fired(e).iter().filter(|&&t| t == f.t2).count();
     }
     assert_eq!(
         fired_t1, 0,
@@ -47,7 +47,7 @@ fn timeline_matches_the_narrative() {
             break;
         }
         let e = &es[0];
-        if e.kind == EdgeKind::Fire && e.fired.contains(&f.t2) {
+        if e.kind == EdgeKind::Fire && trg.fired(e).contains(&f.t2) {
             t2_fired_at = Some(elapsed);
         }
         elapsed += e.delay;

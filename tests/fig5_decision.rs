@@ -104,15 +104,15 @@ fn collapsed_paths_follow_the_paper() {
     // is 3-4-9-10-11: 5 states.
     let f = build();
     let [e1, e2, e3, e4] = f.e;
-    assert_eq!(f.dg.edges()[e3].path.len(), 5);
-    assert_eq!(f.dg.edges()[e2].path.len(), 9);
-    assert_eq!(f.dg.edges()[e1].path.len(), 8); // 3-5-6-7-8-1-2-3
-    assert_eq!(f.dg.edges()[e4].path.len(), 8); // 11-12-14-7-8-1-2-3
-                                                // edge 2 fires t8 (ack transmit), t7 (ack receipt), t1, t2
-    let names: Vec<&str> = f.dg.edges()[e2]
-        .fired
-        .iter()
-        .map(|t| f.proto.net.transition(*t).name())
-        .collect();
+    assert_eq!(f.dg.path(&f.dg.edges()[e3]).len(), 5);
+    assert_eq!(f.dg.path(&f.dg.edges()[e2]).len(), 9);
+    assert_eq!(f.dg.path(&f.dg.edges()[e1]).len(), 8); // 3-5-6-7-8-1-2-3
+    assert_eq!(f.dg.path(&f.dg.edges()[e4]).len(), 8); // 11-12-14-7-8-1-2-3
+                                                       // edge 2 fires t8 (ack transmit), t7 (ack receipt), t1, t2
+    let names: Vec<&str> =
+        f.dg.fired(&f.dg.edges()[e2])
+            .iter()
+            .map(|t| f.proto.net.transition(*t).name())
+            .collect();
     assert_eq!(names, vec!["t8", "t7", "t1", "t2"]);
 }

@@ -31,7 +31,7 @@ where
 {
     let mut num = D::Prob::zero();
     for (ei, e) in dg.edges().iter().enumerate() {
-        for _ in e.fired.iter().filter(|&&x| x == t) {
+        for _ in dg.fired(e).iter().filter(|&&x| x == t) {
             num = num.add(perf.rates().rate(ei));
         }
     }
@@ -65,7 +65,7 @@ where
     }
     dg.edges()
         .iter()
-        .flat_map(|e| e.fired.iter().map(|&t| e.firings_of(t)))
+        .flat_map(|e| dg.fired(e).iter().map(|&t| dg.firings_of(e, t)))
         .max()
         .unwrap_or(0)
 }
