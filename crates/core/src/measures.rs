@@ -29,10 +29,7 @@ pub struct Performance<D: AnalysisDomain> {
     rates: Rates<D::Prob>,
 }
 
-impl<D: AnalysisDomain> Performance<D>
-where
-    D::Prob: Field,
-{
+impl<D: AnalysisDomain> Performance<D> {
     /// Combine a decision graph with solved rates into measures.
     pub fn new(
         dg: &DecisionGraph<D>,

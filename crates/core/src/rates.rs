@@ -83,14 +83,10 @@ impl<P: Clone> Rates<P> {
 /// classes, the dimension of the equations' solution space),
 /// [`CoreError::ZeroReferenceRate`] if the reference edge leaves a
 /// transient node, [`CoreError::NoSuchEdge`] for a bad index.
-pub fn solve_rates<D>(
+pub fn solve_rates<D: AnalysisDomain>(
     dg: &DecisionGraph<D>,
     reference_edge: usize,
-) -> Result<Rates<D::Prob>, CoreError>
-where
-    D: AnalysisDomain,
-    D::Prob: Field,
-{
+) -> Result<Rates<D::Prob>, CoreError> {
     let Some(reference) = dg.edges().get(reference_edge) else {
         return Err(CoreError::NoSuchEdge {
             edge: reference_edge,

@@ -2,34 +2,52 @@
 //!
 //! The Figure-3 successor procedure is identical for the numeric
 //! analysis of Section 2 and the symbolic analysis of Section 3; only
-//! the interpretation of times (exact rationals vs. affine expressions
-//! under timing constraints) and probabilities (rationals vs. rational
-//! functions of frequency symbols) differs. [`AnalysisDomain`] captures
-//! that interface, so the graph construction in [`crate::build_trg`] is
-//! written once. The paper's envisioned extensions (e.g. ranges of
-//! firing times, §Conclusion) would slot in as further domains.
+//! the interpretation of times (exact rationals vs. affine expressions)
+//! and probabilities (rationals vs. rational functions of frequency
+//! symbols) differs. [`AnalysisDomain`] captures that interface, so the
+//! graph construction in [`crate::build_trg`] is written once, and the
+//! paper's conflict-resolution rule is stated once, over any [`Field`].
 
+use std::collections::BTreeSet;
 use std::fmt;
 use std::hash::Hash;
 
-use tpn_net::{symbols, Frequency, TimeValue, TimedPetriNet, TransId};
+use tpn_linalg::Field;
+use tpn_net::{symbols, TimedPetriNet, TransId};
 use tpn_rational::Rational;
-use tpn_symbolic::{ConstraintSet, LinExpr, Poly, RatFn, Relation};
+use tpn_symbolic::{ConstraintSet, LinExpr, Poly, RatFn, Relation, Symbol};
 
 use crate::ReachError;
 
 /// The time/probability interpretation used by a reachability analysis.
+///
+/// The branching probabilities of a decision state follow from the
+/// members' [`weight`](AnalysisDomain::weight)s by the paper's rule,
+/// applied to each firable conflict set on its own:
+///
+/// * a lone firable member fires with probability 1, whatever its
+///   frequency;
+/// * otherwise each member gets its weight over the set's total, so a
+///   zero-frequency member loses to any positive one (probability 0:
+///   the selector is omitted, as in the paper's Figure 4);
+/// * if every firable member has frequency zero — a case the paper
+///   leaves open — the choice is uniform.
 pub trait AnalysisDomain {
     /// Representation of delays (RET/RFT entries, edge delays).
     type Time: Clone + Eq + Hash + fmt::Debug + fmt::Display;
     /// Representation of branching probabilities.
-    type Prob: Clone + Eq + fmt::Debug + fmt::Display;
+    type Prob: Field + Eq + fmt::Display;
 
     /// The enabling time `E(t)`.
     fn enabling_time(&self, net: &TimedPetriNet, t: TransId) -> Result<Self::Time, ReachError>;
 
     /// The firing time `F(t)`.
     fn firing_time(&self, net: &TimedPetriNet, t: TransId) -> Result<Self::Time, ReachError>;
+
+    /// The relative firing frequency `f(t)`, the weight the paper's rule
+    /// (see the trait docs) turns into branching probabilities. Every
+    /// firable member's weight is looked up, a lone member's included.
+    fn weight(&self, net: &TimedPetriNet, t: TransId) -> Result<Self::Prob, ReachError>;
 
     /// The zero delay.
     fn zero(&self) -> Self::Time;
@@ -57,28 +75,70 @@ pub trait AnalysisDomain {
     /// Decide `a == b` (callers use this to detect simultaneous
     /// completions after subtracting the minimum). Must be exact.
     fn time_eq(&self, a: &Self::Time, b: &Self::Time, state: usize) -> Result<bool, ReachError>;
+}
 
-    /// The probability 1.
-    fn prob_one(&self) -> Self::Prob;
+/// Append to `out` the branching probability of each member of
+/// `firable`, the firable members of one conflict set in order, by the
+/// rule stated on [`AnalysisDomain`].
+pub(crate) fn branch_probabilities<D: AnalysisDomain>(
+    domain: &D,
+    net: &TimedPetriNet,
+    firable: &[TransId],
+    out: &mut Vec<D::Prob>,
+) -> Result<(), ReachError> {
+    let start = out.len();
+    for &t in firable {
+        out.push(domain.weight(net, t)?);
+    }
+    let probs = &mut out[start..];
+    if let [lone] = probs {
+        *lone = D::Prob::one();
+    } else if probs.iter().all(Field::is_zero) {
+        probs.fill(D::Prob::one().div(&D::Prob::from_int(probs.len() as i128)));
+    } else {
+        let total = probs.iter().fold(D::Prob::zero(), |acc, w| acc.add(w));
+        for p in probs {
+            *p = p.div(&total);
+        }
+    }
+    Ok(())
+}
 
-    /// Branching probabilities for the firable members of one conflict
-    /// set, in the order given. Implements the paper's rule: zero-
-    /// frequency members are excluded when any positive-frequency member
-    /// is firable; a lone firable member gets probability 1.
-    fn probabilities(
-        &self,
-        net: &TimedPetriNet,
-        firable: &[TransId],
-    ) -> Result<Vec<Self::Prob>, ReachError>;
+/// One of the three per-transition attributes of the paper's model.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Attribute {
+    Enabling,
+    Firing,
+    Frequency,
+}
 
-    /// Product of probabilities (for selector cross products).
-    fn prob_mul(&self, a: &Self::Prob, b: &Self::Prob) -> Self::Prob;
+impl Attribute {
+    pub(crate) const ALL: [Attribute; 3] =
+        [Attribute::Enabling, Attribute::Firing, Attribute::Frequency];
 
-    /// `true` iff a probability is identically zero. Zero-probability
-    /// selectors (a zero-frequency transition losing to a prioritised
-    /// competitor) are omitted from the graph, exactly as in the paper's
-    /// Figure 4.
-    fn prob_is_zero(&self, p: &Self::Prob) -> bool;
+    /// The attribute's canonical symbol for transition `name`.
+    pub(crate) fn symbol(self, name: &str) -> Symbol {
+        match self {
+            Attribute::Enabling => symbols::enabling(name),
+            Attribute::Firing => symbols::firing(name),
+            Attribute::Frequency => symbols::frequency(name),
+        }
+    }
+
+    /// `t`'s value of the attribute, or [`ReachError::UnknownAttribute`]
+    /// if `net` leaves it unknown.
+    pub(crate) fn known(self, net: &TimedPetriNet, t: TransId) -> Result<Rational, ReachError> {
+        let tr = net.transition(t);
+        let (value, which) = match self {
+            Attribute::Enabling => (tr.enabling().known(), "enabling time"),
+            Attribute::Firing => (tr.firing().known(), "firing time"),
+            Attribute::Frequency => (tr.frequency().weight(), "frequency"),
+        };
+        value.copied().ok_or_else(|| ReachError::UnknownAttribute {
+            transition: tr.name().to_string(),
+            which,
+        })
+    }
 }
 
 /// Section-2 analysis: every time and frequency is known a priori.
@@ -90,20 +150,6 @@ impl NumericDomain {
     pub fn new() -> NumericDomain {
         NumericDomain
     }
-
-    fn known(
-        v: &TimeValue,
-        net: &TimedPetriNet,
-        t: TransId,
-        which: &'static str,
-    ) -> Result<Rational, ReachError> {
-        v.known()
-            .copied()
-            .ok_or_else(|| ReachError::UnknownAttribute {
-                transition: net.transition(t).name().to_string(),
-                which,
-            })
-    }
 }
 
 impl AnalysisDomain for NumericDomain {
@@ -111,11 +157,15 @@ impl AnalysisDomain for NumericDomain {
     type Prob = Rational;
 
     fn enabling_time(&self, net: &TimedPetriNet, t: TransId) -> Result<Rational, ReachError> {
-        Self::known(net.transition(t).enabling(), net, t, "enabling time")
+        Attribute::Enabling.known(net, t)
     }
 
     fn firing_time(&self, net: &TimedPetriNet, t: TransId) -> Result<Rational, ReachError> {
-        Self::known(net.transition(t).firing(), net, t, "firing time")
+        Attribute::Firing.known(net, t)
+    }
+
+    fn weight(&self, net: &TimedPetriNet, t: TransId) -> Result<Rational, ReachError> {
+        Attribute::Frequency.known(net, t)
     }
 
     fn zero(&self) -> Rational {
@@ -151,55 +201,95 @@ impl AnalysisDomain for NumericDomain {
     fn time_eq(&self, a: &Rational, b: &Rational, _state: usize) -> Result<bool, ReachError> {
         Ok(a == b)
     }
+}
 
-    fn prob_one(&self) -> Rational {
-        Rational::ONE
-    }
+/// How a [`Symbolic`] domain decides the comparisons between delays
+/// that the Figure-3 procedure asks for.
+pub trait Comparisons: fmt::Debug {
+    /// Decide whether a stored delay is zero (see
+    /// [`AnalysisDomain::is_zero`]).
+    fn is_zero(&self, t: &LinExpr) -> bool;
 
-    fn probabilities(
+    /// Index of the minimal element of `candidates` (non-empty).
+    fn min_index(&self, candidates: &[LinExpr], state: usize) -> Result<usize, ReachError>;
+
+    /// Decide `a == b`.
+    fn time_eq(&self, a: &LinExpr, b: &LinExpr, state: usize) -> Result<bool, ReachError>;
+}
+
+/// A symbolic analysis domain: times are affine expressions
+/// ([`LinExpr`]) and probabilities rational functions ([`RatFn`]) over
+/// the `E(t)`, `F(t)` and `f(t)` symbols.
+///
+/// An attribute is its canonical symbol if the domain's symbol set holds
+/// it, and its known value otherwise (an attribute that is neither is
+/// [`ReachError::UnknownAttribute`]). The policy `C` decides every
+/// comparison; see [`SymbolicDomain`] and
+/// [`LiftedDomain`](crate::LiftedDomain) for the two readings.
+#[derive(Debug, Clone)]
+pub struct Symbolic<C> {
+    pub(crate) symbols: BTreeSet<Symbol>,
+    pub(crate) policy: C,
+}
+
+impl<C> Symbolic<C> {
+    /// `t`'s attribute as an affine expression.
+    fn attribute(
         &self,
         net: &TimedPetriNet,
-        firable: &[TransId],
-    ) -> Result<Vec<Rational>, ReachError> {
-        let weights: Result<Vec<Rational>, ReachError> = firable
-            .iter()
-            .map(|&t| match net.transition(t).frequency() {
-                Frequency::Weight(w) => Ok(*w),
-                Frequency::Unknown => Err(ReachError::UnknownAttribute {
-                    transition: net.transition(t).name().to_string(),
-                    which: "frequency",
-                }),
-            })
-            .collect();
-        let weights = weights?;
-        Ok(split_weights_numeric(&weights))
-    }
-
-    fn prob_mul(&self, a: &Rational, b: &Rational) -> Rational {
-        a * b
-    }
-
-    fn prob_is_zero(&self, p: &Rational) -> bool {
-        p.is_zero()
+        t: TransId,
+        attr: Attribute,
+    ) -> Result<LinExpr, ReachError> {
+        let sym = attr.symbol(net.transition(t).name());
+        if self.symbols.contains(&sym) {
+            return Ok(LinExpr::symbol(sym));
+        }
+        attr.known(net, t).map(LinExpr::constant)
     }
 }
 
-/// Apply the paper's conflict-resolution rule to known weights.
-fn split_weights_numeric(weights: &[Rational]) -> Vec<Rational> {
-    if weights.len() == 1 {
-        // "If only one transition is firable, the probability of firing
-        // it is 1, regardless of firing frequency."
-        return vec![Rational::ONE];
+impl<C: Comparisons> AnalysisDomain for Symbolic<C> {
+    type Time = LinExpr;
+    type Prob = RatFn;
+
+    fn enabling_time(&self, net: &TimedPetriNet, t: TransId) -> Result<LinExpr, ReachError> {
+        self.attribute(net, t, Attribute::Enabling)
     }
-    let any_positive = weights.iter().any(|w| w.is_positive());
-    if any_positive {
-        let total: Rational = weights.iter().copied().sum();
-        weights.iter().map(|w| w / total).collect()
-    } else {
-        // All firable members have frequency zero: the paper leaves this
-        // open; we document a uniform choice.
-        let n = Rational::from_int(weights.len() as i128);
-        weights.iter().map(|_| Rational::ONE / n).collect()
+
+    fn firing_time(&self, net: &TimedPetriNet, t: TransId) -> Result<LinExpr, ReachError> {
+        self.attribute(net, t, Attribute::Firing)
+    }
+
+    fn weight(&self, net: &TimedPetriNet, t: TransId) -> Result<RatFn, ReachError> {
+        Ok(self.time_as_prob(&self.attribute(net, t, Attribute::Frequency)?))
+    }
+
+    fn zero(&self) -> LinExpr {
+        LinExpr::zero()
+    }
+
+    fn is_zero(&self, t: &LinExpr) -> bool {
+        self.policy.is_zero(t)
+    }
+
+    fn sub(&self, a: &LinExpr, b: &LinExpr) -> LinExpr {
+        a.clone() - b
+    }
+
+    fn add(&self, a: &LinExpr, b: &LinExpr) -> LinExpr {
+        a.clone() + b
+    }
+
+    fn time_as_prob(&self, t: &LinExpr) -> RatFn {
+        RatFn::from_poly(Poly::from_linexpr(t))
+    }
+
+    fn min_index(&self, candidates: &[LinExpr], state: usize) -> Result<usize, ReachError> {
+        self.policy.min_index(candidates, state)
+    }
+
+    fn time_eq(&self, a: &LinExpr, b: &LinExpr, state: usize) -> Result<bool, ReachError> {
+        self.policy.time_eq(a, b, state)
     }
 }
 
@@ -216,92 +306,60 @@ fn split_weights_numeric(weights: &[Rational]) -> Vec<Rational> {
 /// * every *unknown* frequency is strictly positive (a zero frequency is
 ///   a structural priority statement and must be written as
 ///   `Frequency::Weight(0)`).
+pub type SymbolicDomain = Symbolic<Entailment>;
+
+/// The §3 comparison policy: a comparison is decided only when the
+/// constraint set entails its outcome.
 #[derive(Debug, Clone)]
-pub struct SymbolicDomain {
+pub struct Entailment {
     constraints: ConstraintSet,
 }
 
 impl SymbolicDomain {
     /// Build the domain for a net from user-supplied timing constraints,
     /// adding the implicit positivity assumptions for unknown times.
-    pub fn new(net: &TimedPetriNet, user_constraints: ConstraintSet) -> SymbolicDomain {
-        let mut constraints = user_constraints;
+    pub fn new(net: &TimedPetriNet, mut constraints: ConstraintSet) -> SymbolicDomain {
+        let mut symbols = BTreeSet::new();
         for t in net.transitions() {
-            let tr = net.transition(t);
-            if tr.enabling().known().is_none() {
-                let sym = LinExpr::symbol(symbols::enabling(tr.name()));
-                constraints.assume(sym, Relation::Gt);
-            }
-            if tr.firing().known().is_none() {
-                let sym = LinExpr::symbol(symbols::firing(tr.name()));
-                constraints.assume(sym, Relation::Gt);
+            for attr in Attribute::ALL {
+                if attr.known(net, t).is_err() {
+                    let sym = attr.symbol(net.transition(t).name());
+                    if attr != Attribute::Frequency {
+                        constraints.assume(LinExpr::symbol(sym), Relation::Gt);
+                    }
+                    symbols.insert(sym);
+                }
             }
         }
-        SymbolicDomain { constraints }
+        let policy = Entailment { constraints };
+        Symbolic { symbols, policy }
     }
 
     /// The effective constraint set (user constraints plus implicit
     /// positivity assumptions).
     pub fn constraints(&self) -> &ConstraintSet {
-        &self.constraints
-    }
-
-    fn time_expr(v: &TimeValue, sym: tpn_symbolic::Symbol) -> LinExpr {
-        match v {
-            TimeValue::Known(r) => LinExpr::constant(*r),
-            TimeValue::Unknown => LinExpr::symbol(sym),
-        }
+        &self.policy.constraints
     }
 }
 
-impl AnalysisDomain for SymbolicDomain {
-    type Time = LinExpr;
-    type Prob = RatFn;
-
-    fn enabling_time(&self, net: &TimedPetriNet, t: TransId) -> Result<LinExpr, ReachError> {
-        let tr = net.transition(t);
-        Ok(Self::time_expr(tr.enabling(), symbols::enabling(tr.name())))
-    }
-
-    fn firing_time(&self, net: &TimedPetriNet, t: TransId) -> Result<LinExpr, ReachError> {
-        let tr = net.transition(t);
-        Ok(Self::time_expr(tr.firing(), symbols::firing(tr.name())))
-    }
-
-    fn zero(&self) -> LinExpr {
-        LinExpr::zero()
-    }
-
+impl Comparisons for Entailment {
     fn is_zero(&self, t: &LinExpr) -> bool {
         // Construction invariant: stored delays are either syntactically
         // zero or entailed positive, so a syntactic test suffices.
         t.is_zero()
     }
 
-    fn sub(&self, a: &LinExpr, b: &LinExpr) -> LinExpr {
-        a.clone() - b
-    }
-
-    fn add(&self, a: &LinExpr, b: &LinExpr) -> LinExpr {
-        a.clone() + b
-    }
-
-    fn time_as_prob(&self, t: &LinExpr) -> RatFn {
-        RatFn::from_poly(Poly::from_linexpr(t))
-    }
-
     fn min_index(&self, candidates: &[LinExpr], state: usize) -> Result<usize, ReachError> {
-        match self.constraints.min_of(candidates) {
-            Ok(i) => Ok(i),
-            Err(tpn_symbolic::ConstraintError::AmbiguousMinimum { left, right }) => {
-                Err(ReachError::AmbiguousComparison {
+        self.constraints.min_of(candidates).map_err(|e| match e {
+            tpn_symbolic::ConstraintError::AmbiguousMinimum { left, right } => {
+                ReachError::AmbiguousComparison {
                     left: left.to_string(),
                     right: right.to_string(),
                     state,
-                })
+                }
             }
-            Err(e) => Err(ReachError::Constraint(e)),
-        }
+            e => ReachError::Constraint(e),
+        })
     }
 
     fn time_eq(&self, a: &LinExpr, b: &LinExpr, state: usize) -> Result<bool, ReachError> {
@@ -318,54 +376,6 @@ impl AnalysisDomain for SymbolicDomain {
             }),
         }
     }
-
-    fn prob_one(&self) -> RatFn {
-        RatFn::one()
-    }
-
-    fn probabilities(
-        &self,
-        net: &TimedPetriNet,
-        firable: &[TransId],
-    ) -> Result<Vec<RatFn>, ReachError> {
-        if firable.len() == 1 {
-            return Ok(vec![RatFn::one()]);
-        }
-        // Weight polynomials: known weights are constants, unknown ones
-        // symbols. A transition with *known zero* weight is excluded when
-        // any other member could have positive weight (symbols are
-        // assumed positive).
-        let mut weights: Vec<Poly> = Vec::with_capacity(firable.len());
-        let mut any_nonzero = false;
-        for &t in firable {
-            let tr = net.transition(t);
-            let w = match tr.frequency() {
-                Frequency::Weight(w) => Poly::constant(*w),
-                Frequency::Unknown => Poly::symbol(symbols::frequency(tr.name())),
-            };
-            if !w.is_zero() {
-                any_nonzero = true;
-            }
-            weights.push(w);
-        }
-        if !any_nonzero {
-            let n = Rational::from_int(firable.len() as i128);
-            return Ok(vec![RatFn::constant(Rational::ONE / n); firable.len()]);
-        }
-        let total: Poly = weights.iter().fold(Poly::zero(), |acc, w| &acc + w);
-        Ok(weights
-            .into_iter()
-            .map(|w| RatFn::new(w, total.clone()))
-            .collect())
-    }
-
-    fn prob_mul(&self, a: &RatFn, b: &RatFn) -> RatFn {
-        a * b
-    }
-
-    fn prob_is_zero(&self, p: &RatFn) -> bool {
-        p.is_zero()
-    }
 }
 
 #[cfg(test)]
@@ -373,51 +383,112 @@ mod tests {
     use super::*;
     use tpn_net::NetBuilder;
 
-    fn conflict_net() -> TimedPetriNet {
-        let mut b = NetBuilder::new("dom-test");
-        let p = b.place("shared", 1);
-        b.transition("hi")
-            .input(p)
-            .weight(Rational::new(19, 20))
-            .firing_const(1)
-            .add();
-        b.transition("lo")
-            .input(p)
-            .weight(Rational::new(1, 20))
-            .firing_const(1)
-            .add();
-        b.transition("pri")
-            .input(p)
-            .weight_const(0)
-            .firing_const(1)
-            .add();
+    /// Four firable conflict sets: `{hi 19/20, lo 1/20, pri 0}`,
+    /// `{a 0, z 0}`, `{u 1, v 3, w0 0}` and `{succeed 3, retry 1}`. The
+    /// transitions in `unknown` get an unknown frequency instead.
+    fn rule_net(unknown: &[&str]) -> TimedPetriNet {
+        let mut b = NetBuilder::new("rule");
+        let sets: [&[(&str, Rational)]; 4] = [
+            &[("hi", r(19, 20)), ("lo", r(1, 20)), ("pri", r(0, 1))],
+            &[("a", r(0, 1)), ("z", r(0, 1))],
+            &[("u", r(1, 1)), ("v", r(3, 1)), ("w0", r(0, 1))],
+            &[("succeed", r(3, 1)), ("retry", r(1, 1))],
+        ];
+        for (i, set) in sets.iter().enumerate() {
+            let p = b.place(&format!("s{i}"), 1);
+            for &(name, w) in set.iter() {
+                let t = b.transition(name).input(p).firing_const(1);
+                if unknown.contains(&name) {
+                    t.weight_unknown().add();
+                } else {
+                    t.weight(w).add();
+                }
+            }
+        }
         b.build().unwrap()
     }
 
+    fn r(n: i128, d: i128) -> Rational {
+        Rational::new(n, d)
+    }
+
+    /// The rule applied by `d` to the named firable members.
+    fn rule<D: AnalysisDomain>(d: &D, net: &TimedPetriNet, names: &[&str]) -> Vec<D::Prob> {
+        let firable: Vec<TransId> = names
+            .iter()
+            .map(|n| net.transition_by_name(n).unwrap())
+            .collect();
+        let mut out = Vec::new();
+        branch_probabilities(d, net, &firable, &mut out).unwrap();
+        out
+    }
+
     #[test]
-    fn numeric_probabilities() {
-        let net = conflict_net();
-        let d = NumericDomain::new();
-        let hi = net.transition_by_name("hi").unwrap();
-        let lo = net.transition_by_name("lo").unwrap();
-        let pri = net.transition_by_name("pri").unwrap();
-        // zero-frequency member among positive ones: gets probability 0
-        let ps = d.probabilities(&net, &[hi, lo, pri]).unwrap();
-        assert_eq!(ps[0], Rational::new(19, 20));
-        assert_eq!(ps[1], Rational::new(1, 20));
-        assert_eq!(ps[2], Rational::ZERO);
-        // singleton fires with probability 1 even at frequency 0
-        assert_eq!(d.probabilities(&net, &[pri]).unwrap(), vec![Rational::ONE]);
-        // all-zero: uniform
-        let mut b = NetBuilder::new("zz");
-        let p = b.place("s", 1);
-        b.transition("a").input(p).weight_const(0).add();
-        b.transition("z").input(p).weight_const(0).add();
-        let net2 = b.build().unwrap();
-        let a = net2.transition_by_name("a").unwrap();
-        let z = net2.transition_by_name("z").unwrap();
-        let ps2 = d.probabilities(&net2, &[a, z]).unwrap();
-        assert_eq!(ps2, vec![Rational::new(1, 2), Rational::new(1, 2)]);
+    fn weight_rule_table() {
+        let timed = rule_net(&[]);
+        let paper = rule_net(&["u", "v"]);
+        let swept = [
+            symbols::frequency("u"),
+            symbols::frequency("v"),
+            symbols::frequency("retry"),
+        ];
+        let interval = crate::IntervalDomain::from_net(&timed).unwrap();
+        let section3 = SymbolicDomain::new(&paper, ConstraintSet::new());
+        let lifted = crate::LiftedDomain::new(&timed, &swept).unwrap();
+        let base = lifted.base();
+        let cases: [(&[&str], Vec<Rational>); 5] = [
+            // a lone firable member fires with probability 1, even at
+            // frequency 0
+            (&["pri"], vec![Rational::ONE]),
+            // a zero-frequency member among positive ones gets 0
+            (
+                &["hi", "lo", "pri"],
+                vec![r(19, 20), r(1, 20), Rational::ZERO],
+            ),
+            // all zero: uniform
+            (&["a", "z"], vec![r(1, 2), r(1, 2)]),
+            // §3 unknown frequencies f(u), f(v)
+            (&["u", "v", "w0"], vec![r(1, 4), r(3, 4), Rational::ZERO]),
+            // a lifted frequency f(retry)
+            (&["succeed", "retry"], vec![r(3, 4), r(1, 4)]),
+        ];
+        let at_base = |ps: Vec<RatFn>| -> Vec<Rational> {
+            ps.iter().map(|p| p.eval(base).unwrap()).collect()
+        };
+        for (names, numeric) in &cases {
+            assert_eq!(
+                rule(&NumericDomain::new(), &timed, names),
+                *numeric,
+                "{names:?}"
+            );
+            assert_eq!(rule(&interval, &timed, names), *numeric, "{names:?}");
+            assert_eq!(
+                at_base(rule(&section3, &paper, names)),
+                *numeric,
+                "{names:?}"
+            );
+            assert_eq!(at_base(rule(&lifted, &timed, names)), *numeric, "{names:?}");
+        }
+        // §3: p(u) = f(u) / (f(u) + f(v)); w0 contributes nothing, and
+        // the probabilities sum to one
+        let (fu, fv) = (Poly::symbol(swept[0]), Poly::symbol(swept[1]));
+        let ps = rule(&section3, &paper, &["u", "v", "w0"]);
+        assert_eq!(ps[0], RatFn::new(fu.clone(), &fu + &fv));
+        assert_eq!(ps[1], RatFn::new(fv.clone(), &fu + &fv));
+        assert!(ps[2].is_zero());
+        assert!(ps
+            .iter()
+            .fold(RatFn::zero(), |acc, p| acc + p.clone())
+            .is_one());
+        assert_eq!(rule(&section3, &paper, &["w0"]), vec![RatFn::one()]);
+        // the lift: p(succeed) = 3 / (3 + f(retry)), 3/4 at f(retry) = 1
+        let three = Poly::constant(r(3, 1));
+        let ps = rule(&lifted, &timed, &["succeed", "retry"]);
+        assert_eq!(
+            ps[0],
+            RatFn::new(three.clone(), &three + &Poly::symbol(swept[2]))
+        );
+        assert_eq!(ps[0].eval(base), Some(r(3, 4)));
     }
 
     #[test]
@@ -473,32 +544,6 @@ mod tests {
             Ok(true),
             "implicit positivity assumption"
         );
-    }
-
-    #[test]
-    fn symbolic_probabilities() {
-        let mut b = NetBuilder::new("symprob");
-        let p = b.place("s", 1);
-        b.transition("u").input(p).weight_unknown().add();
-        b.transition("v").input(p).weight_unknown().add();
-        b.transition("w0").input(p).weight_const(0).add();
-        let net = b.build().unwrap();
-        let d = SymbolicDomain::new(&net, ConstraintSet::new());
-        let u = net.transition_by_name("u").unwrap();
-        let v = net.transition_by_name("v").unwrap();
-        let w0 = net.transition_by_name("w0").unwrap();
-        let ps = d.probabilities(&net, &[u, v, w0]).unwrap();
-        // p(u) = f(u) / (f(u) + f(v)); w0 contributes nothing
-        let fu = Poly::symbol(symbols::frequency("u"));
-        let fv = Poly::symbol(symbols::frequency("v"));
-        assert_eq!(ps[0], RatFn::new(fu.clone(), &fu + &fv));
-        assert_eq!(ps[1], RatFn::new(fv.clone(), &fu + &fv));
-        assert!(ps[2].is_zero());
-        // probabilities sum to one
-        let sum = ps.iter().fold(RatFn::zero(), |acc, p| acc + p.clone());
-        assert!(sum.is_one());
-        // singleton
-        assert_eq!(d.probabilities(&net, &[w0]).unwrap(), vec![RatFn::one()]);
     }
 
     #[test]

@@ -41,8 +41,10 @@ use std::fmt::Write as _;
 use std::hash::BuildHasher;
 use std::ops::Range;
 
+use tpn_linalg::Field;
 use tpn_net::{Marking, TimedPetriNet, TransId};
 
+use crate::domain::branch_probabilities;
 use crate::{AnalysisDomain, ReachError, TimedState};
 
 /// Index of a state within its graph (discovery order; the initial state
@@ -699,8 +701,7 @@ impl<'n, D: AnalysisDomain> Builder<'n, D> {
                     .iter()
                     .take_while(|&&t| net.conflict_set_of(t) == set)
                     .count();
-            s.probs
-                .extend(domain.probabilities(net, &s.firable[start..end])?);
+            branch_probabilities(domain, net, &s.firable[start..end], &mut s.probs)?;
             s.sets.push(start..end);
             start = end;
         }
@@ -710,13 +711,13 @@ impl<'n, D: AnalysisDomain> Builder<'n, D> {
         s.choice.resize(s.sets.len(), 0);
         loop {
             let s = &mut self.scratch;
-            let mut prob = domain.prob_one();
+            let mut prob = D::Prob::one();
             s.fired.clear();
             for (set, &member) in s.sets.iter().zip(&s.choice) {
-                prob = domain.prob_mul(&prob, &s.probs[set.start + member]);
+                prob = prob.mul(&s.probs[set.start + member]);
                 s.fired.push(s.firable[set.start + member]);
             }
-            if !domain.prob_is_zero(&prob) {
+            if !prob.is_zero() {
                 apply_selector(net, domain, &self.wakes, self.graph.state(sid), sid, s)?;
                 self.add_successor(sid, EdgeKind::Fire, domain.zero(), prob)?;
             }
@@ -779,7 +780,7 @@ impl<'n, D: AnalysisDomain> Builder<'n, D> {
         if s.exprs.len() > 1 {
             self.graph.push_resolution(sid, chosen);
         }
-        self.add_successor(sid, EdgeKind::Elapse, tmin, domain.prob_one())
+        self.add_successor(sid, EdgeKind::Elapse, tmin, D::Prob::one())
     }
 }
 

@@ -33,7 +33,8 @@ use std::fmt;
 use tpn_net::{TimedPetriNet, TransId};
 use tpn_rational::Rational;
 
-use crate::{AnalysisDomain, NumericDomain, ReachError};
+use crate::domain::Attribute;
+use crate::{AnalysisDomain, ReachError};
 
 /// A closed interval `[lo, hi]` of exact rationals, `lo ≤ hi`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -116,19 +117,8 @@ impl IntervalDomain {
         let mut enabling = Vec::with_capacity(net.num_transitions());
         let mut firing = Vec::with_capacity(net.num_transitions());
         for t in net.transitions() {
-            let tr = net.transition(t);
-            let unknown = |which: &'static str| ReachError::UnknownAttribute {
-                transition: tr.name().to_string(),
-                which,
-            };
-            enabling.push(Interval::point(
-                *tr.enabling()
-                    .known()
-                    .ok_or_else(|| unknown("enabling time"))?,
-            ));
-            firing.push(Interval::point(
-                *tr.firing().known().ok_or_else(|| unknown("firing time"))?,
-            ));
+            enabling.push(Interval::point(Attribute::Enabling.known(net, t)?));
+            firing.push(Interval::point(Attribute::Firing.known(net, t)?));
         }
         Ok(IntervalDomain { enabling, firing })
     }
@@ -156,6 +146,10 @@ impl AnalysisDomain for IntervalDomain {
 
     fn firing_time(&self, _net: &TimedPetriNet, t: TransId) -> Result<Interval, ReachError> {
         Ok(self.firing[t.index()].clone())
+    }
+
+    fn weight(&self, net: &TimedPetriNet, t: TransId) -> Result<Rational, ReachError> {
+        Attribute::Frequency.known(net, t)
     }
 
     fn zero(&self) -> Interval {
@@ -229,32 +223,12 @@ impl AnalysisDomain for IntervalDomain {
             state,
         })
     }
-
-    fn prob_one(&self) -> Rational {
-        Rational::ONE
-    }
-
-    fn probabilities(
-        &self,
-        net: &TimedPetriNet,
-        firable: &[TransId],
-    ) -> Result<Vec<Rational>, ReachError> {
-        NumericDomain::new().probabilities(net, firable)
-    }
-
-    fn prob_mul(&self, a: &Rational, b: &Rational) -> Rational {
-        a * b
-    }
-
-    fn prob_is_zero(&self, p: &Rational) -> bool {
-        p.is_zero()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{build_trg, TrgOptions};
+    use crate::{build_trg, NumericDomain, TrgOptions};
     use tpn_net::NetBuilder;
 
     fn r(n: i128) -> Rational {

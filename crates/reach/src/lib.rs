@@ -29,15 +29,23 @@
 //! transitions as ranges of one shared array. Each successor's
 //! enablement is re-tested only for transitions the step can affect.
 //!
-//! The construction is generic over an [`AnalysisDomain`]:
-//! [`NumericDomain`] implements Section 2 (all times known a priori —
-//! Zuberek's method), and [`SymbolicDomain`] implements Section 3, where
-//! times are *symbols* and the minimum-delay decisions are discharged by
-//! a [`tpn_symbolic::ConstraintSet`]. When the constraints are too weak
-//! to order two candidate delays, construction stops with
-//! [`ReachError::AmbiguousComparison`] naming the offending pair — the
-//! structured version of the paper's "prompt the designer for timing
-//! constraints at the necessary points".
+//! The construction is generic over an [`AnalysisDomain`]: what a time
+//! and a probability are, and each transition's weight, which the
+//! paper's conflict rule (stated once, on the trait) turns into
+//! branching probabilities.
+//!
+//! * [`NumericDomain`] — Section 2, every attribute known a priori
+//!   (Zuberek's method).
+//! * [`Symbolic`] — times affine and probabilities rational in the
+//!   `E(t)`, `F(t)`, `f(t)` symbols, with two comparison policies.
+//!   [`SymbolicDomain`] (Section 3) decides a comparison when a
+//!   [`tpn_symbolic::ConstraintSet`] entails it, and otherwise stops
+//!   with [`ReachError::AmbiguousComparison`] naming the pair — the
+//!   paper's "prompt the designer for timing constraints at the
+//!   necessary points". [`LiftedDomain`] lifts chosen attributes of a
+//!   fully timed net and freezes every comparison at the net's values,
+//!   recording the region where the derived closed forms hold.
+//! * [`IntervalDomain`] — the paper's future work: delays as ranges.
 
 #![allow(clippy::result_large_err)] // diagnostic errors carry rendered expressions by design
 
@@ -50,11 +58,13 @@ mod lifted;
 mod state;
 
 pub use correctness::{analyze, CorrectnessReport};
-pub use domain::{AnalysisDomain, NumericDomain, SymbolicDomain};
+pub use domain::{
+    AnalysisDomain, Comparisons, Entailment, NumericDomain, Symbolic, SymbolicDomain,
+};
 pub use error::ReachError;
 pub use graph::{
     build_trg, Edge, EdgeKind, MinResolution, StateId, TimedReachabilityGraph, TrgOptions,
 };
 pub use interval::{Interval, IntervalDomain};
-pub use lifted::LiftedDomain;
+pub use lifted::{FrozenAtBase, LiftedDomain};
 pub use state::TimedState;

@@ -1,7 +1,7 @@
 //! Numerically guided symbolic lifting of a fully timed net.
 //!
-//! The fully symbolic [`SymbolicDomain`](crate::SymbolicDomain) needs a
-//! designer-supplied constraint set to discharge every timing
+//! The paper's §3 reading ([`SymbolicDomain`](crate::SymbolicDomain))
+//! needs a designer-supplied constraint set to discharge every timing
 //! comparison — which exists for the paper's protocol, but not for an
 //! arbitrary `.tpn` document posted to the analysis daemon (the text
 //! format has no constraint syntax). [`LiftedDomain`] closes that gap
@@ -9,7 +9,8 @@
 //! net, a chosen subset of its attributes (`E(t)`, `F(t)`, `f(t)`
 //! symbols) is *lifted* back into symbols while every timing comparison
 //! is resolved **at the base point** — the numeric values the net was
-//! written with.
+//! written with. It is the same [`Symbolic`] domain as §3's, with the
+//! [`FrozenAtBase`] comparison policy.
 //!
 //! The derived performance expressions are therefore exact closed
 //! forms in the lifted symbols, valid on the *region* of parameter
@@ -24,23 +25,29 @@
 use std::collections::BTreeSet;
 use std::sync::Mutex;
 
-use tpn_net::{symbols, Frequency, TimedPetriNet, TransId};
+use tpn_net::TimedPetriNet;
 use tpn_rational::Rational;
-use tpn_symbolic::{Assignment, Constraint, LinExpr, Poly, RatFn, Relation, Symbol};
+use tpn_symbolic::{Assignment, Constraint, LinExpr, Relation, Symbol};
 
-use crate::{AnalysisDomain, ReachError};
+use crate::domain::{Attribute, Comparisons, Symbolic};
+use crate::ReachError;
 
 /// A fully timed net with a subset of its attributes lifted to symbols
 /// and all comparisons frozen at the base point.
+pub type LiftedDomain = Symbolic<FrozenAtBase>;
+
+/// The lift's comparison policy: every comparison is decided by the
+/// values at the base point, and recorded when its outcome depends on a
+/// lifted symbol.
 #[derive(Debug)]
-pub struct LiftedDomain {
+pub struct FrozenAtBase {
     /// Base value of every lifted symbol.
     base: Assignment,
     /// Comparisons involving lifted symbols, stored structurally as
-    /// `(expr, relation)` pairs meaning `expr ⋈ 0` — the machine-
-    /// evaluable validity region ([`LiftedDomain::region_constraints`]),
-    /// from which the rendered form ([`LiftedDomain::region`]) derives.
-    region: Mutex<BTreeSet<(LinExpr, Relation)>>,
+    /// constraints `expr ⋈ 0` — the machine-evaluable validity region
+    /// ([`LiftedDomain::region_constraints`]), from which the rendered
+    /// form ([`LiftedDomain::region`]) derives.
+    region: Mutex<BTreeSet<Constraint>>,
     /// Shape conditions that [`LiftedDomain::region`] historically does
     /// *not* report: strict positivity of every non-constant delay that
     /// was non-zero at the base point. A perturbation driving such a
@@ -48,7 +55,7 @@ pub struct LiftedDomain {
     /// instantaneous — i.e. the skeleton itself — without flipping any
     /// recorded comparison, so [`LiftedDomain::check_point`] tests the
     /// union of both sets before a skeleton is reused.
-    shape: Mutex<BTreeSet<(LinExpr, Relation)>>,
+    shape: Mutex<BTreeSet<Constraint>>,
 }
 
 impl LiftedDomain {
@@ -81,16 +88,19 @@ impl LiftedDomain {
             }
             base.set(sym, value);
         }
-        Ok(LiftedDomain {
-            base,
-            region: Mutex::new(BTreeSet::new()),
-            shape: Mutex::new(BTreeSet::new()),
+        Ok(Symbolic {
+            symbols: swept.iter().copied().collect(),
+            policy: FrozenAtBase {
+                base,
+                region: Mutex::new(BTreeSet::new()),
+                shape: Mutex::new(BTreeSet::new()),
+            },
         })
     }
 
     /// The base value of every lifted symbol.
     pub fn base(&self) -> &Assignment {
-        &self.base
+        &self.policy.base
     }
 
     /// The recorded validity region: every comparison made during graph
@@ -124,21 +134,12 @@ impl LiftedDomain {
     /// lock/clone/format/sort twice.
     pub fn region_entries(&self) -> Vec<(String, Constraint)> {
         let mut out: Vec<(String, Constraint)> = self
+            .policy
             .region
             .lock()
             .expect("region lock")
             .iter()
-            .map(|(expr, rel)| {
-                let c = Constraint {
-                    expr: expr.clone(),
-                    rel: *rel,
-                };
-                let text = match rel {
-                    Relation::Eq => format!("{expr} = 0"),
-                    _ => format!("{expr} > 0"),
-                };
-                (text, c)
-            })
+            .map(|c| (c.to_string(), c.clone()))
             .collect();
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out
@@ -153,33 +154,28 @@ impl LiftedDomain {
     /// `point`; a violated or unevaluable condition yields
     /// [`ReachError::OutOfRegion`] naming it.
     pub fn check_point(&self, point: &Assignment) -> Result<(), ReachError> {
-        for (sym, _) in self.base.iter() {
+        let policy = &self.policy;
+        for (sym, _) in policy.base.iter() {
             if !point.contains(sym) {
                 return Err(ReachError::OutOfRegion {
                     constraint: format!("{} is bound", sym.name()),
                 });
             }
         }
-        let render = |expr: &LinExpr, rel: &Relation| match rel {
-            Relation::Eq => format!("{expr} = 0"),
-            _ => format!("{expr} > 0"),
-        };
-        for set in [&self.region, &self.shape] {
-            for (expr, rel) in set.lock().expect("constraint lock").iter() {
-                let c = Constraint {
-                    expr: expr.clone(),
-                    rel: *rel,
-                };
+        for set in [&policy.region, &policy.shape] {
+            for c in set.lock().expect("constraint lock").iter() {
                 if c.check(point) != Some(true) {
                     return Err(ReachError::OutOfRegion {
-                        constraint: render(expr, rel),
+                        constraint: c.to_string(),
                     });
                 }
             }
         }
         Ok(())
     }
+}
 
+impl FrozenAtBase {
     /// Value of `e` at the base point (every symbol in any expression
     /// this domain produces is a lifted symbol, hence bound).
     fn at_base(&self, e: &LinExpr) -> Rational {
@@ -187,127 +183,43 @@ impl LiftedDomain {
             .expect("lifted expressions only use lifted symbols")
     }
 
+    /// `diff ⋈ 0`, oriented by the sign of `diff` at the base point.
+    fn frozen(&self, diff: LinExpr) -> Constraint {
+        let (expr, rel) = match self.at_base(&diff).signum() {
+            0 => (diff, Relation::Eq),
+            1 => (diff, Relation::Gt),
+            _ => (diff.scale(&-Rational::ONE), Relation::Gt),
+        };
+        Constraint { expr, rel }
+    }
+
     /// Record the outcome of comparing `a` against `b` if it involves a
-    /// lifted symbol: `diff = a - b` with its base sign.
+    /// lifted symbol.
     fn record(&self, a: &LinExpr, b: &LinExpr) {
         let diff = a.clone() - b;
         if diff.is_constant() {
             return; // outcome independent of the lifted parameters
         }
-        let sign = self.at_base(&diff).signum();
-        let entry = match sign {
-            0 => (diff, Relation::Eq),
-            1 => (diff, Relation::Gt),
-            _ => (diff.scale(&-Rational::ONE), Relation::Gt),
-        };
+        let entry = self.frozen(diff);
         self.region.lock().expect("region lock").insert(entry);
     }
-
-    fn attribute_expr(&self, value: &Rational, sym: Symbol) -> LinExpr {
-        if self.base.contains(sym) {
-            LinExpr::symbol(sym)
-        } else {
-            LinExpr::constant(*value)
-        }
-    }
 }
 
-/// Resolve a canonical attribute symbol against the net.
-fn lookup_attribute(net: &TimedPetriNet, sym: Symbol) -> Result<Rational, ReachError> {
-    for t in net.transitions() {
-        let tr = net.transition(t);
-        let name = tr.name();
-        if sym == symbols::enabling(name) {
-            return known(net, t, tr.enabling().known(), "enabling time");
-        }
-        if sym == symbols::firing(name) {
-            return known(net, t, tr.firing().known(), "firing time");
-        }
-        if sym == symbols::frequency(name) {
-            return match tr.frequency() {
-                Frequency::Weight(w) => Ok(*w),
-                Frequency::Unknown => Err(ReachError::UnknownAttribute {
-                    transition: name.to_string(),
-                    which: "frequency",
-                }),
-            };
-        }
-    }
-    Err(ReachError::BadLift {
-        symbol: sym.name(),
-        reason: "no transition attribute of the net has this canonical name \
-                 (expected E(t), F(t) or f(t) for a transition t)"
-            .to_string(),
-    })
-}
-
-fn known(
-    net: &TimedPetriNet,
-    t: TransId,
-    v: Option<&Rational>,
-    which: &'static str,
-) -> Result<Rational, ReachError> {
-    v.copied().ok_or_else(|| ReachError::UnknownAttribute {
-        transition: net.transition(t).name().to_string(),
-        which,
-    })
-}
-
-impl AnalysisDomain for LiftedDomain {
-    type Time = LinExpr;
-    type Prob = RatFn;
-
-    fn enabling_time(&self, net: &TimedPetriNet, t: TransId) -> Result<LinExpr, ReachError> {
-        let tr = net.transition(t);
-        let v = known(net, t, tr.enabling().known(), "enabling time")?;
-        Ok(self.attribute_expr(&v, symbols::enabling(tr.name())))
-    }
-
-    fn firing_time(&self, net: &TimedPetriNet, t: TransId) -> Result<LinExpr, ReachError> {
-        let tr = net.transition(t);
-        let v = known(net, t, tr.firing().known(), "firing time")?;
-        Ok(self.attribute_expr(&v, symbols::firing(tr.name())))
-    }
-
-    fn zero(&self) -> LinExpr {
-        LinExpr::zero()
-    }
-
+impl Comparisons for FrozenAtBase {
     fn is_zero(&self, t: &LinExpr) -> bool {
-        if t.is_zero() {
-            return true;
+        if t.is_constant() {
+            return t.is_zero();
         }
-        if self.at_base(t).is_zero() {
-            // Symbolically non-trivial but zero at the base point: a tie
-            // frozen into an equality of the validity region.
-            self.record(t, &LinExpr::zero());
-            return true;
-        }
-        // Non-zero at the base: the skeleton treats this delay as a real
-        // wait. Remember the sign condition so a point that collapses it
-        // to zero (making the step instantaneous) falls outside the region.
-        if !t.is_constant() {
-            let sign = self.at_base(t).signum();
-            let entry = if sign > 0 {
-                (t.clone(), Relation::Gt)
-            } else {
-                (t.clone().scale(&-Rational::ONE), Relation::Gt)
-            };
-            self.shape.lock().expect("shape lock").insert(entry);
-        }
-        false
-    }
-
-    fn sub(&self, a: &LinExpr, b: &LinExpr) -> LinExpr {
-        a.clone() - b
-    }
-
-    fn add(&self, a: &LinExpr, b: &LinExpr) -> LinExpr {
-        a.clone() + b
-    }
-
-    fn time_as_prob(&self, t: &LinExpr) -> RatFn {
-        RatFn::from_poly(Poly::from_linexpr(t))
+        // Zero at the base point: a tie frozen into an equality of the
+        // validity region. Otherwise the skeleton treats the delay as a
+        // real wait; its sign is a shape condition, so a point that
+        // collapses it to zero (making the step instantaneous) falls
+        // outside the region.
+        let entry = self.frozen(t.clone());
+        let zero = entry.rel == Relation::Eq;
+        let set = if zero { &self.region } else { &self.shape };
+        set.lock().expect("constraint lock").insert(entry);
+        zero
     }
 
     fn min_index(&self, candidates: &[LinExpr], _state: usize) -> Result<usize, ReachError> {
@@ -332,67 +244,29 @@ impl AnalysisDomain for LiftedDomain {
         self.record(a, b);
         Ok(self.at_base(a) == self.at_base(b))
     }
+}
 
-    fn prob_one(&self) -> RatFn {
-        RatFn::one()
-    }
-
-    fn probabilities(
-        &self,
-        net: &TimedPetriNet,
-        firable: &[TransId],
-    ) -> Result<Vec<RatFn>, ReachError> {
-        if firable.len() == 1 {
-            return Ok(vec![RatFn::one()]);
+/// Resolve a canonical attribute symbol against the net.
+fn lookup_attribute(net: &TimedPetriNet, sym: Symbol) -> Result<Rational, ReachError> {
+    for t in net.transitions() {
+        let name = net.transition(t).name();
+        if let Some(attr) = Attribute::ALL.into_iter().find(|a| a.symbol(name) == sym) {
+            return attr.known(net, t);
         }
-        let mut weights: Vec<Poly> = Vec::with_capacity(firable.len());
-        let mut any_nonzero = false;
-        for &t in firable {
-            let tr = net.transition(t);
-            let sym = symbols::frequency(tr.name());
-            let w = if self.base.contains(sym) {
-                Poly::symbol(sym)
-            } else {
-                match tr.frequency() {
-                    Frequency::Weight(w) => Poly::constant(*w),
-                    Frequency::Unknown => {
-                        return Err(ReachError::UnknownAttribute {
-                            transition: tr.name().to_string(),
-                            which: "frequency",
-                        })
-                    }
-                }
-            };
-            if !w.is_zero() {
-                any_nonzero = true;
-            }
-            weights.push(w);
-        }
-        if !any_nonzero {
-            let n = Rational::from_int(firable.len() as i128);
-            return Ok(vec![RatFn::constant(Rational::ONE / n); firable.len()]);
-        }
-        let total: Poly = weights.iter().fold(Poly::zero(), |acc, w| &acc + w);
-        Ok(weights
-            .into_iter()
-            .map(|w| RatFn::new(w, total.clone()))
-            .collect())
     }
-
-    fn prob_mul(&self, a: &RatFn, b: &RatFn) -> RatFn {
-        a * b
-    }
-
-    fn prob_is_zero(&self, p: &RatFn) -> bool {
-        p.is_zero()
-    }
+    Err(ReachError::BadLift {
+        symbol: sym.name(),
+        reason: "no transition attribute of the net has this canonical name \
+                 (expected E(t), F(t) or f(t) for a transition t)"
+            .to_string(),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{build_trg, NumericDomain, TrgOptions};
-    use tpn_net::NetBuilder;
+    use crate::{build_trg, AnalysisDomain, NumericDomain, TrgOptions};
+    use tpn_net::{symbols, NetBuilder};
 
     fn r(n: i128, d: i128) -> Rational {
         Rational::new(n, d)
@@ -425,24 +299,6 @@ mod tests {
         let numeric = build_trg(&net, &NumericDomain::new(), &TrgOptions::default()).unwrap();
         assert_eq!(trg.num_states(), numeric.num_states());
         assert_eq!(trg.num_edges(), numeric.num_edges());
-    }
-
-    #[test]
-    fn lifting_a_frequency_yields_symbolic_probabilities() {
-        let net = two_way();
-        let fr = symbols::frequency("retry");
-        let d = LiftedDomain::new(&net, &[fr]).unwrap();
-        let s = net.transition_by_name("succeed").unwrap();
-        let t = net.transition_by_name("retry").unwrap();
-        let ps = d.probabilities(&net, &[s, t]).unwrap();
-        // p(succeed) = 3 / (3 + f(retry))
-        let expect = RatFn::new(
-            Poly::constant(r(3, 1)),
-            &Poly::constant(r(3, 1)) + &Poly::symbol(fr),
-        );
-        assert_eq!(ps[0], expect);
-        let at = Assignment::new().with(fr, r(1, 1));
-        assert_eq!(ps[0].eval(&at), Some(r(3, 4)));
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub enum Relation {
 }
 
 /// A single linear constraint `expr ⋈ 0`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Constraint {
     /// The left-hand side (the right-hand side is always zero).
     pub expr: LinExpr,
