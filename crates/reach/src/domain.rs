@@ -423,8 +423,10 @@ mod tests {
         out
     }
 
+    /// The numeric probabilities of each case of the weight rule, as
+    /// every domain yields them (symbolic ones evaluated at the base).
     #[test]
-    fn weight_rule_table() {
+    fn numeric_probabilities() {
         let timed = rule_net(&[]);
         let paper = rule_net(&["u", "v"]);
         let swept = [
@@ -469,9 +471,16 @@ mod tests {
             );
             assert_eq!(at_base(rule(&lifted, &timed, names)), *numeric, "{names:?}");
         }
+    }
+
+    #[test]
+    fn symbolic_probabilities() {
+        let paper = rule_net(&["u", "v"]);
+        let section3 = SymbolicDomain::new(&paper, ConstraintSet::new());
         // §3: p(u) = f(u) / (f(u) + f(v)); w0 contributes nothing, and
         // the probabilities sum to one
-        let (fu, fv) = (Poly::symbol(swept[0]), Poly::symbol(swept[1]));
+        let fu = Poly::symbol(symbols::frequency("u"));
+        let fv = Poly::symbol(symbols::frequency("v"));
         let ps = rule(&section3, &paper, &["u", "v", "w0"]);
         assert_eq!(ps[0], RatFn::new(fu.clone(), &fu + &fv));
         assert_eq!(ps[1], RatFn::new(fv.clone(), &fu + &fv));
@@ -481,14 +490,6 @@ mod tests {
             .fold(RatFn::zero(), |acc, p| acc + p.clone())
             .is_one());
         assert_eq!(rule(&section3, &paper, &["w0"]), vec![RatFn::one()]);
-        // the lift: p(succeed) = 3 / (3 + f(retry)), 3/4 at f(retry) = 1
-        let three = Poly::constant(r(3, 1));
-        let ps = rule(&lifted, &timed, &["succeed", "retry"]);
-        assert_eq!(
-            ps[0],
-            RatFn::new(three.clone(), &three + &Poly::symbol(swept[2]))
-        );
-        assert_eq!(ps[0].eval(base), Some(r(3, 4)));
     }
 
     #[test]

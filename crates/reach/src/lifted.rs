@@ -267,6 +267,7 @@ mod tests {
     use super::*;
     use crate::{build_trg, AnalysisDomain, NumericDomain, TrgOptions};
     use tpn_net::{symbols, NetBuilder};
+    use tpn_symbolic::{Poly, RatFn};
 
     fn r(n: i128, d: i128) -> Rational {
         Rational::new(n, d)
@@ -299,6 +300,23 @@ mod tests {
         let numeric = build_trg(&net, &NumericDomain::new(), &TrgOptions::default()).unwrap();
         assert_eq!(trg.num_states(), numeric.num_states());
         assert_eq!(trg.num_edges(), numeric.num_edges());
+    }
+
+    #[test]
+    fn lifting_a_frequency_yields_symbolic_probabilities() {
+        let net = two_way();
+        let fr = symbols::frequency("retry");
+        let d = LiftedDomain::new(&net, &[fr]).unwrap();
+        let s = net.transition_by_name("succeed").unwrap();
+        let t = net.transition_by_name("retry").unwrap();
+        let mut ps = Vec::new();
+        crate::domain::branch_probabilities(&d, &net, &[s, t], &mut ps).unwrap();
+        // p(succeed) = 3 / (3 + f(retry))
+        let three = Poly::constant(r(3, 1));
+        let expect = RatFn::new(three.clone(), &three + &Poly::symbol(fr));
+        assert_eq!(ps[0], expect);
+        let at = Assignment::new().with(fr, r(1, 1));
+        assert_eq!(ps[0].eval(&at), Some(r(3, 4)));
     }
 
     #[test]
