@@ -1,13 +1,13 @@
-//! E12 — the artifact tier's warm path: a `/sweep` served by a service
+//! E12 — the cached session's warm path: a `/sweep` served by a service
 //! that already holds the net's session (and therefore its lifted
 //! domain + compiled program) vs. the same sweep against a cold
 //! service.
 //!
 //! Both sides measure the full in-process `/sweep` request path on the
 //! paper's Figure-1 net with a 256-point grid over the timeout `E(t3)`.
-//! To isolate the *artifact* tier from the *body* tier, every request
-//! uses a fresh grid (the `from` endpoint is perturbed per iteration),
-//! so the `(digest, spec-hash)` body-cache key never repeats:
+//! To isolate the session's *artifacts* from its cached *bodies*,
+//! every request uses a fresh grid (the `from` endpoint is perturbed
+//! per iteration), so the `(digest, spec-hash)` body key never repeats:
 //!
 //! * `cold` uses a fresh `Service` per iteration — the sweep pays
 //!   lift + TRG + decision graph + rates + export + compile + evaluate;
@@ -16,7 +16,7 @@
 //!   spec parse + compile (new shape per spec? no: same axes/targets,
 //!   so the *lift* is shared; only the grid evaluation and JSON differ).
 //!
-//! The warm/cold request-rate ratio is what the session tier buys a
+//! The warm/cold request-rate ratio is what the cached session buys a
 //! deployment where clients iterate on grids over the same net;
 //! `BENCH_4.json` records it.
 

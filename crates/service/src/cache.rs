@@ -1,25 +1,41 @@
-//! The content-addressed analysis cache.
+//! The daemon's one cache: per net digest, the memoizing [`Session`]
+//! that holds the net's pipeline artifacts, and the response bodies
+//! rendered from them.
 //!
-//! Results are keyed by `(net digest, request kind)` — see
-//! [`tpn_net::NetDigest`]; the digest is order-independent, so
-//! textually different `.tpn` documents describing the same net share
-//! cache lines. The map is sharded across `RwLock`s (readers never
-//! contend with readers), eviction is least-recently-used within a
-//! byte budget, and concurrent requests for the same key are
-//! **coalesced**: one leader computes, followers block on the leader's
-//! flight and receive the same `Arc`'d body, so a thundering herd of
-//! identical requests costs exactly one pipeline run.
+//! Everything lives in one `Mutex<HashMap<NetDigest, Entry>>`. An entry
+//! holds its net's session, while resident, and its bodies keyed by
+//! [`RequestKind`]. The digest is order-independent (see
+//! [`tpn_net::NetDigest`]), so textually different `.tpn` documents
+//! describing the same net share an entry. What-if fragments live in
+//! entries keyed by the base net's *structural* digest; those entries
+//! never hold a session.
 //!
-//! Counters (hits, misses, evictions, computations, coalesced waits)
-//! are plain atomics and feed the server's `/stats` endpoint.
+//! - **Bodies** are evicted least-recently-used under one byte budget
+//!   (`--cache-bytes`). A body costs its length plus a fixed per-entry
+//!   overhead, and is admitted when that cost fits the budget.
+//! - **Coalescing.** A body slot is a `OnceLock`, and the slot is its
+//!   own flight: the first request for a key (the leader) inserts an
+//!   empty slot and computes outside the lock; identical requests that
+//!   arrive meanwhile block in `OnceLock::wait` and receive the same
+//!   `Arc`'d body, so a thundering herd costs one pipeline run. A leader
+//!   that fails or panics still fills its slot, then withdraws it:
+//!   every coalesced follower gets the error and nothing is cached.
+//! - **Sessions** beyond [`MAX_SESSIONS`] are dropped least-recently-used.
+//!   Their entry keeps its bodies, so a body hit never depends on the
+//!   artifacts being resident; a request whose entry has no session
+//!   creates one. Every session shares one [`StageCounters`], which is
+//!   what the `/stats` endpoint's per-stage `artifact_*` counters report.
+//!
+//! Counters (body hits, misses, evictions, computations, coalesced
+//! waits; session hits, misses, evictions) are updated under the same
+//! lock and feed the server's `/stats` endpoint.
 
-use std::collections::hash_map::{DefaultHasher, Entry as MapEntry};
+use std::collections::hash_map::Entry as MapEntry;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
-use tpn_net::NetDigest;
+use tpn_net::{NetDigest, TimedPetriNet};
+use tpn_session::{Session, SessionOptions, StageCounters};
 
 use crate::{RequestKind, ServiceError};
 
@@ -32,28 +48,10 @@ pub struct CacheKey {
     pub kind: RequestKind,
 }
 
-/// Cache sizing knobs.
-#[derive(Debug, Clone)]
-pub struct CacheConfig {
-    /// Number of independent shards (clamped to at least 1). More
-    /// shards means less write contention; eviction budgets are
-    /// per-shard (`byte_budget / shards`).
-    pub shards: usize,
-    /// Total byte budget across all shards. An entry's cost is its
-    /// body length plus a fixed per-entry overhead.
-    pub byte_budget: usize,
-}
+/// Sessions held at once; beyond it the least recently used is dropped.
+pub const MAX_SESSIONS: usize = 32;
 
-impl Default for CacheConfig {
-    fn default() -> CacheConfig {
-        CacheConfig {
-            shards: 16,
-            byte_budget: 64 * 1024 * 1024,
-        }
-    }
-}
-
-/// Fixed accounting overhead per entry (key, map slot, Arc header).
+/// Fixed accounting overhead per body (key, map slot, Arc header).
 const ENTRY_OVERHEAD: usize = 64;
 
 /// Counter snapshot for `/stats`.
@@ -63,195 +61,245 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that had to compute.
     pub misses: u64,
-    /// Entries evicted to stay within the byte budget.
+    /// Bodies evicted to stay within the byte budget.
     pub evictions: u64,
     /// Actual pipeline executions (monotonic; `misses` minus failures
     /// re-counted — one per leader computation).
     pub computations: u64,
     /// Requests that piggybacked on a concurrent identical computation.
     pub coalesced: u64,
-    /// Entries currently cached.
+    /// Bodies currently cached.
     pub entries: usize,
     /// Bytes currently cached (bodies plus per-entry overhead).
     pub bytes: usize,
+    /// The session counters (`/stats` nests them in `"sessions"`).
+    pub sessions: SessionStats,
 }
 
-struct CacheEntry {
-    value: Arc<String>,
+/// Counter snapshot of the cache's sessions.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct SessionStats {
+    /// Sessions currently held.
+    pub sessions: usize,
+    /// Requests that found their net's session already materialised.
+    pub hits: u64,
+    /// Requests that created a fresh session.
+    pub misses: u64,
+    /// Sessions dropped to stay within [`MAX_SESSIONS`].
+    pub evictions: u64,
+}
+
+/// A body slot: empty while its leader computes, then the result.
+type Slot = OnceLock<Result<Arc<String>, ServiceError>>;
+
+struct Body {
+    slot: Arc<Slot>,
+    /// Accounted bytes once admitted; 0 while in flight.
     cost: usize,
-    /// Global LRU clock value of the last touch; atomic so `get` only
-    /// needs the shard's read lock.
-    last_used: AtomicU64,
+    last_used: u64,
 }
 
-struct Shard {
-    map: HashMap<CacheKey, CacheEntry>,
-    bytes: usize,
-    budget: usize,
+struct Resident {
+    session: Arc<Session>,
+    last_used: u64,
 }
 
-impl Shard {
-    /// Evict least-recently-used entries (never `keep`) until the
-    /// shard is back under budget, returning how many were dropped.
-    /// One scan + one sort, not a scan per victim: the write lock is
-    /// held for O(n log n) in the worst case, independent of how many
-    /// entries must go.
-    fn evict_over_budget(&mut self, keep: &CacheKey) -> u64 {
-        if self.bytes <= self.budget {
-            return 0;
+/// One digest's line. Every body in it is either in flight (its slot
+/// empty) or admitted (its slot holds `Ok`): a failed or oversized
+/// result is filled and withdrawn under one lock.
+#[derive(Default)]
+struct Entry {
+    session: Option<Resident>,
+    bodies: HashMap<RequestKind, Body>,
+}
+
+impl Entry {
+    fn is_empty(&self) -> bool {
+        self.session.is_none() && self.bodies.is_empty()
+    }
+}
+
+struct State {
+    entries: HashMap<NetDigest, Entry>,
+    /// The digests whose entry holds a session — the session victim
+    /// search scans these, not every cached body.
+    resident: Vec<NetDigest>,
+    /// The LRU clock shared by bodies and sessions.
+    clock: u64,
+    /// Counters and body gauges (`sessions.sessions` is read off
+    /// `resident`).
+    stats: CacheStats,
+}
+
+impl State {
+    fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
+    }
+
+    /// Evict least-recently-used admitted bodies (never `keep`) until
+    /// the cache is back under `budget`. One scan + one sort, not a
+    /// scan per victim: the lock is held for O(n log n) in the worst
+    /// case, independent of how many bodies must go.
+    fn evict_over_budget(&mut self, budget: usize, keep: &CacheKey) {
+        if self.stats.bytes <= budget {
+            return;
         }
         let mut candidates: Vec<(u64, CacheKey)> = self
-            .map
+            .entries
             .iter()
-            .filter(|(k, _)| *k != keep)
-            .map(|(k, e)| (e.last_used.load(Ordering::Relaxed), *k))
+            .flat_map(|(&digest, entry)| {
+                entry
+                    .bodies
+                    .iter()
+                    .filter(|(_, body)| body.cost > 0)
+                    .map(move |(&kind, body)| (body.last_used, CacheKey { digest, kind }))
+            })
+            .filter(|(_, key)| key != keep)
             .collect();
         candidates.sort_unstable_by_key(|(used, _)| *used);
-        let mut evicted = 0;
-        for (_, k) in candidates {
-            if self.bytes <= self.budget {
+        for (_, key) in candidates {
+            if self.stats.bytes <= budget {
                 break;
             }
-            if let Some(e) = self.map.remove(&k) {
-                self.bytes -= e.cost;
-                evicted += 1;
+            let Some(entry) = self.entries.get_mut(&key.digest) else {
+                continue;
+            };
+            if let Some(body) = entry.bodies.remove(&key.kind) {
+                self.stats.bytes -= body.cost;
+                self.stats.entries -= 1;
+                self.stats.evictions += 1;
+            }
+            if entry.is_empty() {
+                self.entries.remove(&key.digest);
             }
         }
-        evicted
+    }
+
+    /// Drop the least recently used session, keeping its entry's
+    /// bodies. In-flight users keep their `Arc`; only the cache's
+    /// handle is returned, for the caller to free after unlocking.
+    fn drop_lru_session(&mut self) -> Option<Arc<Session>> {
+        let entries = &self.entries;
+        let (at, _) = self.resident.iter().enumerate().min_by_key(|(_, digest)| {
+            entries[*digest]
+                .session
+                .as_ref()
+                .map_or(0, |resident| resident.last_used)
+        })?;
+        let digest = self.resident.swap_remove(at);
+        self.stats.sessions.evictions += 1;
+        let entry = self.entries.get_mut(&digest)?;
+        let victim = entry.session.take();
+        if entry.is_empty() {
+            self.entries.remove(&digest);
+        }
+        victim.map(|resident| resident.session)
     }
 }
 
-/// An in-flight computation that followers wait on.
-struct Flight {
-    result: Mutex<Option<Result<Arc<String>, ServiceError>>>,
-    done: Condvar,
-}
-
-impl Flight {
-    fn new() -> Flight {
-        Flight {
-            result: Mutex::new(None),
-            done: Condvar::new(),
-        }
-    }
-
-    fn resolve(&self, r: Result<Arc<String>, ServiceError>) {
-        let mut slot = self.result.lock().expect("flight lock");
-        if slot.is_none() {
-            *slot = Some(r);
-        }
-        self.done.notify_all();
-    }
-
-    fn wait(&self) -> Result<Arc<String>, ServiceError> {
-        let mut slot = self.result.lock().expect("flight lock");
-        while slot.is_none() {
-            slot = self.done.wait(slot).expect("flight lock");
-        }
-        slot.clone().expect("resolved flight")
-    }
-}
-
-/// Resolves the flight with an error if the leader unwinds before
+/// Fills the leader's slot with an error if the leader unwinds before
 /// publishing a result, so followers never hang on a panicked leader.
 struct LeaderGuard<'a> {
     cache: &'a AnalysisCache,
     key: CacheKey,
-    flight: Arc<Flight>,
+    slot: Arc<Slot>,
 }
 
 impl Drop for LeaderGuard<'_> {
     fn drop(&mut self) {
-        self.flight.resolve(Err(ServiceError::Analysis(
-            "computation panicked".to_string(),
-        )));
-        self.cache
-            .inflight
-            .lock()
-            .expect("inflight lock")
-            .remove(&self.key);
+        if self.slot.get().is_none() {
+            let panicked = ServiceError::Analysis("computation panicked".to_string());
+            self.cache.publish(self.key, &self.slot, Err(panicked));
+        }
     }
 }
 
-/// The sharded, LRU-bounded, coalescing result cache.
+/// The one cache: sessions and response bodies per net digest, under
+/// one lock, one byte budget and one session bound.
 pub struct AnalysisCache {
-    shards: Vec<RwLock<Shard>>,
-    inflight: Mutex<HashMap<CacheKey, Arc<Flight>>>,
-    clock: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    computations: AtomicU64,
-    coalesced: AtomicU64,
+    state: Mutex<State>,
+    byte_budget: usize,
+    session_cap: usize,
+    options: SessionOptions,
+    counters: Arc<StageCounters>,
 }
 
 impl AnalysisCache {
-    /// An empty cache with the given sharding and budget.
-    pub fn new(config: &CacheConfig) -> AnalysisCache {
-        let shards = config.shards.max(1);
-        let budget = config.byte_budget / shards;
+    /// An empty cache holding bodies within `byte_budget` bytes and at
+    /// most [`MAX_SESSIONS`] sessions, created with `options` and
+    /// aggregating their stage counters into one [`StageCounters`].
+    pub fn new(byte_budget: usize, options: SessionOptions) -> AnalysisCache {
+        AnalysisCache::with_session_cap(byte_budget, MAX_SESSIONS, options)
+    }
+
+    fn with_session_cap(
+        byte_budget: usize,
+        session_cap: usize,
+        options: SessionOptions,
+    ) -> AnalysisCache {
         AnalysisCache {
-            shards: (0..shards)
-                .map(|_| {
-                    RwLock::new(Shard {
-                        map: HashMap::new(),
-                        bytes: 0,
-                        budget,
-                    })
-                })
-                .collect(),
-            inflight: Mutex::new(HashMap::new()),
-            clock: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            computations: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
+            state: Mutex::new(State {
+                entries: HashMap::new(),
+                resident: Vec::new(),
+                clock: 0,
+                stats: CacheStats::default(),
+            }),
+            byte_budget,
+            session_cap,
+            options,
+            counters: Arc::new(StageCounters::new()),
         }
     }
 
-    fn shard_of(&self, key: &CacheKey) -> &RwLock<Shard> {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % self.shards.len()]
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect("cache lock")
     }
 
-    fn tick(&self) -> u64 {
-        self.clock.fetch_add(1, Ordering::Relaxed)
+    /// The stage counters shared by every session this cache created.
+    pub fn counters(&self) -> &Arc<StageCounters> {
+        &self.counters
     }
 
-    /// Look a key up without counting a hit or miss (used internally;
-    /// prefer [`AnalysisCache::get_or_compute`]).
-    fn lookup(&self, key: &CacheKey) -> Option<Arc<String>> {
-        let shard = self.shard_of(key).read().expect("shard lock");
-        let entry = shard.map.get(key)?;
-        entry.last_used.store(self.tick(), Ordering::Relaxed);
-        Some(Arc::clone(&entry.value))
-    }
-
-    /// Insert (or replace) a value, evicting LRU entries as needed.
-    fn insert(&self, key: CacheKey, value: Arc<String>) {
-        let cost = value.len() + ENTRY_OVERHEAD;
-        let mut shard = self.shard_of(&key).write().expect("shard lock");
-        // A body that alone exceeds the shard budget is not cached at
-        // all: admitting it would evict the whole shard *and* leave the
-        // cache over its configured byte limit indefinitely.
-        if cost > shard.budget {
-            return;
+    /// The session for `digest`, creating one (and dropping the least
+    /// recently used beyond [`MAX_SESSIONS`]) as needed. `net` must be
+    /// the net `digest` was computed from; it is consumed only on a
+    /// miss.
+    pub fn session_for(&self, digest: NetDigest, net: TimedPetriNet) -> Arc<Session> {
+        let mut guard = self.lock();
+        let state = &mut *guard;
+        let tick = state.tick();
+        let entry = state.entries.entry(digest).or_default();
+        if let Some(resident) = &mut entry.session {
+            resident.last_used = tick;
+            state.stats.sessions.hits += 1;
+            return Arc::clone(&resident.session);
         }
-        let entry = CacheEntry {
-            value,
-            cost,
-            last_used: AtomicU64::new(self.tick()),
+        // Span the miss only: a hit is one map probe, below span
+        // resolution, and the warm path must not pay clock reads for
+        // it. A "session" span in a trace means a session was built.
+        let _span = tpn_obs::trace::span("session");
+        state.stats.sessions.misses += 1;
+        let session = Arc::new(
+            Session::with_counters(net, self.options.clone(), Arc::clone(&self.counters))
+                .with_digest(digest),
+        );
+        entry.session = Some(Resident {
+            session: Arc::clone(&session),
+            last_used: tick,
+        });
+        state.resident.push(digest);
+        let evicted = if state.resident.len() > self.session_cap {
+            state.drop_lru_session()
+        } else {
+            None
         };
-        if let Some(old) = shard.map.insert(key, entry) {
-            shard.bytes -= old.cost;
-        }
-        shard.bytes += cost;
-        let evicted = shard.evict_over_budget(&key);
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
-        }
+        // Freeing an evicted session's artifacts is the slow part of an
+        // eviction: do it after unlocking, so warm lookups never wait
+        // for it.
+        drop(guard);
+        drop(evicted);
+        session
     }
 
     /// The core serving primitive: return the cached body for `key`, or
@@ -265,79 +313,118 @@ impl AnalysisCache {
         key: CacheKey,
         f: impl FnOnce() -> Result<String, ServiceError>,
     ) -> Result<Arc<String>, ServiceError> {
-        if let Some(v) = self.lookup(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(v);
-        }
-        // A trace span only past the hit fast path: a hit is a sharded
-        // read-lock lookup, below what span timing resolves, and the
+        let (slot, is_leader) = {
+            let mut guard = self.lock();
+            let state = &mut *guard;
+            let tick = state.tick();
+            let bodies = &mut state.entries.entry(key.digest).or_default().bodies;
+            match bodies.entry(key.kind) {
+                MapEntry::Occupied(mut found) => {
+                    let body = found.get_mut();
+                    if let Some(Ok(value)) = body.slot.get() {
+                        body.last_used = tick;
+                        state.stats.hits += 1;
+                        return Ok(Arc::clone(value));
+                    }
+                    // Follower: a leader is computing this very key.
+                    state.stats.coalesced += 1;
+                    (Arc::clone(&body.slot), false)
+                }
+                MapEntry::Vacant(vacant) => {
+                    state.stats.misses += 1;
+                    state.stats.computations += 1;
+                    let slot = Arc::new(Slot::new());
+                    vacant.insert(Body {
+                        slot: Arc::clone(&slot),
+                        cost: 0,
+                        last_used: tick,
+                    });
+                    (slot, true)
+                }
+            }
+        };
+        // A trace span only past the hit fast path: a hit is one map
+        // probe under the lock, below what span timing resolves, and the
         // hot path must not pay two clock reads for it. A "cache" span
         // in a trace therefore *means* the cache had to work (coalesced
         // wait or compute).
         let _span = tpn_obs::trace::span("cache");
-        // Leader if the flight slot was vacant, follower otherwise.
-        let (flight, is_leader) = {
-            let mut inflight = self.inflight.lock().expect("inflight lock");
-            match inflight.entry(key) {
-                MapEntry::Occupied(e) => (Arc::clone(e.get()), false),
-                MapEntry::Vacant(slot) => (Arc::clone(slot.insert(Arc::new(Flight::new()))), true),
-            }
-        };
         if !is_leader {
-            // Follower: a leader is computing this very key.
-            self.coalesced.fetch_add(1, Ordering::Relaxed);
-            return flight.wait();
+            return slot.wait().clone();
         }
-        // The guard unregisters the flight (and unblocks followers with
-        // an error) even if `f` panics.
+        // The guard fills the slot (and unblocks followers with an
+        // error) even if `f` panics.
         let guard = LeaderGuard {
             cache: self,
             key,
-            flight,
+            slot,
         };
-        // A racing leader may have inserted between our lookup and the
-        // flight registration; serve that instead of recomputing.
-        if let Some(v) = self.lookup(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            guard.flight.resolve(Ok(Arc::clone(&v)));
-            return Ok(v);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.computations.fetch_add(1, Ordering::Relaxed);
         let result = f().map(Arc::new);
-        if let Ok(v) = &result {
-            self.insert(key, Arc::clone(v));
-        }
-        guard.flight.resolve(result.clone());
+        self.publish(key, &guard.slot, result.clone());
         result
+    }
+
+    /// Fill a leader's slot and settle it under the lock: a body whose
+    /// cost fits the budget is admitted, evicting least-recently-used
+    /// bodies as needed; an error or an oversized body is withdrawn, so
+    /// the next request recomputes. (Admitting a body bigger than the
+    /// budget would evict everything *and* leave the cache over its
+    /// configured limit.)
+    fn publish(&self, key: CacheKey, slot: &Slot, result: Result<Arc<String>, ServiceError>) {
+        let admitted = result
+            .as_ref()
+            .ok()
+            .map(|body| body.len() + ENTRY_OVERHEAD)
+            .filter(|&cost| cost <= self.byte_budget);
+        // Not `lock()`: this also runs in the leader guard's `Drop`,
+        // which must not panic. With the lock poisoned the map cannot be
+        // settled, but filling the slot still wakes every follower.
+        let Ok(mut guard) = self.state.lock() else {
+            let _ = slot.set(result);
+            return;
+        };
+        let state = &mut *guard;
+        let _ = slot.set(result);
+        let tick = state.tick();
+        let Some(entry) = state.entries.get_mut(&key.digest) else {
+            return;
+        };
+        match admitted {
+            Some(cost) => {
+                if let Some(body) = entry.bodies.get_mut(&key.kind) {
+                    body.cost = cost;
+                    body.last_used = tick;
+                    state.stats.entries += 1;
+                    state.stats.bytes += cost;
+                }
+                state.evict_over_budget(self.byte_budget, &key);
+            }
+            None => {
+                entry.bodies.remove(&key.kind);
+                if entry.is_empty() {
+                    state.entries.remove(&key.digest);
+                }
+            }
+        }
     }
 
     /// A counter and occupancy snapshot.
     pub fn stats(&self) -> CacheStats {
-        let mut entries = 0;
-        let mut bytes = 0;
-        for shard in &self.shards {
-            let s = shard.read().expect("shard lock");
-            entries += s.map.len();
-            bytes += s.bytes;
-        }
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            computations: self.computations.load(Ordering::Relaxed),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
-            entries,
-            bytes,
-        }
+        let state = self.lock();
+        let mut stats = state.stats;
+        stats.sessions.sessions = state.resident.len();
+        stats
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use crate::{Service, ServiceConfig};
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
+    use tpn_net::parse_tpn;
+    use tpn_session::Stage;
 
     fn key(tag: u64) -> CacheKey {
         CacheKey {
@@ -346,16 +433,25 @@ mod tests {
         }
     }
 
-    fn single_shard(byte_budget: usize) -> AnalysisCache {
-        AnalysisCache::new(&CacheConfig {
-            shards: 1,
-            byte_budget,
-        })
+    fn with_budget(byte_budget: usize) -> AnalysisCache {
+        AnalysisCache::new(byte_budget, SessionOptions::new())
+    }
+
+    fn net_text(n: usize) -> String {
+        format!(
+            "net n{n}\nplace a init 1\nplace b\n\
+             trans go in a out b firing {}\ntrans back in b out a firing 3",
+            n + 1
+        )
+    }
+
+    fn net(n: usize) -> TimedPetriNet {
+        parse_tpn(&net_text(n)).unwrap()
     }
 
     #[test]
     fn hit_after_miss_returns_same_body() {
-        let cache = single_shard(1 << 20);
+        let cache = with_budget(1 << 20);
         let a = cache
             .get_or_compute(key(1), || Ok("body".to_string()))
             .unwrap();
@@ -371,7 +467,7 @@ mod tests {
 
     #[test]
     fn distinct_kinds_are_distinct_entries() {
-        let cache = single_shard(1 << 20);
+        let cache = with_budget(1 << 20);
         let k2 = CacheKey {
             digest: NetDigest([1, !1]),
             kind: RequestKind::Simulate {
@@ -388,7 +484,7 @@ mod tests {
     fn lru_eviction_order() {
         // Budget fits two entries; A is touched, so inserting C evicts B.
         let body = "x".repeat(200);
-        let cache = single_shard(2 * (200 + ENTRY_OVERHEAD) + 10);
+        let cache = with_budget(2 * (200 + ENTRY_OVERHEAD) + 10);
         cache.get_or_compute(key(1), || Ok(body.clone())).unwrap();
         cache.get_or_compute(key(2), || Ok(body.clone())).unwrap();
         // touch A so B becomes the LRU entry
@@ -418,7 +514,7 @@ mod tests {
 
     #[test]
     fn oversized_bodies_are_served_but_not_admitted() {
-        let cache = single_shard(100);
+        let cache = with_budget(100);
         let big = "x".repeat(500);
         let v = cache.get_or_compute(key(1), || Ok(big.clone())).unwrap();
         assert_eq!(*v, big, "caller still gets the body");
@@ -431,7 +527,7 @@ mod tests {
 
     #[test]
     fn errors_are_not_cached() {
-        let cache = single_shard(1 << 20);
+        let cache = with_budget(1 << 20);
         let e = cache
             .get_or_compute(key(1), || Err(ServiceError::Analysis("boom".into())))
             .unwrap_err();
@@ -444,7 +540,7 @@ mod tests {
 
     #[test]
     fn concurrent_identical_requests_compute_once() {
-        let cache = Arc::new(single_shard(1 << 20));
+        let cache = Arc::new(with_budget(1 << 20));
         let computed = Arc::new(AtomicUsize::new(0));
         let mut handles = Vec::new();
         for _ in 0..8 {
@@ -473,7 +569,7 @@ mod tests {
 
     #[test]
     fn leader_panic_unblocks_followers() {
-        let cache = Arc::new(single_shard(1 << 20));
+        let cache = Arc::new(with_budget(1 << 20));
         let c2 = Arc::clone(&cache);
         let leader = std::thread::spawn(move || {
             let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -491,5 +587,80 @@ mod tests {
         if let Err(e) = follower {
             assert!(e.to_string().contains("panicked"), "{e}");
         }
+    }
+
+    #[test]
+    fn sessions_are_shared_per_digest() {
+        let cache = AnalysisCache::with_session_cap(1 << 20, 4, SessionOptions::new());
+        let a = net(1);
+        let d = a.digest();
+        let s1 = cache.session_for(d, a.clone());
+        let s2 = cache.session_for(d, a);
+        assert!(Arc::ptr_eq(&s1, &s2));
+        let stats = cache.stats().sessions;
+        assert_eq!((stats.hits, stats.misses, stats.sessions), (1, 1, 1));
+    }
+
+    #[test]
+    fn lru_eviction_by_capacity() {
+        let cache = AnalysisCache::with_session_cap(1 << 20, 2, SessionOptions::new());
+        let nets: Vec<TimedPetriNet> = (0..3).map(net).collect();
+        let d0 = nets[0].digest();
+        cache.session_for(d0, nets[0].clone());
+        cache.session_for(nets[1].digest(), nets[1].clone());
+        // touch net 0 so net 1 is the LRU victim
+        cache.session_for(d0, nets[0].clone());
+        cache.session_for(nets[2].digest(), nets[2].clone());
+        let stats = cache.stats().sessions;
+        assert_eq!((stats.sessions, stats.evictions), (2, 1));
+        // net 0 survived (hit), net 1 was evicted (miss)
+        cache.session_for(d0, nets[0].clone());
+        let before = cache.stats().sessions.misses;
+        cache.session_for(nets[1].digest(), nets[1].clone());
+        assert_eq!(cache.stats().sessions.misses, before + 1);
+    }
+
+    #[test]
+    fn dropped_sessions_keep_their_bodies() {
+        let svc = Service::new(ServiceConfig::default());
+        for n in 0..=MAX_SESSIONS {
+            assert_eq!(svc.respond(RequestKind::Analyze, &net_text(n)).0, 200);
+        }
+        // 33 cold sessions: net 0's, the least recently used, is gone.
+        let before = svc.cache().stats();
+        assert_eq!(before.sessions.sessions, MAX_SESSIONS);
+        assert_eq!(before.sessions.evictions, 1);
+        let trg_builds = || svc.cache().counters().snapshot(Stage::Trg).builds;
+        let builds = trg_builds();
+        // Its /analyze body outlived it: a hit, with no TRG rebuilt.
+        assert_eq!(svc.respond(RequestKind::Analyze, &net_text(0)).0, 200);
+        let after = svc.cache().stats();
+        assert_eq!(after.hits, before.hits + 1);
+        assert_eq!(after.computations, before.computations);
+        assert_eq!(trg_builds(), builds);
+        // A /graph needs the artifacts: the net's session is created
+        // again (one session miss for the pair) and its TRG built once.
+        assert_eq!(svc.respond(RequestKind::Graph, &net_text(0)).0, 200);
+        assert_eq!(
+            svc.cache().stats().sessions.misses,
+            before.sessions.misses + 1
+        );
+        assert_eq!(trg_builds(), builds + 1);
+    }
+
+    #[test]
+    fn budget_admits_any_body_that_fits() {
+        // One budget, not sixteen shards of it: fig1's /analyze body
+        // fits 16 KiB and is cached.
+        let svc = Service::new(ServiceConfig {
+            cache_bytes: 16 << 10,
+            ..ServiceConfig::default()
+        });
+        let fig1 = include_str!("../../../tests/fixtures/fig1.tpn");
+        for _ in 0..2 {
+            assert_eq!(svc.respond(RequestKind::Analyze, fig1).0, 200);
+        }
+        let s = svc.cache().stats();
+        assert_eq!((s.computations, s.entries, s.bytes), (1, 1, 1234));
     }
 }

@@ -53,14 +53,13 @@ use tpn_session::{Session, SessionOptions, STAGES};
 
 use crate::alerts::{self, AlertsConfig, Notifier, NotifyCounters, Silence};
 use crate::analysis::{run_with_session, RequestKind, ServiceError};
-use crate::cache::{AnalysisCache, CacheConfig, CacheKey};
+use crate::cache::{AnalysisCache, CacheKey};
 use crate::history;
 use crate::json::{error_body, error_object, JsonWriter};
 use crate::metrics::{
     self, ConnStats, Counter, CounterDef, Endpoint, RequestTrace, ServiceMetrics, SlowTrace,
     Source, StatsSnapshot, COUNTERS, ENDPOINTS,
 };
-use crate::sessions::SessionCache;
 use crate::slo::{self, SloConfig};
 use crate::spec::Spec;
 use crate::v1::{parse_envelope, V1Request};
@@ -73,8 +72,10 @@ pub struct ServiceConfig {
     pub threads: usize,
     /// Bounded queue of accepted-but-unhandled connections.
     pub queue_cap: usize,
-    /// Result-cache sizing.
-    pub cache: CacheConfig,
+    /// The cache's byte budget for response bodies (`tpn serve
+    /// --cache-bytes`). A body costs its length plus a fixed per-entry
+    /// overhead and is cached when that cost fits.
+    pub cache_bytes: usize,
     /// Maximum accepted request-body size in bytes.
     pub max_body_bytes: usize,
     /// Maximum `events` accepted by `/simulate` — one request may not
@@ -86,9 +87,6 @@ pub struct ServiceConfig {
     /// Maximum grid points accepted by `/sweep` — the sweep analogue
     /// of `max_sim_events`.
     pub max_sweep_points: u64,
-    /// Maximum [`Session`]s held in the artifact tier of the cache
-    /// (one per distinct net digest, LRU-evicted).
-    pub max_sessions: usize,
     /// Whether to record request metrics and traces (`/metrics`,
     /// `/debug/requests`). Off, the whole observability layer is a
     /// no-op — the comparison arm of the overhead bench.
@@ -184,12 +182,11 @@ impl Default for ServiceConfig {
         ServiceConfig {
             threads: 4,
             queue_cap: 64,
-            cache: CacheConfig::default(),
+            cache_bytes: 64 * 1024 * 1024,
             max_body_bytes: 1 << 20,
             max_sim_events: 10_000_000,
             sweep_threads: 4,
             max_sweep_points: 1_000_000,
-            max_sessions: 32,
             metrics: true,
             log: None,
             sample_interval_ms: 5_000,
@@ -214,16 +211,14 @@ impl ServiceConfig {
 /// Usable in-process (the CLI's `batch` mode) or behind the HTTP
 /// front end [`spawn`](crate::spawn) starts.
 ///
-/// The cache is two-tier: a per-digest [`Session`] tier holding the
-/// memoized pipeline artifacts (TRG, decision graph, rates, lifted
-/// domains, compiled programs) and the final-body
-/// [`AnalysisCache`] tier keyed by `(digest, request kind)`. Requests
-/// of *different* kinds against the same net miss the body tier but
-/// share the artifact tier — that is where the redundant work used to
-/// be.
+/// One [`AnalysisCache`] holds, per net digest, the [`Session`] with
+/// the memoized pipeline artifacts (TRG, decision graph, rates, lifted
+/// domains, compiled programs) and the response bodies rendered from
+/// it, keyed by request kind. Requests of *different* kinds against the
+/// same net miss each other's bodies but share the session — that is
+/// where the redundant work used to be.
 pub struct Service {
     cache: AnalysisCache,
-    sessions: SessionCache,
     config: ServiceConfig,
     /// The service-owned counters, indexed by [`Counter`].
     counters: [AtomicU64; metrics::OWNED],
@@ -304,8 +299,7 @@ impl Service {
             None
         };
         Service {
-            cache: AnalysisCache::new(&config.cache),
-            sessions: SessionCache::new(config.max_sessions, config.session_options()),
+            cache: AnalysisCache::new(config.cache_bytes, config.session_options()),
             config,
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
             metrics,
@@ -323,14 +317,10 @@ impl Service {
         }
     }
 
-    /// The result cache (for inspection in tests and benches).
+    /// The cache of sessions and response bodies (for inspection in
+    /// tests and benches).
     pub fn cache(&self) -> &AnalysisCache {
         &self.cache
-    }
-
-    /// The session (artifact) tier of the cache.
-    pub fn sessions(&self) -> &SessionCache {
-        &self.sessions
     }
 
     /// The configuration the service was built with.
@@ -449,7 +439,7 @@ impl Service {
     pub fn session_for(&self, net: TimedPetriNet) -> Arc<Session> {
         let digest = net.digest();
         metrics::annotate_digest(digest.0);
-        self.sessions.session_for(digest, net)
+        self.cache.session_for(digest, net)
     }
 
     /// Serve one analysis request: parse the `.tpn` body, digest it,
@@ -705,11 +695,11 @@ impl Service {
 
     /// One perturbation's cached entry body: an ordinary session over
     /// the perturbed net, every requested analysis run against it, and
-    /// the assembled fragment cached. The session lives in the session
-    /// tier under the **perturbed** net's full digest, and each inner
-    /// analysis body is cached under `(full digest, kind)` — exactly the
-    /// lines a plain request for that net would hit, so each entry
-    /// equals the `/v1` entry for the perturbed net.
+    /// the assembled fragment cached. The session and each inner
+    /// analysis body live in the cache entry of the **perturbed** net's
+    /// full digest — exactly the lines a plain request for that net
+    /// would hit, so each entry equals the `/v1` entry for the
+    /// perturbed net.
     fn whatif_entry(
         &self,
         session: &Session,
@@ -735,7 +725,7 @@ impl Service {
                 .with_timing(delta)
                 .map_err(|e| ServiceError::BadRequest(e.to_string()))?;
             let digest = perturbed.digest();
-            let perturbed = self.sessions.session_for(digest, perturbed);
+            let perturbed = self.cache.session_for(digest, perturbed);
             let mut w = JsonWriter::new();
             w.begin_object();
             w.key("digest");
@@ -893,7 +883,7 @@ impl Service {
         // Per-stage artifact counters, aggregated over every session
         // this service created — the observable form of "a /sweep after
         // an /analyze reuses the TRG".
-        let counters = self.sessions.counters();
+        let counters = self.cache.counters();
         w.key("artifacts");
         w.begin_object();
         for stage in STAGES {
@@ -1086,7 +1076,6 @@ impl Service {
     /// Every `/stats` number, snapshotted for rendering.
     fn stats_snapshot(&self) -> StatsSnapshot {
         let s = self.cache.stats();
-        let sess = self.sessions.stats();
         let (alerts_firing, alerts_pending) = {
             let engine = self.alerts.lock().expect("alert engine lock");
             (engine.firing_count(), engine.pending_count())
@@ -1094,12 +1083,11 @@ impl Service {
         StatsSnapshot {
             counters: std::array::from_fn(|i| match COUNTERS[i].source {
                 Source::Service(c) => self.counters[c as usize].load(Ordering::Relaxed),
-                Source::Cache(get) => get(&s),
-                Source::Sessions(get) => get(&sess),
+                Source::Cache(get) | Source::Sessions(get) => get(&s),
             }),
             entries: s.entries as u64,
             bytes: s.bytes as u64,
-            session_entries: sess.sessions as u64,
+            session_entries: s.sessions.sessions as u64,
             threads: self.config.threads as u64,
             queue_cap: self.config.queue_cap as u64,
             uptime_seconds: self.started.elapsed().as_secs_f64(),
@@ -1120,7 +1108,7 @@ impl Service {
         metrics::render(
             &self.metrics,
             &self.stats_snapshot(),
-            self.sessions.counters(),
+            self.cache.counters(),
             &self.conn,
         )
     }
@@ -1439,7 +1427,7 @@ mod tests {
                 svc.bump(counter, 1_000 + i as u64);
             }
         }
-        let (cache, sessions) = (svc.cache.stats(), svc.sessions.stats());
+        let cache = svc.cache.stats();
         let stats = crate::jsonval::Json::parse(&svc.stats_json()).expect("/stats parses");
         let text = svc.metrics_text();
         let schema = history::schema();
@@ -1448,8 +1436,7 @@ mod tests {
             let want = match row.source {
                 // The graph request above counted one request already.
                 Source::Service(c) => 1_000 + i as u64 + u64::from(c == Counter::Requests),
-                Source::Cache(get) => get(&cache),
-                Source::Sessions(get) => get(&sessions),
+                Source::Cache(get) | Source::Sessions(get) => get(&cache),
             };
             // The parser rejects duplicate keys, so a hit is the only one
             // in its object.

@@ -15,9 +15,8 @@
 //! | [`sweep`] | parameter-sweep specs and the compiled sweep executor |
 //! | [`optimize`] | parameter-synthesis specs and the certified optimizer front end |
 //! | [`whatif`] | what-if batches: one base net, many timing perturbations |
-//! | [`sessions`] | per-digest [`tpn_session::Session`] tier: shared pipeline artifacts |
 //! | [`v1`] | the unified `POST /v1` envelope: many analyses, one session |
-//! | [`cache`] | sharded LRU result cache keyed by [`tpn_net::NetDigest`], with request coalescing |
+//! | [`cache`] | the one cache keyed by [`tpn_net::NetDigest`]: each net's [`tpn_session::Session`] and response bodies, LRU, with request coalescing |
 //! | [`metrics`] | per-endpoint latency histograms, `GET /metrics` exposition, request-trace ring |
 //! | [`history`] | time-series retention ring + the `GET /metrics/history` document |
 //! | [`slo`] | per-endpoint objectives, burn-rate health, `GET /slo` and the graded `/healthz` |
@@ -26,16 +25,15 @@
 //! | [`http`] | the [`Service`], its configuration and the HTTP route table |
 //! | `aio_server` | the epoll listener (Linux only): keep-alive, pipelining, admission control, streamed responses |
 //!
-//! Caching is **two-tier**. The body tier is keyed by
-//! `(net content digest, request kind)`: the digest is
-//! declaration-order-independent, so any `.tpn` text describing the
-//! same net shares a cache line, and concurrent identical requests are
-//! coalesced into a single pipeline execution. Underneath it, the
-//! session tier holds one memoizing [`tpn_session::Session`] per
-//! digest, so requests of *different* kinds against the same net still
-//! share the expensive pipeline artifacts (TRG, lifted domain,
-//! compiled program) even though their bodies are distinct cache
-//! entries.
+//! There is **one cache**, keyed by the net's content digest. The
+//! digest is declaration-order-independent, so any `.tpn` text
+//! describing the same net shares an entry. An entry holds the net's
+//! memoizing [`tpn_session::Session`] and its response bodies by
+//! request kind: requests of *different* kinds against the same net
+//! share the expensive pipeline artifacts (TRG, lifted domain, compiled
+//! program), and concurrent identical requests are coalesced into a
+//! single pipeline execution. Bodies are bounded by one byte budget,
+//! sessions by count.
 //!
 //! # In-process use
 //!
@@ -78,7 +76,6 @@ pub mod json;
 pub mod jsonval;
 pub mod metrics;
 pub mod optimize;
-pub mod sessions;
 pub mod slo;
 pub mod spec;
 pub mod sweep;
@@ -91,7 +88,7 @@ pub use alerts::{AlertsConfig, RuleSpec, Silence, WebhookConfig};
 pub use analysis::{
     run, run_with_session, RequestKind, ServiceError, DEFAULT_SIM_EVENTS, DEFAULT_SIM_SEED,
 };
-pub use cache::{AnalysisCache, CacheConfig, CacheKey, CacheStats};
+pub use cache::{AnalysisCache, CacheKey, CacheStats, SessionStats};
 pub use executor::{PoolClosed, ThreadPool};
 pub use http::{AioConfig, LogConfig, Service, ServiceConfig};
 pub use jsonval::Json;
@@ -100,7 +97,6 @@ pub use metrics::{
     TRACE_RING_CAP,
 };
 pub use optimize::{optimize_json, BoxAxisSpec, OptimizeSpec};
-pub use sessions::{SessionCache, SessionCacheStats};
 pub use slo::{SloConfig, DEFAULT_OBJECTIVE};
 pub use spec::Spec;
 pub use sweep::{spec_hash, sweep_json, SweepBackend, SweepSpec};

@@ -21,7 +21,7 @@
 //! `COUNTERS` is the registry of monotone service counters: one row
 //! per counter with its name (the `/stats` key and retention-ring
 //! column), `tpn_*_total` family, HELP text and source (a service-owned atomic,
-//! the body cache or the session tier). `/stats`, `/metrics` and the
+//! or a body or session counter of the cache). `/stats`, `/metrics` and the
 //! ring schema and frames all iterate it. Adding a service-owned
 //! counter takes a `Counter` variant, one row, and its increment site
 //! (`Service::bump`).
@@ -38,7 +38,6 @@ use tpn_session::{StageCounters, STAGES};
 use crate::analysis::RequestKind;
 use crate::cache::CacheStats;
 use crate::json::JsonWriter;
-use crate::sessions::SessionCacheStats;
 
 /// Every request surface the service distinguishes in its metrics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -526,11 +525,11 @@ pub(crate) enum Counter {
 pub(crate) enum Source {
     /// The service's own atomic slot.
     Service(Counter),
-    /// A body-cache counter.
+    /// A body counter of the cache.
     Cache(fn(&CacheStats) -> u64),
-    /// A session-tier counter; `/stats` nests these in its
+    /// A session counter of the cache; `/stats` nests these in its
     /// `"sessions"` object.
-    Sessions(fn(&SessionCacheStats) -> u64),
+    Sessions(fn(&CacheStats) -> u64),
 }
 
 /// One row of [`COUNTERS`].
@@ -550,7 +549,7 @@ pub(crate) struct CounterDef {
 
 /// Every monotone service counter, in `/stats`, `/metrics` and ring
 /// column order — the one list those three documents iterate. The
-/// session-tier rows come last, since `/stats` closes with them inside
+/// session rows come last, since `/stats` closes with them inside
 /// its `"sessions"` object.
 pub(crate) const COUNTERS: [CounterDef; 22] = [
     CounterDef {
@@ -671,19 +670,19 @@ pub(crate) const COUNTERS: [CounterDef; 22] = [
         name: "session_hits",
         family: "tpn_session_hits_total",
         help: "Artifact-tier lookups that found a live session.",
-        source: Source::Sessions(|s| s.hits),
+        source: Source::Sessions(|s| s.sessions.hits),
     },
     CounterDef {
         name: "session_misses",
         family: "tpn_session_misses_total",
         help: "Artifact-tier lookups that created a session.",
-        source: Source::Sessions(|s| s.misses),
+        source: Source::Sessions(|s| s.sessions.misses),
     },
     CounterDef {
         name: "session_evictions",
         family: "tpn_session_evictions_total",
         help: "Sessions evicted from the artifact tier.",
-        source: Source::Sessions(|s| s.evictions),
+        source: Source::Sessions(|s| s.sessions.evictions),
     },
 ];
 

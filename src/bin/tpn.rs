@@ -606,7 +606,7 @@ fn cmd_serve(args: &[String], out: &mut dyn Write) -> Result<(), Failure> {
             "--inflight" => config.aio.inflight = flag_value("--inflight")?,
             "--stream-threshold" => config.aio.stream_threshold = flag_value("--stream-threshold")?,
             "--drain-ms" => config.aio.drain_ms = flag_value("--drain-ms")? as u64,
-            "--cache-bytes" => config.cache.byte_budget = flag_value("--cache-bytes")?,
+            "--cache-bytes" => config.cache_bytes = flag_value("--cache-bytes")?,
             "--no-metrics" => config.metrics = false,
             "--sample-interval" => {
                 config.sample_interval_ms = flag_value("--sample-interval")? as u64
@@ -1265,7 +1265,7 @@ fn flatten_stats(
 /// against the same shared session, so e.g.
 /// `tpn batch nets analyze graph correctness` builds each net's TRG a
 /// single time. Identical nets (by content digest) are computed once
-/// across files too, thanks to the shared two-tier cache.
+/// across files too, thanks to the service's shared cache.
 fn cmd_batch(args: &[String], out: &mut dyn Write) -> Result<(), Failure> {
     let dir = args.first().ok_or_else(|| usage_of("batch"))?;
     let kind_names: Vec<&str> = if args.len() > 1 {

@@ -24,7 +24,7 @@
 //! | [`protocols`] | `tpn-protocols` | the paper's nets and parametric families |
 //! | [`session`] | `tpn-session` | memoized typed-artifact pipeline: one handle, the whole chain |
 //! | [`obs`] | `tpn-obs` | observability: lock-free latency histograms, Prometheus exposition, span traces |
-//! | [`service`] | `tpn-service` | analysis daemon: two-tier cache, thread pool, HTTP + JSON |
+//! | [`service`] | `tpn-service` | analysis daemon: one cache (sessions + response bodies), thread pool, HTTP + JSON |
 //!
 //! # Quickstart
 //!

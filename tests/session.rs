@@ -154,7 +154,7 @@ fn sweep_after_analyze_reuses_session_artifacts() {
 
     let (status, _) = svc.respond(RequestKind::Analyze, &net);
     assert_eq!(status, 200);
-    let counters = svc.sessions().counters();
+    let counters = svc.cache().counters();
     assert_eq!(
         counters.snapshot(timed_petri::session::Stage::Trg).builds,
         1
@@ -183,7 +183,7 @@ fn sweep_after_analyze_reuses_session_artifacts() {
     );
 
     // The session tier recorded one miss (analyze) and two hits.
-    let sessions = svc.sessions().stats();
+    let sessions = svc.cache().stats().sessions;
     assert_eq!((sessions.misses, sessions.hits), (1, 2), "{sessions:?}");
 }
 

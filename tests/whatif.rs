@@ -183,14 +183,39 @@ fn whatif_entries_are_cached_across_batches() {
     assert!(stats.contains(r#""whatif_rejects":0"#), "{stats}");
     // One session per perturbed net: the base net's plus one miss per
     // distinct timing point, built only on the first batch.
-    assert_eq!(svc.sessions().stats().misses, 3);
+    assert_eq!(svc.cache().stats().sessions.misses, 3);
     // A different batch sharing one timing point hits that entry: the
     // cache key is (structural digest, timing, requests), not the batch.
     let second = spec(r#"{"perturbations":[{"E(t3)":"750"},{"E(t3)":"1250"}]}"#);
     svc.respond_whatif_spec(fig1_net(), &second);
     let stats = svc.stats_json();
     assert!(stats.contains(r#""whatif_hits":3"#), "{stats}");
-    assert_eq!(svc.sessions().stats().misses, 4);
+    assert_eq!(svc.cache().stats().sessions.misses, 4);
+}
+
+#[test]
+fn whatif_entries_are_shared_across_base_nets() {
+    // Two structurally identical bases that differ only in E(t3) merge
+    // the same perturbation to the same timing point: the second batch
+    // hits the first one's entry and builds no session for the
+    // perturbed net.
+    let svc = Service::new(ServiceConfig::default());
+    let spec =
+        WhatifSpec::from_json(&Json::parse(r#"{"perturbations":[{"E(t3)":"500"}]}"#).unwrap())
+            .unwrap();
+    let other = fig1_net()
+        .with_timing(&TimingAssignment::new().with("E(t3)", Rational::from_int(2000)))
+        .unwrap();
+    svc.respond_whatif_spec(fig1_net(), &spec);
+    assert!(svc.stats_json().contains(r#""whatif_hits":0"#));
+    // The second base's own session, resolved up front so the count
+    // below sees only what the batch builds.
+    svc.session_for(other.clone());
+    let misses = svc.cache().stats().sessions.misses;
+    svc.respond_whatif_spec(other, &spec);
+    let stats = svc.stats_json();
+    assert!(stats.contains(r#""whatif_hits":1"#), "{stats}");
+    assert_eq!(svc.cache().stats().sessions.misses, misses);
 }
 
 #[test]
@@ -212,7 +237,7 @@ fn whatif_shares_cache_lines_with_plain_analyses() {
     assert_eq!(svc.cache().stats().hits, hits_before + 1);
     // ... and the session tier holds the perturbed net's session under
     // its digest, so no pipeline stage re-ran either.
-    assert!(svc.sessions().stats().hits >= 1);
+    assert!(svc.cache().stats().sessions.hits >= 1);
 }
 
 #[test]
