@@ -12,7 +12,7 @@
 //!   (TRG → decision graph → exact rational rates → JSON);
 //! * `warm_hit` repeats the identical request, so after the first
 //!   iteration every request is answered from the cache — the residual
-//!   cost is parse + digest + shard lookup.
+//!   cost is parse + digest + one cache lookup.
 //!
 //! The hit/miss request-rate ratio is the headroom the cache buys a
 //! serving deployment with repeated nets; `BENCH_1.json` records it.

@@ -8,15 +8,21 @@ use crate::PlaceId;
 /// functions. The paper writes `#(p, I(t))` for the multiplicity of
 /// place `p` in the input bag of `t`; that is [`Bag::count`].
 ///
-/// Stored flat: a `Vec` of `(place, multiplicity)` pairs sorted by
-/// place, with each place at most once and no zero multiplicities.
-/// Bags are small (a transition touches a handful of places), so the
-/// enabling test and the token moves of every firing walk contiguous
-/// pairs, and a lookup is a binary search. The derived `Eq` and `Hash`
-/// rely on that canonical form: equal multisets have equal vectors.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
-pub struct Bag {
-    entries: Vec<(PlaceId, u32)>, // invariant: sorted, distinct places, no zero counts
+/// Stored flat: `(place, multiplicity)` pairs sorted by place, with
+/// each place at most once and no zero multiplicities. Bags are small
+/// (a transition touches a handful of places), so the enabling test and
+/// the token moves of every firing walk contiguous pairs, and a lookup
+/// is a binary search. The derived `Eq` and `Hash` rely on that
+/// canonical form: equal multisets have equal pairs.
+///
+/// The storage `S` is an owned `Vec` by default. A net keeps every
+/// transition's bags in one arc array and hands out `Bag<&[_]>` views
+/// over its slices, with the same read-only API. Functions that read a
+/// bag of either kind take `impl Into<Bag<&[(PlaceId, u32)]>>`, which
+/// both a view and a `&Bag` satisfy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub struct Bag<S = Vec<(PlaceId, u32)>> {
+    entries: S, // invariant: sorted, distinct places, no zero counts
 }
 
 impl Bag {
@@ -29,14 +35,7 @@ impl Bag {
     /// the same place accumulate.
     pub fn from_pairs<I: IntoIterator<Item = (PlaceId, u32)>>(pairs: I) -> Bag {
         let mut entries: Vec<(PlaceId, u32)> = pairs.into_iter().filter(|&(_, n)| n > 0).collect();
-        entries.sort_unstable_by_key(|&(p, _)| p);
-        entries.dedup_by(|next, kept| {
-            let same = next.0 == kept.0;
-            if same {
-                kept.1 += next.1;
-            }
-            same
-        });
+        canonicalize(&mut entries);
         Bag { entries }
     }
 
@@ -50,57 +49,93 @@ impl Bag {
             Err(i) => self.entries.insert(i, (p, n)),
         }
     }
+}
+
+/// Sort non-zero `(place, multiplicity)` pairs by place and merge the
+/// multiplicities of a repeated place: the canonical form of a bag.
+pub(crate) fn canonicalize(entries: &mut Vec<(PlaceId, u32)>) {
+    entries.sort_unstable_by_key(|&(p, _)| p);
+    entries.dedup_by(|next, kept| {
+        let same = next.0 == kept.0;
+        if same {
+            kept.1 += next.1;
+        }
+        same
+    });
+}
+
+impl<'a> Bag<&'a [(PlaceId, u32)]> {
+    /// A view over pairs already in canonical form.
+    pub(crate) fn from_canonical(entries: &'a [(PlaceId, u32)]) -> Self {
+        Bag { entries }
+    }
+}
+
+impl<'a, S: AsRef<[(PlaceId, u32)]>> From<&'a Bag<S>> for Bag<&'a [(PlaceId, u32)]> {
+    fn from(bag: &'a Bag<S>) -> Self {
+        Bag {
+            entries: bag.as_slice(),
+        }
+    }
+}
+
+impl<S: AsRef<[(PlaceId, u32)]>> Bag<S> {
+    /// The `(place, multiplicity)` pairs, sorted by place.
+    pub fn as_slice(&self) -> &[(PlaceId, u32)] {
+        self.entries.as_ref()
+    }
 
     /// Where `p` is (`Ok`), or where it would go (`Err`). Appending in
     /// place order, as builders usually do, never searches.
     fn position(&self, p: PlaceId) -> Result<usize, usize> {
-        match self.entries.last() {
+        let entries = self.as_slice();
+        match entries.last() {
             None => Err(0),
-            Some(&(last, _)) if last < p => Err(self.entries.len()),
-            _ => self.entries.binary_search_by_key(&p, |&(q, _)| q),
+            Some(&(last, _)) if last < p => Err(entries.len()),
+            _ => entries.binary_search_by_key(&p, |&(q, _)| q),
         }
     }
 
     /// Multiplicity of `p` (zero if absent).
     pub fn count(&self, p: PlaceId) -> u32 {
-        self.position(p).map_or(0, |i| self.entries[i].1)
+        self.position(p).map_or(0, |i| self.as_slice()[i].1)
     }
 
     /// `true` iff the bag is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.as_slice().is_empty()
     }
 
     /// Number of *distinct* places.
     pub fn num_distinct(&self) -> usize {
-        self.entries.len()
+        self.as_slice().len()
     }
 
     /// Total multiplicity.
     pub fn total(&self) -> u32 {
-        self.entries.iter().map(|&(_, n)| n).sum()
+        self.iter().map(|(_, n)| n).sum()
     }
 
     /// Iterate over (place, multiplicity) pairs in place order.
     pub fn iter(&self) -> impl Iterator<Item = (PlaceId, u32)> + '_ {
-        self.entries.iter().copied()
+        self.as_slice().iter().copied()
     }
 
     /// The distinct places.
     pub fn places(&self) -> impl Iterator<Item = PlaceId> + '_ {
-        self.entries.iter().map(|&(p, _)| p)
+        self.as_slice().iter().map(|&(p, _)| p)
     }
 
     /// `true` iff the two bags share at least one place — the paper's
     /// conflict condition `I(tᵢ) ∩ I(tⱼ) ≠ ∅`.
-    pub fn intersects(&self, other: &Bag) -> bool {
+    pub fn intersects<'b>(&self, other: impl Into<Bag<&'b [(PlaceId, u32)]>>) -> bool {
+        let other = other.into();
         // Walk the smaller bag.
-        let (small, big) = if self.entries.len() <= other.entries.len() {
-            (self, other)
+        if self.num_distinct() <= other.num_distinct() {
+            self.places().any(|p| other.position(p).is_ok())
         } else {
-            (other, self)
-        };
-        small.places().any(|p| big.position(p).is_ok())
+            other.places().any(|p| self.position(p).is_ok())
+        }
     }
 }
 
@@ -110,7 +145,7 @@ impl FromIterator<PlaceId> for Bag {
     }
 }
 
-impl fmt::Display for Bag {
+impl<S: AsRef<[(PlaceId, u32)]>> fmt::Display for Bag<S> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{")?;
         for (i, (p, n)) in self.iter().enumerate() {
@@ -207,5 +242,9 @@ mod tests {
         let b = Bag::from_pairs([(p(0), 1), (p(1), 2)]);
         assert_eq!(b.to_string(), "{p0, 2×p1}");
         assert_eq!(Bag::new().to_string(), "{}");
+        // a view reads exactly like the bag it borrows
+        let view: Bag<&[(PlaceId, u32)]> = (&b).into();
+        assert_eq!(view.to_string(), "{p0, 2×p1}");
+        assert_eq!((view.count(p(1)), view.total()), (2, 3));
     }
 }

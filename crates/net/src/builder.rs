@@ -1,14 +1,19 @@
 //! Fluent construction of validated nets.
 
-use std::collections::HashMap;
-
 use tpn_rational::Rational;
 
-use crate::{
-    Bag, Frequency, Marking, NetError, PlaceId, TimeValue, TimedPetriNet, TransId, Transition,
-};
+use crate::bag::canonicalize;
+use crate::net::{sort_by_name, Span};
+use crate::transition::TransRecord;
+use crate::{Frequency, Marking, NetError, PlaceId, TimeValue, TimedPetriNet, TransId};
 
 /// Builder for a [`TimedPetriNet`].
+///
+/// The builder appends straight into the net's flat arrays: a name goes
+/// into the one arena, a transition's bags into the one arc array. The
+/// in-flight transition's bags are collected in two scratch vectors
+/// reused across transitions, then sorted and merged exactly as
+/// [`crate::Bag::insert`] would have.
 ///
 /// # Examples
 ///
@@ -26,25 +31,62 @@ use crate::{
 /// ```
 #[derive(Debug, Default)]
 pub struct NetBuilder {
-    name: String,
-    place_names: Vec<String>,
+    names: String,
+    name: Span,
+    place_names: Vec<Span>,
     initial: Vec<u32>,
-    transitions: Vec<Transition>,
+    transitions: Vec<TransRecord>,
+    arcs: Vec<(PlaceId, u32)>,
+    /// The in-flight transition's input and output pairs.
+    scratch: [Vec<(PlaceId, u32)>; 2],
+}
+
+/// Room to reserve up front, so each of a builder's arrays is
+/// allocated once.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Capacity {
+    pub(crate) places: usize,
+    pub(crate) transitions: usize,
+    pub(crate) arcs: usize,
+    /// Bytes of every name, the net's included.
+    pub(crate) name_bytes: usize,
 }
 
 impl NetBuilder {
     /// Start building a net with the given name.
     pub fn new(name: &str) -> NetBuilder {
-        NetBuilder {
-            name: name.to_string(),
-            ..NetBuilder::default()
+        NetBuilder::with_capacity(name, Capacity::default())
+    }
+
+    pub(crate) fn with_capacity(name: &str, cap: Capacity) -> NetBuilder {
+        let mut b = NetBuilder {
+            names: String::with_capacity(cap.name_bytes.max(name.len())),
+            name: Span::default(),
+            place_names: Vec::with_capacity(cap.places),
+            initial: Vec::with_capacity(cap.places),
+            transitions: Vec::with_capacity(cap.transitions),
+            arcs: Vec::with_capacity(cap.arcs),
+            scratch: [Vec::with_capacity(8), Vec::with_capacity(8)],
+        };
+        b.name = b.push_name(name);
+        b
+    }
+
+    fn push_name(&mut self, name: &str) -> Span {
+        let start = self.names.len();
+        self.names.push_str(name);
+        let offset = |at: usize| u32::try_from(at).expect("name arena overflow");
+        Span {
+            start: offset(start),
+            end: offset(self.names.len()),
         }
     }
 
     /// Add a place with an initial token count, returning its id.
     pub fn place(&mut self, name: &str, initial_tokens: u32) -> PlaceId {
         let id = PlaceId::from_index(self.place_names.len());
-        self.place_names.push(name.to_string());
+        let span = self.push_name(name);
+        self.place_names.push(span);
         self.initial.push(initial_tokens);
         id
     }
@@ -52,81 +94,77 @@ impl NetBuilder {
     /// Start describing a transition. Call [`TransitionBuilder::add`] to
     /// attach it to the net.
     pub fn transition<'a>(&'a mut self, name: &str) -> TransitionBuilder<'a> {
+        for bag in &mut self.scratch {
+            bag.clear();
+        }
+        let name = self.push_name(name);
         TransitionBuilder {
             net: self,
-            trans: Transition {
-                name: name.to_string(),
-                input: Bag::new(),
-                output: Bag::new(),
-                enabling: TimeValue::zero(),
-                firing: TimeValue::zero(),
-                frequency: Frequency::one(),
-            },
+            name,
+            enabling: TimeValue::zero(),
+            firing: TimeValue::zero(),
+            frequency: Frequency::one(),
         }
     }
 
     /// Validate and build the net.
     pub fn build(self) -> Result<TimedPetriNet, NetError> {
-        let mut place_index = HashMap::with_capacity(self.place_names.len());
-        for (i, name) in self.place_names.iter().enumerate() {
-            if place_index
-                .insert(name.clone(), PlaceId::from_index(i))
-                .is_some()
-            {
-                return Err(NetError::DuplicatePlace { name: name.clone() });
-            }
+        let mut net = TimedPetriNet {
+            names: self.names,
+            name: self.name,
+            place_names: self.place_names,
+            initial: Marking::from_vec(self.initial),
+            transitions: self.transitions,
+            arcs: self.arcs,
+            conflict_members: Vec::new(),
+            conflict_bounds: Vec::new(),
+            conflict_of: Vec::new(),
+            places_by_name: Vec::new(),
+            transitions_by_name: Vec::new(),
+        };
+        let (places, duplicate) = sort_by_name(net.places(), |p| net.place_name(p));
+        if let Some(p) = duplicate {
+            return Err(NetError::DuplicatePlace {
+                name: net.place_name(p).to_string(),
+            });
         }
-        let mut trans_index = HashMap::with_capacity(self.transitions.len());
-        for (i, t) in self.transitions.iter().enumerate() {
-            if trans_index
-                .insert(t.name.clone(), TransId::from_index(i))
-                .is_some()
-            {
-                return Err(NetError::DuplicateTransition {
-                    name: t.name.clone(),
-                });
+        let (transitions, duplicate) =
+            sort_by_name(net.transitions(), |t| net.transition(t).name());
+        for t in net.transitions() {
+            let tr = net.transition(t);
+            let name = || tr.name().to_string();
+            if Some(t) == duplicate {
+                return Err(NetError::DuplicateTransition { name: name() });
             }
-            if t.input.is_empty() {
-                return Err(NetError::EmptyInputBag {
-                    transition: t.name.clone(),
-                });
+            if tr.input().is_empty() {
+                return Err(NetError::EmptyInputBag { transition: name() });
             }
-            if let Some(e) = t.enabling.known() {
+            if let Some(e) = tr.enabling().known() {
                 if e.is_negative() {
                     return Err(NetError::NegativeTime {
-                        transition: t.name.clone(),
+                        transition: name(),
                         which: "enabling",
                     });
                 }
             }
-            if let Some(fi) = t.firing.known() {
+            if let Some(fi) = tr.firing().known() {
                 if fi.is_negative() {
                     return Err(NetError::NegativeTime {
-                        transition: t.name.clone(),
+                        transition: name(),
                         which: "firing",
                     });
                 }
             }
-            if let Some(w) = t.frequency.weight() {
+            if let Some(w) = tr.frequency().weight() {
                 if w.is_negative() {
-                    return Err(NetError::NegativeFrequency {
-                        transition: t.name.clone(),
-                    });
+                    return Err(NetError::NegativeFrequency { transition: name() });
                 }
             }
         }
-        let (conflict_sets, conflict_of) =
-            TimedPetriNet::compute_conflict_sets(&self.transitions, self.place_names.len());
-        Ok(TimedPetriNet {
-            name: self.name,
-            initial: Marking::from_vec(self.initial),
-            place_names: self.place_names,
-            transitions: self.transitions,
-            conflict_sets,
-            conflict_of,
-            place_index,
-            trans_index,
-        })
+        net.places_by_name = places;
+        net.transitions_by_name = transitions;
+        net.compute_conflict_sets();
+        Ok(net)
     }
 }
 
@@ -134,37 +172,43 @@ impl NetBuilder {
 #[derive(Debug)]
 pub struct TransitionBuilder<'a> {
     net: &'a mut NetBuilder,
-    trans: Transition,
+    name: Span,
+    enabling: TimeValue,
+    firing: TimeValue,
+    frequency: Frequency,
 }
 
 impl<'a> TransitionBuilder<'a> {
-    /// Add one occurrence of `p` to the input bag.
-    pub fn input(mut self, p: PlaceId) -> Self {
-        self.trans.input.insert(p, 1);
+    fn arc(self, which: usize, p: PlaceId, n: u32) -> Self {
+        if n > 0 {
+            self.net.scratch[which].push((p, n));
+        }
         self
+    }
+
+    /// Add one occurrence of `p` to the input bag.
+    pub fn input(self, p: PlaceId) -> Self {
+        self.arc(0, p, 1)
     }
 
     /// Add `n` occurrences of `p` to the input bag.
-    pub fn input_n(mut self, p: PlaceId, n: u32) -> Self {
-        self.trans.input.insert(p, n);
-        self
+    pub fn input_n(self, p: PlaceId, n: u32) -> Self {
+        self.arc(0, p, n)
     }
 
     /// Add one occurrence of `p` to the output bag.
-    pub fn output(mut self, p: PlaceId) -> Self {
-        self.trans.output.insert(p, 1);
-        self
+    pub fn output(self, p: PlaceId) -> Self {
+        self.arc(1, p, 1)
     }
 
     /// Add `n` occurrences of `p` to the output bag.
-    pub fn output_n(mut self, p: PlaceId, n: u32) -> Self {
-        self.trans.output.insert(p, n);
-        self
+    pub fn output_n(self, p: PlaceId, n: u32) -> Self {
+        self.arc(1, p, n)
     }
 
     /// Set the enabling time to an exact value.
     pub fn enabling(mut self, e: Rational) -> Self {
-        self.trans.enabling = TimeValue::Known(e);
+        self.enabling = TimeValue::Known(e);
         self
     }
 
@@ -175,13 +219,13 @@ impl<'a> TransitionBuilder<'a> {
 
     /// Mark the enabling time as unknown (symbolic).
     pub fn enabling_unknown(mut self) -> Self {
-        self.trans.enabling = TimeValue::Unknown;
+        self.enabling = TimeValue::Unknown;
         self
     }
 
     /// Set the firing time to an exact value.
     pub fn firing(mut self, f: Rational) -> Self {
-        self.trans.firing = TimeValue::Known(f);
+        self.firing = TimeValue::Known(f);
         self
     }
 
@@ -192,13 +236,13 @@ impl<'a> TransitionBuilder<'a> {
 
     /// Mark the firing time as unknown (symbolic).
     pub fn firing_unknown(mut self) -> Self {
-        self.trans.firing = TimeValue::Unknown;
+        self.firing = TimeValue::Unknown;
         self
     }
 
     /// Set the relative firing frequency.
     pub fn weight(mut self, w: Rational) -> Self {
-        self.trans.frequency = Frequency::Weight(w);
+        self.frequency = Frequency::Weight(w);
         self
     }
 
@@ -209,14 +253,28 @@ impl<'a> TransitionBuilder<'a> {
 
     /// Mark the frequency as unknown (symbolic).
     pub fn weight_unknown(mut self) -> Self {
-        self.trans.frequency = Frequency::Unknown;
+        self.frequency = Frequency::Unknown;
         self
     }
 
     /// Attach the transition to the net, returning its id.
     pub fn add(self) -> TransId {
-        let id = TransId::from_index(self.net.transitions.len());
-        self.net.transitions.push(self.trans);
+        let net = self.net;
+        let id = TransId::from_index(net.transitions.len());
+        let offset = |at: usize| u32::try_from(at).expect("arc array overflow");
+        let mut arcs = [offset(net.arcs.len()); 3];
+        for (which, bag) in net.scratch.iter_mut().enumerate() {
+            canonicalize(bag);
+            net.arcs.extend_from_slice(bag);
+            arcs[which + 1] = offset(net.arcs.len());
+        }
+        net.transitions.push(TransRecord {
+            name: self.name,
+            arcs,
+            enabling: self.enabling,
+            firing: self.firing,
+            frequency: self.frequency,
+        });
         id
     }
 }

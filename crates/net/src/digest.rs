@@ -27,7 +27,7 @@
 
 use std::fmt;
 
-use crate::{Bag, Frequency, TimeValue, TimedPetriNet};
+use crate::{Bag, Frequency, PlaceId, TimeValue, TimedPetriNet};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -52,8 +52,24 @@ impl fmt::Display for NetDigest {
     }
 }
 
+/// `FNV_PRIME^k` for `k` = 0..=16.
+const PRIME_POWERS: [u64; 17] = {
+    let mut powers = [1u64; 17];
+    let mut k = 1;
+    while k < powers.len() {
+        powers[k] = powers[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
+    }
+    powers
+};
+
 /// Both FNV-1a lanes, advanced together: each byte is read once and
 /// feeds two independent multiply chains.
+///
+/// Integers are hashed as their little-endian bytes, but without
+/// stepping through their zero high bytes: a zero byte turns the step
+/// `(h ^ b)·P` into `h·P`, so `k` trailing zero bytes are one multiply
+/// by `P^k`. The output is bit-identical to the byte loop.
 pub(crate) struct Fnv([u64; 2]);
 
 impl Fnv {
@@ -69,12 +85,26 @@ impl Fnv {
         }
     }
 
+    /// The low `width` bytes of `x`, little-endian; every byte above
+    /// its highest set byte is a zero and costs nothing.
+    fn le_bytes(&mut self, x: u128, width: u32) {
+        let significant = width - x.leading_zeros().saturating_sub(128 - 8 * width) / 8;
+        let mut rest = x;
+        for _ in 0..significant {
+            self.byte(rest as u8);
+            rest >>= 8;
+        }
+        let skip = PRIME_POWERS[(width - significant) as usize];
+        self.0[0] = self.0[0].wrapping_mul(skip);
+        self.0[1] = self.0[1].wrapping_mul(skip);
+    }
+
     pub(crate) fn u64(&mut self, x: u64) {
-        self.bytes(&x.to_le_bytes());
+        self.le_bytes(u128::from(x), 8);
     }
 
     pub(crate) fn i128(&mut self, x: i128) {
-        self.bytes(&x.to_le_bytes());
+        self.le_bytes(x as u128, 16);
     }
 
     /// Length-prefixed, so `("ab", "c")` and `("a", "bc")` differ.
@@ -118,7 +148,7 @@ pub(crate) fn record(write: impl FnOnce(&mut Fnv)) -> [u64; 2] {
 /// reused across bags to keep the sort allocation-free.
 pub(crate) fn bag_entries<'n>(
     net: &'n TimedPetriNet,
-    bag: &Bag,
+    bag: Bag<&[(PlaceId, u32)]>,
     h: &mut Fnv,
     scratch: &mut Vec<(&'n str, u32)>,
 ) {
@@ -175,7 +205,96 @@ impl TimedPetriNet {
 
 #[cfg(test)]
 mod tests {
+    use super::{Fnv, FNV_OFFSET, FNV_PRIME, LANE2_SEED};
     use crate::parse_tpn;
+
+    /// The reference kernel: both lanes stepped one byte at a time.
+    struct ByteFnv([u64; 2]);
+
+    impl ByteFnv {
+        fn bytes(&mut self, bs: &[u8]) {
+            for &b in bs {
+                for lane in &mut self.0 {
+                    *lane = (*lane ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+                }
+            }
+        }
+    }
+
+    /// The word-wise `Fnv` equals the byte loop on random sequences of
+    /// `u64`s, `i128`s, strings and bytes, edge values included.
+    #[test]
+    fn word_wise_kernel_matches_the_byte_loop() {
+        let mut state: u64 = 0x243f_6a88_85a3_08d3;
+        let mut next = move || {
+            // splitmix64
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let u64_edges = [0, 1, 0xff, 0x100, 0xffff_ffff, 1 << 32, 1 << 63, u64::MAX];
+        let i128_edges = [
+            0,
+            1,
+            -1,
+            255,
+            256,
+            -256,
+            i128::from(i64::MIN),
+            i128::from(u64::MAX),
+            i128::MIN,
+            i128::MAX,
+        ];
+        let words = ["", "a", "t7", "café", "τ→ü", "packet_in_medium"];
+        for _ in 0..5000 {
+            let mut fast = Fnv([FNV_OFFSET, LANE2_SEED]);
+            let mut slow = ByteFnv([FNV_OFFSET, LANE2_SEED]);
+            for _ in 0..next() % 12 {
+                let r = next();
+                // Shift random values down to every byte width.
+                let shift = (next() % 17) as u32 * 8;
+                match r % 5 {
+                    0 => {
+                        let x = if r % 3 == 0 {
+                            u64_edges[(r >> 8) as usize % u64_edges.len()]
+                        } else {
+                            next().checked_shr(shift).unwrap_or(0)
+                        };
+                        fast.u64(x);
+                        slow.bytes(&x.to_le_bytes());
+                    }
+                    1 => {
+                        let x = if r % 3 == 0 {
+                            i128_edges[(r >> 8) as usize % i128_edges.len()]
+                        } else {
+                            let wide = (i128::from(next()) << 64) | i128::from(next());
+                            let x = wide.checked_shr(shift).unwrap_or(0);
+                            if r % 2 == 0 {
+                                x
+                            } else {
+                                -x
+                            }
+                        };
+                        fast.i128(x);
+                        slow.bytes(&x.to_le_bytes());
+                    }
+                    2 => {
+                        let s = words[(r >> 8) as usize % words.len()];
+                        fast.str(s);
+                        slow.bytes(&(s.len() as u64).to_le_bytes());
+                        slow.bytes(s.as_bytes());
+                    }
+                    _ => {
+                        fast.byte(r as u8);
+                        slow.bytes(&[r as u8]);
+                    }
+                }
+            }
+            assert_eq!(fast.0, slow.0);
+        }
+    }
 
     const NET: &str = "
         net demo

@@ -17,7 +17,7 @@
 
 use std::fmt::Write as _;
 
-use crate::{Bag, Frequency, TimeValue, TimedPetriNet};
+use crate::{Bag, Frequency, PlaceId, TimeValue, TimedPetriNet};
 
 impl TimedPetriNet {
     /// Render this net as a `.tpn` document that [`crate::parse_tpn`]
@@ -76,7 +76,7 @@ impl TimedPetriNet {
     /// A bag as `.tpn` text: `a,2*b` (never called with an empty bag —
     /// empty output bags are simply omitted, and input bags are
     /// non-empty by validation).
-    fn bag_to_tpn(&self, bag: &Bag) -> String {
+    fn bag_to_tpn(&self, bag: Bag<&[(PlaceId, u32)]>) -> String {
         let parts: Vec<String> = bag
             .iter()
             .map(|(p, n)| {

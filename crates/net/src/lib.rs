@@ -19,6 +19,35 @@
 //! its structural validation, a builder, DOT export, and a small
 //! line-oriented `.tpn` text format. The *dynamics* (reachability,
 //! simulation) live in `tpn-reach` and `tpn-sim`.
+//!
+//! # Layout
+//!
+//! A [`TimedPetriNet`] is a fixed handful of flat arrays, however many
+//! places and transitions it declares:
+//!
+//! * one name arena (`String`) holding the net's, every place's and
+//!   every transition's name, with a `(start, end)` span per place and
+//!   per transition;
+//! * one arc array of `(PlaceId, u32)` pairs holding every bag; each
+//!   transition's record names its input and output ranges, and each
+//!   range is sorted by place with repeated places merged, exactly as
+//!   [`Bag::insert`] keeps an owned bag;
+//! * one record per transition: its name span, arc ranges and timing
+//!   (`E`, `F`, frequency);
+//! * the initial marking, the conflict sets in CSR form (one members
+//!   array plus offsets) and each transition's set;
+//! * two id indexes sorted by name, searched over the arena by
+//!   [`TimedPetriNet::place_by_name`] and
+//!   [`TimedPetriNet::transition_by_name`].
+//!
+//! Readers get views, not owned copies: [`TimedPetriNet::transition`]
+//! returns a `Copy` [`Transition`] whose [`Transition::input`] and
+//! [`Transition::output`] are [`Bag`]`<&[(PlaceId, u32)]>` slices of
+//! the arc array, and a conflict set is a `&[TransId]`. [`Marking`]'s
+//! `covers`/`add`/`subtract` take a view or a `&Bag` alike.
+//! [`NetBuilder`] and [`parse_tpn`] append straight into these arrays,
+//! so parsing a document allocates the same few arrays whatever its
+//! size.
 
 mod bag;
 mod builder;
@@ -41,7 +70,7 @@ pub use dot::to_dot;
 pub use error::NetError;
 pub use ids::{ConflictSetId, PlaceId, TransId};
 pub use marking::Marking;
-pub use net::{ConflictSet, TimedPetriNet};
+pub use net::TimedPetriNet;
 pub use parse::{parse_tpn, ParseError};
 pub use timing::TimingAssignment;
 pub use transition::{Frequency, TimeValue, Transition};

@@ -45,8 +45,8 @@ impl Marking {
     /// # Panics
     /// Panics (in debug builds underflow-checks) if the bag is not
     /// covered; callers check [`Marking::covers`] first.
-    pub fn subtract(&mut self, bag: &Bag) {
-        for (p, n) in bag.iter() {
+    pub fn subtract<'b>(&mut self, bag: impl Into<Bag<&'b [(PlaceId, u32)]>>) {
+        for (p, n) in bag.into().iter() {
             let slot = &mut self.tokens[p.index()];
             debug_assert!(*slot >= n, "subtracting an uncovered bag");
             *slot -= n;
@@ -54,8 +54,8 @@ impl Marking {
     }
 
     /// Add the tokens of `bag` (the deposit-at-firing-end step).
-    pub fn add(&mut self, bag: &Bag) {
-        for (p, n) in bag.iter() {
+    pub fn add<'b>(&mut self, bag: impl Into<Bag<&'b [(PlaceId, u32)]>>) {
+        for (p, n) in bag.into().iter() {
             self.tokens[p.index()] += n;
         }
     }
@@ -85,8 +85,8 @@ impl<S: AsRef<[u32]>> Marking<S> {
     }
 
     /// The paper's enabling rule: `μ(pᵢ) ≥ #(pᵢ, I(t))` for all `pᵢ`.
-    pub fn covers(&self, bag: &Bag) -> bool {
-        bag.iter().all(|(p, n)| self.tokens(p) >= n)
+    pub fn covers<'b>(&self, bag: impl Into<Bag<&'b [(PlaceId, u32)]>>) -> bool {
+        bag.into().iter().all(|(p, n)| self.tokens(p) >= n)
     }
 
     /// Iterate over (place, tokens) for *marked* places only.

@@ -1,58 +1,61 @@
 //! The validated net type and conflict-set computation.
 
-use std::collections::HashMap;
 use std::fmt;
 
+use crate::transition::TransRecord;
 use crate::{Bag, ConflictSetId, Marking, NetError, PlaceId, TransId, Transition};
 
-/// A conflict set: a maximal group of transitions whose input bags
-/// (transitively) overlap. The paper requires the partition to be
-/// disjoint, which the transitive-closure construction guarantees.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConflictSet {
-    pub(crate) members: Vec<TransId>, // sorted
-}
-
-impl ConflictSet {
-    /// The member transitions, in index order.
-    pub fn members(&self) -> &[TransId] {
-        &self.members
-    }
-
-    /// Number of members.
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// `true` iff the set has a single member (no real conflict).
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
+/// Where a name lies in a net's name arena: `names[start..end]`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub(crate) struct Span {
+    pub(crate) start: u32,
+    pub(crate) end: u32,
 }
 
 /// A validated Timed Petri Net. Construct via [`crate::NetBuilder`] or
 /// [`crate::parse_tpn`].
 ///
+/// The net is a handful of flat arrays, whatever its size: one name
+/// arena, one arc array holding every bag, one record per transition,
+/// the conflict sets in CSR form and two name-sorted id indexes. Read
+/// it through views: [`TimedPetriNet::transition`] returns a `Copy`
+/// [`Transition`] whose bags are [`Bag`]`<&[_]>` slices of the arc
+/// array, and a conflict set is a `&[TransId]`.
+///
 /// Equality is structural: same name, places (names and initial
 /// tokens), and transitions (names, bags, timings, frequencies), in
 /// the same declaration order. For order-*independent* identity use
 /// [`TimedPetriNet::digest`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct TimedPetriNet {
-    pub(crate) name: String,
-    pub(crate) place_names: Vec<String>,
-    pub(crate) transitions: Vec<Transition>,
+    /// The net's name, then every place and transition name in
+    /// declaration order.
+    pub(crate) names: String,
+    pub(crate) name: Span,
+    pub(crate) place_names: Vec<Span>,
     pub(crate) initial: Marking,
-    pub(crate) conflict_sets: Vec<ConflictSet>,
+    pub(crate) transitions: Vec<TransRecord>,
+    /// Every bag's `(place, multiplicity)` pairs; see [`TransRecord::arcs`].
+    pub(crate) arcs: Vec<(PlaceId, u32)>,
+    /// Conflict set `c` is `conflict_members[conflict_bounds[c]..conflict_bounds[c + 1]]`.
+    pub(crate) conflict_members: Vec<TransId>,
+    pub(crate) conflict_bounds: Vec<u32>,
     pub(crate) conflict_of: Vec<ConflictSetId>, // indexed by transition
-    pub(crate) place_index: HashMap<String, PlaceId>,
-    pub(crate) trans_index: HashMap<String, TransId>,
+    /// Place ids sorted by name (see [`name_key`]), for lookup by
+    /// binary search.
+    pub(crate) places_by_name: Vec<(u64, PlaceId)>,
+    /// Transition ids sorted by name.
+    pub(crate) transitions_by_name: Vec<(u64, TransId)>,
 }
 
 impl TimedPetriNet {
+    pub(crate) fn text(&self, span: Span) -> &str {
+        &self.names[span.start as usize..span.end as usize]
+    }
+
     /// The net's name.
     pub fn name(&self) -> &str {
-        &self.name
+        self.text(self.name)
     }
 
     /// Number of places.
@@ -66,43 +69,38 @@ impl TimedPetriNet {
     }
 
     /// Iterate over all place ids.
-    pub fn places(&self) -> impl Iterator<Item = PlaceId> {
+    pub fn places(&self) -> impl ExactSizeIterator<Item = PlaceId> {
         (0..self.place_names.len()).map(PlaceId::from_index)
     }
 
     /// Iterate over all transition ids.
-    pub fn transitions(&self) -> impl Iterator<Item = TransId> {
+    pub fn transitions(&self) -> impl ExactSizeIterator<Item = TransId> {
         (0..self.transitions.len()).map(TransId::from_index)
     }
 
     /// A place's name.
     pub fn place_name(&self, p: PlaceId) -> &str {
-        &self.place_names[p.index()]
+        self.text(self.place_names[p.index()])
     }
 
     /// A transition's attributes.
-    pub fn transition(&self, t: TransId) -> &Transition {
-        &self.transitions[t.index()]
+    pub fn transition(&self, t: TransId) -> Transition<'_> {
+        Transition {
+            net: self,
+            record: &self.transitions[t.index()],
+        }
     }
 
     /// Look a place up by name.
     pub fn place_by_name(&self, name: &str) -> Result<PlaceId, NetError> {
-        self.place_index
-            .get(name)
-            .copied()
-            .ok_or_else(|| NetError::UnknownName {
-                name: name.to_string(),
-            })
+        find_by_name(&self.places_by_name, name, |p| self.place_name(p))
     }
 
     /// Look a transition up by name.
     pub fn transition_by_name(&self, name: &str) -> Result<TransId, NetError> {
-        self.trans_index
-            .get(name)
-            .copied()
-            .ok_or_else(|| NetError::UnknownName {
-                name: name.to_string(),
-            })
+        find_by_name(&self.transitions_by_name, name, |t| {
+            self.text(self.transitions[t.index()].name)
+        })
     }
 
     /// The initial marking `μ₀`.
@@ -110,9 +108,12 @@ impl TimedPetriNet {
         &self.initial
     }
 
-    /// The conflict-set partition.
-    pub fn conflict_sets(&self) -> &[ConflictSet] {
-        &self.conflict_sets
+    /// The conflict-set partition: each set's members in index order,
+    /// the sets in order of their first member.
+    pub fn conflict_sets(&self) -> impl ExactSizeIterator<Item = &[TransId]> {
+        self.conflict_bounds
+            .windows(2)
+            .map(|w| &self.conflict_members[w[0] as usize..w[1] as usize])
     }
 
     /// The conflict set containing a transition.
@@ -120,9 +121,13 @@ impl TimedPetriNet {
         self.conflict_of[t.index()]
     }
 
-    /// Members of a conflict set.
-    pub fn conflict_set(&self, id: ConflictSetId) -> &ConflictSet {
-        &self.conflict_sets[id.index()]
+    /// Members of a conflict set, in index order.
+    pub fn conflict_set(&self, id: ConflictSetId) -> &[TransId] {
+        let (start, end) = (
+            self.conflict_bounds[id.index()],
+            self.conflict_bounds[id.index() + 1],
+        );
+        &self.conflict_members[start as usize..end as usize]
     }
 
     /// The paper's enabling rule for `t` under `marking`.
@@ -148,54 +153,64 @@ impl TimedPetriNet {
         })
     }
 
-    /// Compute the conflict-set partition for a set of transitions
-    /// (union-find over shared input places).
-    pub(crate) fn compute_conflict_sets(
-        transitions: &[Transition],
-        num_places: usize,
-    ) -> (Vec<ConflictSet>, Vec<ConflictSetId>) {
-        let n = transitions.len();
-        let mut parent: Vec<usize> = (0..n).collect();
-        fn find(parent: &mut Vec<usize>, i: usize) -> usize {
-            if parent[i] != i {
-                let root = find(parent, parent[i]);
-                parent[i] = root;
+    /// Compute the conflict-set partition (union-find over shared input
+    /// places) into `conflict_members`/`conflict_bounds`/`conflict_of`.
+    pub(crate) fn compute_conflict_sets(&mut self) {
+        let n = self.transitions.len();
+        let mut parent: Vec<u32> = (0..n as u32).collect();
+        fn find(parent: &mut [u32], i: u32) -> u32 {
+            let mut root = i;
+            while parent[root as usize] != root {
+                root = parent[root as usize];
             }
-            parent[i]
+            let mut i = i;
+            while parent[i as usize] != root {
+                i = std::mem::replace(&mut parent[i as usize], root);
+            }
+            root
         }
         // Group transitions by input place: any two transitions sharing a
         // place are unioned.
-        let mut by_place: Vec<Option<usize>> = vec![None; num_places];
-        for (i, t) in transitions.iter().enumerate() {
-            for p in t.input.places() {
+        let mut by_place: Vec<u32> = vec![u32::MAX; self.num_places()];
+        for (i, t) in self.transitions.iter().enumerate() {
+            let i = i as u32;
+            for &(p, _) in &self.arcs[t.arcs[0] as usize..t.arcs[1] as usize] {
                 match by_place[p.index()] {
-                    Some(j) => {
+                    u32::MAX => by_place[p.index()] = i,
+                    j => {
                         let ri = find(&mut parent, i);
                         let rj = find(&mut parent, j);
                         if ri != rj {
-                            parent[ri] = rj;
+                            parent[ri as usize] = rj;
                         }
                     }
-                    None => by_place[p.index()] = Some(i),
                 }
             }
         }
-        // Collect the classes in deterministic (first-member) order.
-        let mut class_of_root: Vec<Option<usize>> = vec![None; n];
-        let mut sets: Vec<ConflictSet> = Vec::new();
+        // Number the classes in first-member order, count their
+        // members, and lay them out as CSR, members in index order.
+        let mut class_of_root: Vec<u32> = vec![u32::MAX; n];
+        let mut bounds: Vec<u32> = Vec::with_capacity(n + 1);
+        bounds.push(0);
         let mut conflict_of: Vec<ConflictSetId> = Vec::with_capacity(n);
-        for i in 0..n {
-            let root = find(&mut parent, i);
-            let class = *class_of_root[root].get_or_insert_with(|| {
-                sets.push(ConflictSet {
-                    members: Vec::new(),
-                });
-                sets.len() - 1
-            });
-            sets[class].members.push(TransId::from_index(i));
-            conflict_of.push(ConflictSetId(class as u32));
+        for i in 0..n as u32 {
+            let root = find(&mut parent, i) as usize;
+            if class_of_root[root] == u32::MAX {
+                class_of_root[root] = bounds.len() as u32 - 1;
+                bounds.push(0);
+            }
+            let class = class_of_root[root];
+            bounds[class as usize + 1] += 1;
+            conflict_of.push(ConflictSetId(class));
         }
-        (sets, conflict_of)
+        for c in 1..bounds.len() {
+            bounds[c] += bounds[c - 1];
+        }
+        let mut members: Vec<TransId> = self.transitions().collect();
+        members.sort_unstable_by_key(|&t| (conflict_of[t.index()], t));
+        self.conflict_members = members;
+        self.conflict_bounds = bounds;
+        self.conflict_of = conflict_of;
     }
 
     /// Structural statistics, used by diagnostics and benches.
@@ -203,17 +218,76 @@ impl TimedPetriNet {
         NetStats {
             places: self.num_places(),
             transitions: self.num_transitions(),
-            conflict_sets: self.conflict_sets.len(),
-            nontrivial_conflict_sets: self.conflict_sets.iter().filter(|c| c.len() > 1).count(),
-            arcs: self
-                .transitions
-                .iter()
-                .map(|t| t.input.num_distinct() + t.output.num_distinct())
-                .sum(),
+            conflict_sets: self.conflict_sets().len(),
+            nontrivial_conflict_sets: self.conflict_sets().filter(|c| c.len() > 1).count(),
+            arcs: self.arcs.len(),
             initial_tokens: self.initial.total_tokens() as usize,
         }
     }
 }
+
+/// A name's first eight bytes, big-endian and zero-padded. Keys order
+/// names as the names themselves would, up to ties: a name-sorted
+/// index sorts and searches `(key, name)` pairs, and most comparisons
+/// end at the integers.
+pub(crate) fn name_key(name: &str) -> u64 {
+    let mut key = [0u8; 8];
+    let len = name.len().min(8);
+    key[..len].copy_from_slice(&name.as_bytes()[..len]);
+    u64::from_be_bytes(key)
+}
+
+/// Binary search of a name-sorted id index.
+fn find_by_name<'n, I: Copy>(
+    sorted: &[(u64, I)],
+    name: &str,
+    name_of: impl Fn(I) -> &'n str,
+) -> Result<I, NetError> {
+    let key = name_key(name);
+    sorted
+        .binary_search_by(|&(k, id)| k.cmp(&key).then_with(|| name_of(id).cmp(name)))
+        .map(|at| sorted[at].1)
+        .map_err(|_| NetError::UnknownName {
+            name: name.to_string(),
+        })
+}
+
+/// The name-sorted index of `ids` (ties by id), and the smallest id
+/// that repeats the name of a smaller one, if any.
+pub(crate) fn sort_by_name<'n, I: Copy + Ord>(
+    ids: impl ExactSizeIterator<Item = I>,
+    name_of: impl Fn(I) -> &'n str,
+) -> (Vec<(u64, I)>, Option<I>) {
+    let mut index: Vec<(u64, I)> = Vec::with_capacity(ids.len());
+    index.extend(ids.map(|id| (name_key(name_of(id)), id)));
+    index.sort_unstable_by(|&(ka, a), &(kb, b)| {
+        ka.cmp(&kb)
+            .then_with(|| name_of(a).cmp(name_of(b)))
+            .then(a.cmp(&b))
+    });
+    let duplicate = index
+        .windows(2)
+        .filter(|w| w[0].0 == w[1].0 && name_of(w[0].1) == name_of(w[1].1))
+        .map(|w| w[1].1)
+        .min();
+    (index, duplicate)
+}
+
+impl PartialEq for TimedPetriNet {
+    fn eq(&self, other: &Self) -> bool {
+        self.name() == other.name()
+            && self.initial == other.initial
+            && self
+                .places()
+                .all(|p| self.place_name(p) == other.place_name(p))
+            && self.num_transitions() == other.num_transitions()
+            && self
+                .transitions()
+                .all(|t| self.transition(t) == other.transition(t))
+    }
+}
+
+impl Eq for TimedPetriNet {}
 
 /// Summary statistics of a net's structure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -234,7 +308,7 @@ pub struct NetStats {
 
 impl fmt::Display for TimedPetriNet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "net {}", self.name)?;
+        writeln!(f, "net {}", self.name())?;
         for p in self.places() {
             let init = self.initial.tokens(p);
             if init > 0 {
@@ -246,12 +320,14 @@ impl fmt::Display for TimedPetriNet {
         for t in self.transitions() {
             let tr = self.transition(t);
             write!(f, "  trans {}", tr.name())?;
-            write!(f, " in {}", fmt_bag(self, &tr.input))?;
-            write!(f, " out {}", fmt_bag(self, &tr.output))?;
+            write!(f, " in {}", fmt_bag(self, tr.input()))?;
+            write!(f, " out {}", fmt_bag(self, tr.output()))?;
             write!(
                 f,
                 " enabling {} firing {} weight {}",
-                tr.enabling, tr.firing, tr.frequency
+                tr.enabling(),
+                tr.firing(),
+                tr.frequency()
             )?;
             writeln!(f)?;
         }
@@ -259,7 +335,7 @@ impl fmt::Display for TimedPetriNet {
     }
 }
 
-fn fmt_bag(net: &TimedPetriNet, bag: &Bag) -> String {
+fn fmt_bag(net: &TimedPetriNet, bag: Bag<&[(PlaceId, u32)]>) -> String {
     if bag.is_empty() {
         return "-".to_string();
     }
@@ -314,7 +390,9 @@ mod tests {
         assert_eq!(net.conflict_set_of(x), net.conflict_set_of(y));
         assert_ne!(net.conflict_set_of(x), net.conflict_set_of(z));
         let cs = net.conflict_set(net.conflict_set_of(x));
-        assert_eq!(cs.members(), &[x, y]);
+        assert_eq!(cs, &[x, y]);
+        let sets: Vec<&[TransId]> = net.conflict_sets().collect();
+        assert_eq!(sets, [&[x, y][..], &[z][..]]);
     }
 
     #[test]

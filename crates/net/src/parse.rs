@@ -37,6 +37,7 @@ use std::fmt;
 
 use tpn_rational::Rational;
 
+use crate::builder::Capacity;
 use crate::{NetBuilder, NetError, PlaceId, TimedPetriNet};
 
 /// A parse failure, with 1-based line number and message.
@@ -70,24 +71,17 @@ fn err(line: usize, message: impl Into<String>) -> ParseError {
 
 /// Parse a `.tpn` document into a validated net.
 pub fn parse_tpn(src: &str) -> Result<TimedPetriNet, ParseError> {
+    let capacity = capacity(src);
+    let mut lines = Lines::new(src);
     let mut builder: Option<NetBuilder> = None;
     // Places must be declared before use: the format is read in one
     // pass, and an arc naming a place not yet declared is an error on
     // its own line. Names are borrowed from `src`; the first
     // declaration of a name wins here, and `build()` rejects the rest.
-    let mut places: HashMap<&str, PlaceId> = HashMap::new();
-    for (idx, raw) in src.lines().enumerate() {
-        let lineno = idx + 1;
-        let line = match raw.find('#') {
-            Some(pos) => &raw[..pos],
-            None => raw,
-        }
-        .trim();
-        if line.is_empty() {
-            continue;
-        }
-        let mut tokens = line.split_whitespace();
-        let directive = tokens.next().expect("non-empty line");
+    let mut places: HashMap<&str, PlaceId> = HashMap::with_capacity(capacity.places);
+    while let Some((lineno, line)) = lines.next_line() {
+        let mut tokens = line.iter().copied();
+        let directive = tokens.next().expect("a lexed line has a token");
         match directive {
             "net" => {
                 let name = tokens
@@ -99,7 +93,7 @@ pub fn parse_tpn(src: &str) -> Result<TimedPetriNet, ParseError> {
                 if builder.is_some() {
                     return Err(err(lineno, "duplicate `net` directive"));
                 }
-                builder = Some(NetBuilder::new(name));
+                builder = Some(NetBuilder::with_capacity(name, capacity));
             }
             "place" => {
                 let b = builder
@@ -195,6 +189,126 @@ pub fn parse_tpn(src: &str) -> Result<TimedPetriNet, ParseError> {
     }
     let builder = builder.ok_or_else(|| err(0, "missing `net` directive"))?;
     builder.build().map_err(|e: NetError| err(0, e.to_string()))
+}
+
+/// The non-blank lines of a document, each split into its
+/// whitespace-separated tokens and cut at its first `#`.
+///
+/// A pure-ASCII line is split by one loop over its bytes; a line
+/// holding any other byte goes through [`str::split_whitespace`], so
+/// Unicode whitespace separates tokens and Unicode names stay whole.
+/// The tokens live in one small buffer, reused from line to line.
+struct Lines<'a> {
+    src: &'a str,
+    /// Where the next line starts.
+    pos: usize,
+    lineno: usize,
+    tokens: Vec<&'a str>,
+}
+
+/// Byte classes of the lexer. `SPACE` is exactly the ASCII characters
+/// `char::is_whitespace` accepts other than the line end: space, and
+/// tab through carriage return. A `\r` is whitespace wherever it
+/// stands, so CRLF line ends need no special case.
+const TOKEN: u8 = 0;
+const SPACE: u8 = 1;
+const NEWLINE: u8 = 2;
+const COMMENT: u8 = 3;
+const NON_ASCII: u8 = 4;
+
+static CLASS: [u8; 256] = {
+    let mut class = [TOKEN; 256];
+    let mut b = 0;
+    while b < 256 {
+        class[b] = match b as u8 {
+            b'\n' => NEWLINE,
+            b' ' | b'\t'..=b'\r' => SPACE,
+            b'#' => COMMENT,
+            0x80..=0xff => NON_ASCII,
+            _ => TOKEN,
+        };
+        b += 1;
+    }
+    class
+};
+
+impl<'a> Lines<'a> {
+    fn new(src: &'a str) -> Lines<'a> {
+        Lines {
+            src,
+            pos: 0,
+            lineno: 0,
+            tokens: Vec::with_capacity(16),
+        }
+    }
+
+    /// The next non-blank line's 1-based number and tokens.
+    fn next_line(&mut self) -> Option<(usize, &[&'a str])> {
+        while self.pos < self.src.len() {
+            self.lineno += 1;
+            self.tokens.clear();
+            self.pos = self.split_line(self.pos) + 1;
+            if !self.tokens.is_empty() {
+                return Some((self.lineno, &self.tokens));
+            }
+        }
+        None
+    }
+
+    /// Push the tokens of the line starting at `start`; return where
+    /// it ends (its `\n`, or the end of the document).
+    fn split_line(&mut self, start: usize) -> usize {
+        let (src, bytes) = (self.src, self.src.as_bytes());
+        let line_end = |from: usize| src[from..].find('\n').map_or(src.len(), |at| from + at);
+        let class = |i: usize| CLASS[bytes[i] as usize];
+        let mut i = start;
+        loop {
+            while i < bytes.len() && class(i) == SPACE {
+                i += 1;
+            }
+            let token = i;
+            while i < bytes.len() && class(i) == TOKEN {
+                i += 1;
+            }
+            if i > token {
+                self.tokens.push(&src[token..i]);
+            }
+            if i == bytes.len() {
+                return i;
+            }
+            match class(i) {
+                NEWLINE => return i,
+                COMMENT => return line_end(i),
+                NON_ASCII => {
+                    let end = line_end(i);
+                    let line = &src[start..end];
+                    let line = line.find('#').map_or(line, |at| &line[..at]);
+                    self.tokens.clear();
+                    self.tokens.extend(line.split_whitespace());
+                    return end;
+                }
+                _ => {}
+            }
+        }
+    }
+}
+
+/// Room for what `src` declares, from its length and two byte counts.
+/// A line declares at most one place or transition, and a bag entry
+/// takes a comma or one of the (usually two) bags of a line. The
+/// shortest declarations, `place p` and `trans t in p` with their line
+/// ends, bound each count by the text's length, so no text reserves
+/// more than a fixed multiple of its own size. A first pass that
+/// counted exactly would cost as much as the parse's own lexing.
+fn capacity(src: &str) -> Capacity {
+    let lines = src.matches('\n').count() + 1;
+    let len = src.len() + 1;
+    Capacity {
+        places: lines.min(len / 8),
+        transitions: lines.min(len / 13),
+        arcs: (src.matches(',').count() + 2 * lines).min(len / 2),
+        name_bytes: src.len(),
+    }
 }
 
 /// The entries of a bag literal, `a,b,2*c` or `-`: each one's
@@ -516,6 +630,43 @@ mod tests {
             parse_time("", 7).unwrap_err().to_string(),
             "tpn line 7: cannot parse \"\" as a rational: empty string"
         );
+    }
+
+    /// The one-pass lexer splits every document into the same numbered
+    /// lines of tokens as cutting each `str::lines` line at its first
+    /// `#` and splitting it with `split_whitespace`.
+    #[test]
+    fn lexer_matches_lines_and_split_whitespace() {
+        const PIECES: &[&str] = &[
+            "net", "place", "trans", "a", "b1", "2*a", "a,b", "-", "1/2", "café", "τ", "\u{1f}x",
+            " ", "  ", "\t", "\r", "\u{b}", "\u{c}", "\n", "\r\n", "\n\n", "#", "# c\n", "\u{a0}",
+            "\u{85}", "\u{3000}", "\u{2028}", "\u{feff}", "\u{200b}",
+        ];
+        let mut state: u64 = 0x2545_f491_4f6c_dd1d;
+        for _ in 0..3000 {
+            let mut src = String::new();
+            for _ in 0..state % 40 {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                src.push_str(PIECES[(state % PIECES.len() as u64) as usize]);
+            }
+            let expected: Vec<(usize, Vec<&str>)> = src
+                .lines()
+                .enumerate()
+                .map(|(i, raw)| {
+                    let line = raw.find('#').map_or(raw, |at| &raw[..at]);
+                    (i + 1, line.split_whitespace().collect())
+                })
+                .filter(|(_, tokens): &(usize, Vec<&str>)| !tokens.is_empty())
+                .collect();
+            let mut lines = Lines::new(&src);
+            let mut got: Vec<(usize, Vec<&str>)> = Vec::new();
+            while let Some((lineno, tokens)) = lines.next_line() {
+                got.push((lineno, tokens.to_vec()));
+            }
+            assert_eq!(got, expected, "source {src:?}");
+        }
     }
 
     #[test]

@@ -4,7 +4,8 @@ use std::fmt;
 
 use tpn_rational::Rational;
 
-use crate::Bag;
+use crate::net::Span;
+use crate::{Bag, PlaceId, TimedPetriNet};
 
 /// A time attribute of a transition: either a known exact value or
 /// "unknown, treat symbolically".
@@ -93,47 +94,92 @@ impl fmt::Display for Frequency {
     }
 }
 
-/// A transition: name, input/output bags, enabling time, firing time and
-/// conflict-resolution frequency.
+/// One transition's row of a flat net: where its name and arcs lie in
+/// the net's arrays, and its timing.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Transition {
-    pub(crate) name: String,
-    pub(crate) input: Bag,
-    pub(crate) output: Bag,
+pub(crate) struct TransRecord {
+    pub(crate) name: Span,
+    /// The input bag is `arcs[a[0]..a[1]]`, the output bag
+    /// `arcs[a[1]..a[2]]`, each in canonical form.
+    pub(crate) arcs: [u32; 3],
     pub(crate) enabling: TimeValue,
     pub(crate) firing: TimeValue,
     pub(crate) frequency: Frequency,
 }
 
-impl Transition {
+/// A transition of a net: name, input/output bags, enabling time,
+/// firing time and conflict-resolution frequency.
+///
+/// A `Copy` view into the net's flat arrays, returned by
+/// [`TimedPetriNet::transition`]; every getter borrows from the net,
+/// not from the view. Two views are equal when their attributes are,
+/// whichever nets they belong to.
+#[derive(Clone, Copy)]
+pub struct Transition<'a> {
+    pub(crate) net: &'a TimedPetriNet,
+    pub(crate) record: &'a TransRecord,
+}
+
+impl<'a> Transition<'a> {
     /// The transition's name (unique within its net).
-    pub fn name(&self) -> &str {
-        &self.name
+    pub fn name(&self) -> &'a str {
+        self.net.text(self.record.name)
     }
 
     /// The input bag `I(t)`.
-    pub fn input(&self) -> &Bag {
-        &self.input
+    pub fn input(&self) -> Bag<&'a [(PlaceId, u32)]> {
+        self.bag(0)
     }
 
     /// The output bag `O(t)`.
-    pub fn output(&self) -> &Bag {
-        &self.output
+    pub fn output(&self) -> Bag<&'a [(PlaceId, u32)]> {
+        self.bag(1)
+    }
+
+    fn bag(&self, which: usize) -> Bag<&'a [(PlaceId, u32)]> {
+        let a = &self.record.arcs;
+        Bag::from_canonical(&self.net.arcs[a[which] as usize..a[which + 1] as usize])
     }
 
     /// The enabling time `E(t)`.
-    pub fn enabling(&self) -> &TimeValue {
-        &self.enabling
+    pub fn enabling(&self) -> &'a TimeValue {
+        &self.record.enabling
     }
 
     /// The firing time `F(t)`.
-    pub fn firing(&self) -> &TimeValue {
-        &self.firing
+    pub fn firing(&self) -> &'a TimeValue {
+        &self.record.firing
     }
 
     /// The relative firing frequency.
-    pub fn frequency(&self) -> &Frequency {
-        &self.frequency
+    pub fn frequency(&self) -> &'a Frequency {
+        &self.record.frequency
+    }
+}
+
+impl PartialEq for Transition<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.name() == other.name()
+            && self.input() == other.input()
+            && self.output() == other.output()
+            && self.record.enabling == other.record.enabling
+            && self.record.firing == other.record.firing
+            && self.record.frequency == other.record.frequency
+    }
+}
+
+impl Eq for Transition<'_> {}
+
+impl fmt::Debug for Transition<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Transition")
+            .field("name", &self.name())
+            .field("input", &self.input())
+            .field("output", &self.output())
+            .field("enabling", self.enabling())
+            .field("firing", self.firing())
+            .field("frequency", self.frequency())
+            .finish()
     }
 }
 

@@ -51,7 +51,7 @@ proptest! {
         // every transition in exactly one set; sets are disjoint & cover
         let mut seen = vec![0usize; net.num_transitions()];
         for cs in net.conflict_sets() {
-            for t in cs.members() {
+            for t in cs {
                 seen[t.index()] += 1;
             }
         }

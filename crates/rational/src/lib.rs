@@ -73,6 +73,15 @@ fn gcd_u128(mut a: u128, mut b: u128) -> u128 {
     }
 }
 
+/// Binary (Stein) GCD on `u64`.
+pub(crate) fn gcd_u64(a: u64, b: u64) -> u64 {
+    if a == 0 || b == 0 {
+        return a | b;
+    }
+    let shift = (a | b).trailing_zeros();
+    gcd_odd_u64(a >> a.trailing_zeros(), b >> b.trailing_zeros()) << shift
+}
+
 /// Stein's loop on two odd `u64`s.
 fn gcd_odd_u64(mut a: u64, mut b: u64) -> u64 {
     while a != b {

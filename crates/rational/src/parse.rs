@@ -21,6 +21,14 @@ fn err(input: &str, reason: &'static str) -> ParseRationalError {
 
 /// Parse a rational literal. See the module docs for the grammar.
 pub fn parse_rational(input: &str) -> Result<Rational, ParseRationalError> {
+    match parse_short_unsigned(input) {
+        Some(r) => Ok(r),
+        None => parse_general(input),
+    }
+}
+
+/// Every literal form, signs and surrounding whitespace included.
+fn parse_general(input: &str) -> Result<Rational, ParseRationalError> {
     let s = input.trim();
     if s.is_empty() {
         return Err(err(input, "empty string"));
@@ -79,6 +87,52 @@ pub fn parse_rational(input: &str) -> Result<Rational, ParseRationalError> {
     Ok(Rational::from_int(n))
 }
 
+/// Digits that always fit a `u64`: 10^19 − 1 < 2^64.
+const SHORT_DIGITS: usize = 19;
+
+/// The fast path for the literals nets are written in: an unsigned
+/// integer (`1000`), fraction (`27/2`) or decimal (`106.7`, `.5`) of at
+/// most [`SHORT_DIGITS`] digits per part, with no sign and no
+/// whitespace, in `u64` arithmetic. Anything else — including every
+/// malformed literal — returns `None` and takes the general path, so
+/// results and error texts are the general path's.
+fn parse_short_unsigned(s: &str) -> Option<Rational> {
+    fn digits(s: &[u8]) -> Option<u64> {
+        if s.is_empty() || s.len() > SHORT_DIGITS {
+            return None;
+        }
+        s.iter().try_fold(0u64, |acc, &b| {
+            b.is_ascii_digit().then(|| acc * 10 + u64::from(b - b'0'))
+        })
+    }
+    fn fraction(num: u64, den: u64) -> Rational {
+        if den == 1 {
+            return Rational::from_int(i128::from(num));
+        }
+        let g = crate::gcd_u64(num, den);
+        Rational::from_reduced(i128::from(num / g), i128::from(den / g))
+    }
+    let b = s.as_bytes();
+    match b.iter().position(|&c| c == b'/' || c == b'.') {
+        None => digits(b).map(|n| Rational::from_int(i128::from(n))),
+        Some(at) if b[at] == b'/' => {
+            let den = digits(&b[at + 1..]).filter(|&d| d != 0)?;
+            Some(fraction(digits(&b[..at])?, den))
+        }
+        Some(at) => {
+            let fp = &b[at + 1..];
+            let int_part = if at == 0 { 0 } else { digits(&b[..at])? };
+            let frac_part = digits(fp)?;
+            let scale = 10u64.checked_pow(fp.len() as u32)?;
+            let num = int_part.checked_mul(scale)?.checked_add(frac_part)?;
+            if num == 0 {
+                return Some(Rational::ZERO);
+            }
+            Some(fraction(num, scale))
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,6 +176,54 @@ mod tests {
         ] {
             assert!(parse_rational(bad).is_err(), "should reject {bad:?}");
         }
+    }
+
+    /// The `u64` fast path agrees with the general path on every
+    /// literal it accepts, and declines everything else.
+    #[test]
+    fn fast_path_matches_the_general_path() {
+        let mut accepted = 0;
+        let mut literals: Vec<String> = [
+            "0", "1", "007", "1000", "106.7", "0.95", ".5", "0.000", "1000.0", "27/2", "6/4",
+            "0/5", "6/1", "1/0", "5.", ".", "/2", "1/", "1.5/2", "1/2.5", "1/2/3", "+5", "-5",
+            " 5", "5 ", "1e3", "½", "",
+        ]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+        // Around the 19-digit and u64 edges.
+        for len in 17..=21 {
+            let nines = "9".repeat(len);
+            literals.push(nines.clone());
+            literals.push(format!("{nines}/7"));
+            literals.push(format!("3/{nines}"));
+            literals.push(format!("1.{nines}"));
+            literals.push(format!("{nines}.5"));
+        }
+        let mut x: u64 = 0x9e37_79b9_7f4a_7c15;
+        for _ in 0..2000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let (a, b, c) = (x % 100_000, (x >> 20) % 1000, (x >> 40) % 7);
+            literals.push(match c {
+                0 => format!("{a}"),
+                1 | 2 => format!("{a}/{b}"),
+                3 => format!("{a}.{b:03}"),
+                4 => format!(".{b}"),
+                5 => format!("{}.{}", x >> 4, b),
+                _ => format!("{}", x >> c),
+            });
+        }
+        for s in &literals {
+            if let Some(fast) = parse_short_unsigned(s) {
+                accepted += 1;
+                assert_eq!(Ok(fast), parse_general(s), "{s:?}");
+                assert!(fast.denom() > 0 && crate::gcd(fast.numer(), fast.denom()) == 1);
+            }
+            assert_eq!(parse_rational(s), parse_general(s), "{s:?}");
+        }
+        assert!(accepted > 1500, "{accepted}");
     }
 
     #[test]

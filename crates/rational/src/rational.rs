@@ -70,6 +70,12 @@ impl Rational {
         Rational { num: n, den: 1 }
     }
 
+    /// A fraction the caller has already reduced: `den > 0` and
+    /// `gcd(num, den) == 1`.
+    pub(crate) const fn from_reduced(num: i128, den: i128) -> Rational {
+        Rational { num, den }
+    }
+
     /// The reduced numerator (sign-carrying).
     pub fn numer(&self) -> i128 {
         self.num

@@ -818,7 +818,7 @@ fn apply_selector<D: AnalysisDomain>(
     // second same-instant firing would be possible.
     for &t in &s.fired {
         let cs = net.conflict_set(net.conflict_set_of(t));
-        for &u in cs.members() {
+        for &u in cs {
             let was_firable = matches!(state.ret(u), Some(x) if domain.is_zero(x));
             if was_firable && s.marking.covers(net.transition(u).input()) {
                 return Err(ReachError::MultipleFiring {

@@ -638,6 +638,8 @@ mod tests {
         assert_eq!(after.hits, before.hits + 1);
         assert_eq!(after.computations, before.computations);
         assert_eq!(trg_builds(), builds);
+        // …and it touched no session: none created, none evicted.
+        assert_eq!(after.sessions, before.sessions);
         // A /graph needs the artifacts: the net's session is created
         // again (one session miss for the pair) and its TRG built once.
         assert_eq!(svc.respond(RequestKind::Graph, &net_text(0)).0, 200);

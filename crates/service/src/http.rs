@@ -40,6 +40,7 @@
 //! structured `{"code": …, "message": …}` object — the full mapping
 //! lives on [`ServiceError`].
 
+use std::cell::{Cell, OnceCell};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -421,8 +422,8 @@ impl Service {
         self.counters[counter as usize].fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Parse a `.tpn` body and resolve its shared [`Session`].
-    fn parse_session(&self, body: &str) -> Result<Arc<Session>, ServiceError> {
+    /// Parse a `.tpn` body and digest the net.
+    fn parse_net(&self, body: &str) -> Result<(NetDigest, TimedPetriNet), ServiceError> {
         let net = {
             // The parse is the first work of every request that gets
             // here, so the span opens at the collection epoch without
@@ -430,7 +431,9 @@ impl Service {
             let _span = tpn_obs::trace::span_epoch("parse");
             parse_tpn(body).map_err(|e| ServiceError::Parse(e.to_string()))?
         };
-        Ok(self.session_for(net))
+        let digest = net.digest();
+        metrics::annotate_digest(digest.0);
+        Ok((digest, net))
     }
 
     /// The shared [`Session`] for an already-parsed net — the public
@@ -450,10 +453,13 @@ impl Service {
     pub fn respond(&self, kind: RequestKind, body: &str) -> (u16, Arc<String>) {
         self.observed(Endpoint::of_kind(kind), || {
             self.bump(Counter::Requests, 1);
-            legacy_reply(
-                self.parse_session(body)
-                    .and_then(|session| self.analysis_cached(&session, kind)),
-            )
+            legacy_reply(self.parse_net(body).and_then(|(digest, net)| {
+                // The body is looked up first: only a miss's leader
+                // resolves (or creates) the net's session.
+                self.cache.get_or_compute(CacheKey { digest, kind }, || {
+                    run_with_session(&self.cache.session_for(digest, net), kind)
+                })
+            }))
         })
     }
 
@@ -465,15 +471,29 @@ impl Service {
     /// calls would have produced).
     pub fn respond_many(&self, kinds: &[RequestKind], body: &str) -> Vec<(u16, Arc<String>)> {
         self.bump(Counter::Requests, kinds.len() as u64);
-        match self.parse_session(body) {
-            Ok(session) => kinds
-                .iter()
-                .map(|&kind| {
-                    self.observed(Endpoint::of_kind(kind), || {
-                        legacy_reply(self.analysis_cached(&session, kind))
+        match self.parse_net(body) {
+            Ok((digest, net)) => {
+                // Resolved by the first kind that misses, then shared.
+                let net = Cell::new(Some(net));
+                let session = OnceCell::new();
+                kinds
+                    .iter()
+                    .map(|&kind| {
+                        self.observed(Endpoint::of_kind(kind), || {
+                            legacy_reply(self.cache.get_or_compute(
+                                CacheKey { digest, kind },
+                                || {
+                                    let session: &Arc<Session> = session.get_or_init(|| {
+                                        let net = net.take().expect("the net is taken once");
+                                        self.cache.session_for(digest, net)
+                                    });
+                                    run_with_session(session, kind)
+                                },
+                            ))
+                        })
                     })
-                })
-                .collect(),
+                    .collect()
+            }
             Err(e) => {
                 let reply = legacy_reply(Err(e));
                 kinds

@@ -175,7 +175,7 @@ pub fn simulate(net: &TimedPetriNet, opts: &SimOptions) -> Result<SimStats, SimE
             // Conflict-set restriction check (as in the analytic engine).
             for &t in &chosen {
                 let cs = net.conflict_set(net.conflict_set_of(t));
-                for &u in cs.members() {
+                for &u in cs {
                     let was_firable = matches!(&state.ret[u.index()], Some(x) if x.is_zero());
                     if was_firable && state.marking.covers(net.transition(u).input()) {
                         return Err(SimError::MultipleFiring {

@@ -232,7 +232,7 @@ fn metrics_document_validates_and_covers_every_stats_counter() {
         "tpn_whatif_perturbations_total 2\n",
         "tpn_whatif_rejects_total 1\n",
         "tpn_v1_envelopes_total 0\n",
-        "tpn_session_hits_total 5\n",
+        "tpn_session_hits_total 4\n",
         "tpn_session_misses_total 3\n",
         "tpn_sessions 3\n",
         "tpn_threads 4\n",
