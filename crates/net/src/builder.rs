@@ -319,6 +319,30 @@ mod tests {
         );
     }
 
+    /// Of several repeated names, the first repeat in declaration
+    /// order is reported.
+    #[test]
+    fn first_repeated_name_is_reported() {
+        let mut b = NetBuilder::new("n");
+        let ids: Vec<PlaceId> = ["b", "a", "b", "a"].iter().map(|n| b.place(n, 1)).collect();
+        for t in ["y", "x", "x", "y"] {
+            b.transition(t).input(ids[0]).add();
+        }
+        assert_eq!(
+            b.build().unwrap_err(),
+            NetError::DuplicatePlace { name: "b".into() }
+        );
+        let mut b = NetBuilder::new("n");
+        let p = b.place("a", 1);
+        for t in ["y", "x", "x", "y"] {
+            b.transition(t).input(p).add();
+        }
+        assert_eq!(
+            b.build().unwrap_err(),
+            NetError::DuplicateTransition { name: "x".into() }
+        );
+    }
+
     #[test]
     fn duplicate_transition_rejected() {
         let mut b = NetBuilder::new("n");

@@ -459,6 +459,41 @@ mod tests {
         assert_eq!(net.place_name(net.place_by_name("a").unwrap()), "a");
     }
 
+    /// Names tied on their first eight bytes, names that prefix one
+    /// another and names holding a NUL byte are each found, and nothing
+    /// else is.
+    #[test]
+    fn name_lookup_over_shared_prefixes() {
+        let names = [
+            "packet_in_medium",
+            "packet_in_flight",
+            "packet_i",
+            "packet",
+            "p",
+            "a\0",
+            "a",
+            "a\0b",
+            "τ→",
+            "τ",
+        ];
+        let mut b = NetBuilder::new("names");
+        let ids: Vec<PlaceId> = names.iter().map(|n| b.place(n, 1)).collect();
+        for (n, &p) in names.iter().zip(&ids) {
+            b.transition(&format!("{n}!")).input(p).add();
+        }
+        let net = b.build().unwrap();
+        for (i, n) in names.iter().enumerate() {
+            assert_eq!(net.place_by_name(n), Ok(ids[i]), "{n:?}");
+            assert_eq!(
+                net.transition_by_name(&format!("{n}!")),
+                Ok(TransId::from_index(i))
+            );
+        }
+        for missing in ["packet_in", "packet_in_mediu", "a\0\0", "", "τ→!!", "q"] {
+            assert!(net.place_by_name(missing).is_err(), "{missing:?}");
+        }
+    }
+
     #[test]
     fn display_roundtrips_structure() {
         let net = two_conflicting();

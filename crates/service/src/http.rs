@@ -40,7 +40,6 @@
 //! structured `{"code": …, "message": …}` object — the full mapping
 //! lives on [`ServiceError`].
 
-use std::cell::{Cell, OnceCell};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -473,23 +472,12 @@ impl Service {
         self.bump(Counter::Requests, kinds.len() as u64);
         match self.parse_net(body) {
             Ok((digest, net)) => {
-                // Resolved by the first kind that misses, then shared.
-                let net = Cell::new(Some(net));
-                let session = OnceCell::new();
+                let session = self.cache.session_for(digest, net);
                 kinds
                     .iter()
                     .map(|&kind| {
                         self.observed(Endpoint::of_kind(kind), || {
-                            legacy_reply(self.cache.get_or_compute(
-                                CacheKey { digest, kind },
-                                || {
-                                    let session: &Arc<Session> = session.get_or_init(|| {
-                                        let net = net.take().expect("the net is taken once");
-                                        self.cache.session_for(digest, net)
-                                    });
-                                    run_with_session(session, kind)
-                                },
-                            ))
+                            legacy_reply(self.analysis_cached(&session, kind))
                         })
                     })
                     .collect()
