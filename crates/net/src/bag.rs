@@ -81,7 +81,7 @@ impl<'a, S: AsRef<[(PlaceId, u32)]>> From<&'a Bag<S>> for Bag<&'a [(PlaceId, u32
 
 impl<S: AsRef<[(PlaceId, u32)]>> Bag<S> {
     /// The `(place, multiplicity)` pairs, sorted by place.
-    pub fn as_slice(&self) -> &[(PlaceId, u32)] {
+    pub(crate) fn as_slice(&self) -> &[(PlaceId, u32)] {
         self.entries.as_ref()
     }
 

@@ -96,7 +96,7 @@ impl fmt::Display for Frequency {
 
 /// One transition's row of a flat net: where its name and arcs lie in
 /// the net's arrays, and its timing.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub(crate) struct TransRecord {
     pub(crate) name: Span,
     /// The input bag is `arcs[a[0]..a[1]]`, the output bag
