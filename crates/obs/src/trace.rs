@@ -12,8 +12,10 @@
 //! [`span`] when no collection is active is one thread-local borrow
 //! and a `None` check — no allocation, no clock read. Guards are
 //! deliberately `!Send`: a span must close on the thread that opened
-//! it, which is also what pins a collection to one request on one
-//! worker thread.
+//! it. A collection itself may change threads between spans: [`detach`]
+//! takes it off this thread as a `Send` value and [`attach`] resumes it
+//! on another, so a request that starts on one thread and finishes on
+//! another is still one trace with one epoch.
 //!
 //! [`begin`] refuses to nest (returns `false` if this thread is
 //! already collecting): the outermost request wrapper owns the
@@ -196,6 +198,45 @@ pub fn end_with<R>(f: impl FnOnce(&[Span], &[Option<u128>; ANNOTATION_SLOTS]) ->
         collector.spans.clear();
         t.spare = collector.spans;
         Some(result)
+    })
+}
+
+/// A collection taken off its thread by [`detach`], waiting for
+/// [`attach`] to resume it on another. It holds only the span buffer
+/// and integers, so it is `Send`.
+pub struct Detached(Collector);
+
+/// Take this thread's active collection off the thread, leaving none
+/// active, so a later [`attach`] can resume it elsewhere. Call it
+/// between spans: a span still open here would close into whatever
+/// collection this thread holds next. `None` if no collection was
+/// active.
+#[inline]
+pub fn detach() -> Option<Detached> {
+    TRACER.with(|t| {
+        let collector = t.borrow_mut().active.take()?;
+        debug_assert!(
+            collector.spans.iter().all(|s| s.duration_ns != OPEN),
+            "detach with a span still open"
+        );
+        Some(Detached(collector))
+    })
+}
+
+/// Resume a [`detach`]ed collection on this thread: spans opened from
+/// here on nest where the detached ones left off, timed against the
+/// original epoch, and [`end_with`] finishes it as usual. Returns
+/// `false` (and drops `detached`) if this thread is already
+/// collecting, exactly as [`begin`] refuses to nest.
+#[inline]
+pub fn attach(detached: Detached) -> bool {
+    TRACER.with(|t| {
+        let mut t = t.borrow_mut();
+        if t.active.is_some() {
+            return false;
+        }
+        t.active = Some(detached.0);
+        true
     })
 }
 
@@ -435,6 +476,42 @@ mod tests {
         // A fresh collection starts clean.
         assert!(begin());
         assert_eq!(end_annotated().unwrap().1, [None, None]);
+    }
+
+    #[test]
+    fn detached_collections_resume_on_another_thread() {
+        assert!(begin_rooted(clock::now_ns()));
+        {
+            let _parse = span_epoch("parse");
+        }
+        annotate(0, 5);
+        let detached = detach().expect("a collection was active");
+        assert!(!active(), "detach leaves the thread free");
+        assert!(detach().is_none());
+        let (spans, annotations) = std::thread::spawn(move || {
+            assert!(attach(detached));
+            {
+                let _cache = span("cache");
+                let _trg = span("trg");
+            }
+            end_annotated().expect("attached collection ends here")
+        })
+        .join()
+        .unwrap();
+        let shape: Vec<(&str, u32)> = spans.iter().map(|s| (s.name, s.depth)).collect();
+        assert_eq!(shape, [("parse", 2), ("cache", 2), ("trg", 3)]);
+        assert_eq!(spans[0].start_ns, 0);
+        assert_eq!(annotations, [Some(5), None]);
+    }
+
+    #[test]
+    fn attach_refuses_to_nest() {
+        assert!(begin());
+        let detached = detach().unwrap();
+        assert!(begin());
+        assert!(!attach(detached), "this thread is already collecting");
+        let _ = end();
+        assert!(!active());
     }
 
     #[test]

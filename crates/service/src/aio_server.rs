@@ -3,16 +3,30 @@
 //! listener, so the daemon serves on Linux only.
 //!
 //! The listener holds every connection as a small state machine in a
-//! [`Slab`] and uses the pool only for the actual analysis work: the
-//! reactor thread runs an edge-triggered [`Poller`] loop, resumes the
-//! incremental HTTP/1.1 parser with whatever bytes each readiness
-//! event delivers, and hands complete requests to [`ThreadPool`]
-//! workers. Workers push the finished response onto a completion
-//! queue and nudge the reactor through its eventfd [`Waker`]; the
-//! reactor writes responses out — small bodies as one
-//! `Content-Length` write, bodies over the streaming threshold as
-//! `Transfer-Encoding: chunked` frames through a bounded
+//! [`Slab`]. The reactor thread runs an edge-triggered [`Poller`]
+//! loop, resumes the incremental HTTP/1.1 parser with whatever bytes
+//! each readiness event delivers, and writes responses out — small
+//! bodies as one `Content-Length` write, bodies over the streaming
+//! threshold as `Transfer-Encoding: chunked` frames through a bounded
 //! per-connection write buffer.
+//!
+//! Which work runs where:
+//!
+//! - **On the reactor:** HTTP framing, and the front half of a `POST`
+//!   to a plain analysis route (`/analyze`, `/graph`, `/correctness`,
+//!   `/invariants`, `/simulate`) whose body is at most
+//!   [`INLINE_MAX_BODY`] bytes — parse, digest and the one cache lookup
+//!   ([`Service::respond`]). A body-cache hit (or a request refused
+//!   before the lookup) is answered in the same loop turn: its reply
+//!   goes onto a ready queue local to the reactor, drained after the
+//!   turn's events, with no pool job, condvar, eventfd or completion
+//!   lock. Each connection gets at most one inline answer per drain,
+//!   and inline answers take no in-flight budget.
+//! - **On the [`ThreadPool`]:** a miss's computation or a coalesced
+//!   wait (the back half, carrying the parsed net, the cache flight and
+//!   the request's open observation), and every other request whole.
+//!   Workers push the finished response onto a completion queue and
+//!   nudge the reactor through its eventfd [`Waker`].
 //!
 //! Admission control has three layers, all tunable via
 //! [`AioConfig`](crate::http::AioConfig):
@@ -47,7 +61,7 @@ use tpn_aio::timer::TimerWheel;
 use tpn_aio::wake::Waker;
 
 use crate::executor::ThreadPool;
-use crate::http::{route, AioConfig, Request, Service, JSON};
+use crate::http::{is_analysis, route, AioConfig, Pending, Request, Service, JSON};
 use crate::json::error_body;
 
 /// Fixed poller tokens for the two non-connection descriptors. Slab
@@ -67,6 +81,16 @@ const NO_DEADLINE: u64 = u64::MAX;
 
 /// Cap on the request line plus headers.
 const MAX_HEAD_BYTES: usize = 16 * 1024;
+
+/// Largest `.tpn` body whose front half (parse, digest, cache lookup)
+/// the reactor runs itself: every connection waits while it does, so
+/// larger bodies go whole to the pool. `lossy_chain(32)`'s 3.5 KiB
+/// parse and digest in under 30 µs, so the largest inline body holds
+/// the reactor for about a tenth of a millisecond.
+const INLINE_MAX_BODY: usize = 16 * 1024;
+
+/// Bytes the reactor reads from a socket at a time.
+const READ_CHUNK: usize = 16 * 1024;
 
 /// The reason phrase of a response status line.
 fn reason(status: u16) -> &'static str {
@@ -136,7 +160,8 @@ impl Conn {
     }
 }
 
-/// One finished request, handed back from a pool worker.
+/// One finished request: handed back from a pool worker, or answered
+/// on the reactor.
 struct Completion {
     token: u64,
     status: u16,
@@ -165,6 +190,13 @@ struct Reactor {
     conns: Slab<Conn>,
     wheel: TimerWheel,
     completions: Arc<Mutex<std::collections::VecDeque<Completion>>>,
+    /// Requests the reactor answered itself, waiting to be written out
+    /// at the end of the loop turn (answering inside `dispatch` would
+    /// re-enter `drive` once per pipelined request).
+    ready: std::collections::VecDeque<Completion>,
+    /// The buffer every socket read lands in before the parser copies
+    /// it, allocated once.
+    read_buf: Box<[u8]>,
     /// Connections whose input processing is suspended on the
     /// in-flight budget, in arrival order. Tokens may be stale by the
     /// time they are popped; the slab's generation check skips those.
@@ -193,7 +225,10 @@ impl Reactor {
         let mut events: Vec<Event> = Vec::new();
         loop {
             let now = self.now_ms();
-            let timeout = if self.draining {
+            let timeout = if !self.ready.is_empty() {
+                // Inline answers are waiting: poll without blocking.
+                Some(Duration::ZERO)
+            } else if self.draining {
                 // Poll the drain budget even if no fd turns ready.
                 Some(Duration::from_millis(
                     WHEEL_GRANULARITY_MS.min(self.drain_until.saturating_sub(now).max(1)),
@@ -214,6 +249,7 @@ impl Reactor {
                 }
             }
             self.drain_completions();
+            self.drain_ready();
             let now = self.now_ms();
             self.fire_timers(now);
             if self.stop.load(Ordering::SeqCst) && !self.draining {
@@ -388,7 +424,6 @@ impl Reactor {
 
     /// Read, parse and (maybe) dispatch — the Idle/Reading engine.
     fn process_input(&mut self, token: u64) {
-        let mut chunk = [0u8; 16 * 1024];
         let read_deadline = self.now_ms() + self.cfg.read_deadline_ms;
         let idle_deadline = self.now_ms() + self.cfg.idle_deadline_ms;
         loop {
@@ -454,9 +489,9 @@ impl Reactor {
                 }
                 return;
             }
-            match conn.stream.read(&mut chunk) {
+            match conn.stream.read(&mut self.read_buf) {
                 Ok(0) => conn.eof = true,
-                Ok(n) => conn.parser.feed(&chunk[..n]),
+                Ok(n) => conn.parser.feed(&self.read_buf[..n]),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => conn.readable = false,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(_) => {
@@ -467,7 +502,9 @@ impl Reactor {
         }
     }
 
-    /// Hand one complete request to the worker pool.
+    /// Serve one complete request: a small analysis request's front
+    /// half here (answering a hit on the ready queue), everything else
+    /// on the worker pool.
     fn dispatch(&mut self, token: u64, req: Request) {
         {
             let Some(conn) = self.conns.get_mut(token) else {
@@ -478,6 +515,22 @@ impl Reactor {
             conn.close_after = req.close;
             conn.served += 1;
         }
+        let work = if is_analysis(&req) && req.body.len() <= INLINE_MAX_BODY {
+            match self.service.front(&req) {
+                Ok((status, body)) => {
+                    self.ready.push_back(Completion {
+                        token,
+                        status,
+                        content_type: JSON,
+                        body,
+                    });
+                    return;
+                }
+                Err(pending) => Work::Back(pending),
+            }
+        } else {
+            Work::Route(req)
+        };
         self.inflight += 1;
         if self.inflight >= self.budget {
             self.pause_accept();
@@ -486,7 +539,13 @@ impl Reactor {
         let completions = Arc::clone(&self.completions);
         let waker = self.waker.clone();
         let job = move || {
-            let (status, content_type, body) = route(&svc, &req);
+            let (status, content_type, body) = match work {
+                Work::Route(req) => route(&svc, &req),
+                Work::Back(pending) => {
+                    let (status, body) = svc.back(pending);
+                    (status, JSON, body)
+                }
+            };
             completions
                 .lock()
                 .expect("completion queue lock")
@@ -548,32 +607,45 @@ impl Reactor {
             force_close || conn.close_after || conn.served >= max_requests || draining || conn.eof;
         conn.close_after = close;
         let connection = if close { "close" } else { "keep-alive" };
+        // The head is written straight into the staging buffer (writes
+        // into a `Vec` cannot fail).
+        let out = &mut conn.out;
+        let _ = write!(
+            out,
+            "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\n",
+            reason(status)
+        );
         if body.len() > threshold {
-            let head = format!(
-                "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nTransfer-Encoding: chunked\r\nConnection: {}\r\n\r\n",
-                status,
-                reason(status),
-                content_type,
-                connection,
-            );
-            conn.out.extend_from_slice(head.as_bytes());
+            out.extend_from_slice(b"Transfer-Encoding: chunked\r\n");
+            let _ = write!(out, "Connection: {connection}\r\n\r\n");
             conn.streaming = Some((Arc::clone(body), 0));
         } else {
-            let head = format!(
-                "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
-                status,
-                reason(status),
-                content_type,
-                body.len(),
-                connection,
+            let _ = write!(
+                out,
+                "Content-Length: {}\r\nConnection: {connection}\r\n\r\n",
+                body.len()
             );
-            conn.out.extend_from_slice(head.as_bytes());
-            conn.out.extend_from_slice(body.as_bytes());
+            out.extend_from_slice(body.as_bytes());
         }
         conn.phase = Phase::Writing;
         conn.deadline_at = write_deadline;
         arm(conn, &mut self.wheel, token, write_deadline);
         self.drive(token);
+    }
+
+    /// Write out the inline answers queued before this drain began.
+    /// An answer re-drives its connection, which may queue that
+    /// connection's next pipelined answer: it waits for the next turn,
+    /// behind every other connection's.
+    fn drain_ready(&mut self) {
+        for _ in 0..self.ready.len() {
+            let Some(c) = self.ready.pop_front() else {
+                break;
+            };
+            if self.conns.get(c.token).is_some() {
+                self.respond(c.token, c.status, c.content_type, &c.body, false);
+            }
+        }
     }
 
     fn drain_completions(&mut self) {
@@ -681,6 +753,13 @@ impl Reactor {
     }
 }
 
+/// What a pool job runs: a whole request, or the back half of one
+/// whose front half ran on the reactor.
+enum Work {
+    Route(Request),
+    Back(Box<Pending>),
+}
+
 /// Best-effort `503` for a connection over the hard cap: one
 /// nonblocking write, then drop. The socket was never admitted, so
 /// only the reject counter moves.
@@ -727,8 +806,7 @@ fn flush_out(conn: &mut Conn, write_chunk: usize) -> FlushOutcome {
             };
             let bytes = body.as_bytes();
             let take = write_chunk.max(1).min(bytes.len() - offset);
-            conn.out
-                .extend_from_slice(format!("{take:x}\r\n").as_bytes());
+            let _ = write!(conn.out, "{take:x}\r\n");
             conn.out.extend_from_slice(&bytes[offset..offset + take]);
             conn.out.extend_from_slice(b"\r\n");
             if offset + take < bytes.len() {
@@ -891,6 +969,8 @@ pub fn spawn(service: Arc<Service>, addr: &str) -> io::Result<ServerHandle> {
         conns: Slab::new(),
         wheel: TimerWheel::new(WHEEL_GRANULARITY_MS, WHEEL_SLOTS),
         completions: Arc::new(Mutex::new(std::collections::VecDeque::new())),
+        ready: std::collections::VecDeque::new(),
+        read_buf: vec![0; READ_CHUNK].into_boxed_slice(),
         parked: std::collections::VecDeque::new(),
         cfg,
         budget: budget.max(1),

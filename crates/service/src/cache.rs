@@ -15,11 +15,17 @@
 //!   overhead, and is admitted when that cost fits the budget.
 //! - **Coalescing.** A body slot is a `OnceLock`, and the slot is its
 //!   own flight: the first request for a key (the leader) inserts an
-//!   empty slot and computes outside the lock; identical requests that
-//!   arrive meanwhile block in `OnceLock::wait` and receive the same
-//!   `Arc`'d body, so a thundering herd costs one pipeline run. A leader
-//!   that fails or panics still fills its slot, then withdraws it:
-//!   every coalesced follower gets the error and nothing is cached.
+//!   empty slot; identical requests that arrive meanwhile (followers)
+//!   find it and receive the same `Arc`'d body, so a thundering herd
+//!   costs one pipeline run. A lookup (`AnalysisCache::lookup`) and
+//!   the computation or wait (`Flight::resolve`) are separate steps,
+//!   so a request may look up on one thread and resolve on another.
+//!   Whichever request of a flight resolves first *claims* the slot and
+//!   computes outside the lock; the rest block in `OnceLock::wait`.
+//!   Nobody ever waits on a slot that is not being computed, even when
+//!   its leader is still queued behind the waiter. A computation that
+//!   fails or panics still fills its slot, then withdraws it: every
+//!   coalesced follower gets the error and nothing is cached.
 //! - **Sessions** beyond [`MAX_SESSIONS`] are dropped least-recently-used.
 //!   Their entry keeps its bodies, so a body hit never depends on the
 //!   artifacts being resident; a request whose entry has no session
@@ -32,6 +38,7 @@
 
 use std::collections::hash_map::Entry as MapEntry;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use tpn_net::{NetDigest, TimedPetriNet};
@@ -89,8 +96,22 @@ pub struct SessionStats {
     pub evictions: u64,
 }
 
-/// A body slot: empty while its leader computes, then the result.
-type Slot = OnceLock<Result<Arc<String>, ServiceError>>;
+/// A body slot: claimed by the first of its flight's requests to start
+/// computing, empty until that computation ends, then the result.
+#[derive(Default)]
+struct Slot {
+    claimed: AtomicBool,
+    result: OnceLock<Result<Arc<String>, ServiceError>>,
+}
+
+impl Slot {
+    /// Claim the computation; `false` if another request already has.
+    /// The flag only elects the computing request: the body itself is
+    /// published (and waited for) through the `OnceLock`.
+    fn claim(&self) -> bool {
+        !self.claimed.swap(true, Ordering::AcqRel)
+    }
+}
 
 struct Body {
     slot: Arc<Slot>,
@@ -198,19 +219,77 @@ impl State {
     }
 }
 
-/// Fills the leader's slot with an error if the leader unwinds before
-/// publishing a result, so followers never hang on a panicked leader.
-struct LeaderGuard<'a> {
-    cache: &'a AnalysisCache,
-    key: CacheKey,
-    slot: Arc<Slot>,
+/// The map and the byte budget it is settled against — shared with
+/// every [`Flight`], which settles its slot here from whatever thread
+/// its request finishes on.
+struct Shared {
+    state: Mutex<State>,
+    byte_budget: usize,
 }
 
-impl Drop for LeaderGuard<'_> {
+/// The outcome of one body lookup.
+pub(crate) enum Lookup {
+    /// The body is cached.
+    Hit(Arc<String>),
+    /// It is not: the request must compute it or wait for it.
+    Miss(Flight),
+}
+
+/// One request's place in a body's flight, from the lookup that found
+/// (or inserted) the empty slot to [`Flight::resolve`]. `Send`, so the
+/// lookup and the computation may run on different threads.
+///
+/// Dropping a flight settles its slot when no one else can: a request
+/// that claimed the slot and unwound before publishing, or a leader
+/// dropped before it resolved (its job refused) while no request has
+/// claimed the slot, fills it with an error and withdraws it, so
+/// followers never hang.
+pub(crate) struct Flight {
+    shared: Arc<Shared>,
+    key: CacheKey,
+    slot: Arc<Slot>,
+    /// This request inserted the slot (it is the miss), rather than
+    /// finding it (a coalesced follower).
+    lead: bool,
+    /// This request claimed the slot and owes it a result.
+    owns: bool,
+}
+
+impl Flight {
+    /// Compute the body with `f`, or wait for the request computing
+    /// it: whichever request of the flight gets here first computes.
+    /// Successful bodies are admitted to the cache within the byte
+    /// budget.
+    pub(crate) fn resolve(
+        mut self,
+        f: impl FnOnce() -> Result<String, ServiceError>,
+    ) -> Result<Arc<String>, ServiceError> {
+        // A trace span only past the hit fast path: a hit is one map
+        // probe under the lock, below what span timing resolves, and
+        // the hot path must not pay two clock reads for it. A "cache"
+        // span in a trace therefore *means* the cache had to work
+        // (coalesced wait or compute).
+        let _span = tpn_obs::trace::span("cache");
+        self.owns = self.slot.claim();
+        if !self.owns {
+            return self.slot.result.wait().clone();
+        }
+        // If `f` panics, dropping `self` fills the slot (and unblocks
+        // followers with an error).
+        let result = f().map(Arc::new);
+        self.shared.publish(self.key, &self.slot, result.clone());
+        result
+    }
+}
+
+impl Drop for Flight {
     fn drop(&mut self) {
-        if self.slot.get().is_none() {
+        if self.slot.result.get().is_some() {
+            return;
+        }
+        if self.owns || (self.lead && self.slot.claim()) {
             let panicked = ServiceError::Analysis("computation panicked".to_string());
-            self.cache.publish(self.key, &self.slot, Err(panicked));
+            self.shared.publish(self.key, &self.slot, Err(panicked));
         }
     }
 }
@@ -218,8 +297,7 @@ impl Drop for LeaderGuard<'_> {
 /// The one cache: sessions and response bodies per net digest, under
 /// one lock, one byte budget and one session bound.
 pub struct AnalysisCache {
-    state: Mutex<State>,
-    byte_budget: usize,
+    shared: Arc<Shared>,
     session_cap: usize,
     options: SessionOptions,
     counters: Arc<StageCounters>,
@@ -239,13 +317,15 @@ impl AnalysisCache {
         options: SessionOptions,
     ) -> AnalysisCache {
         AnalysisCache {
-            state: Mutex::new(State {
-                entries: HashMap::new(),
-                resident: Vec::new(),
-                clock: 0,
-                stats: CacheStats::default(),
+            shared: Arc::new(Shared {
+                state: Mutex::new(State {
+                    entries: HashMap::new(),
+                    resident: Vec::new(),
+                    clock: 0,
+                    stats: CacheStats::default(),
+                }),
+                byte_budget,
             }),
-            byte_budget,
             session_cap,
             options,
             counters: Arc::new(StageCounters::new()),
@@ -253,7 +333,7 @@ impl AnalysisCache {
     }
 
     fn lock(&self) -> MutexGuard<'_, State> {
-        self.state.lock().expect("cache lock")
+        self.shared.state.lock().expect("cache lock")
     }
 
     /// The stage counters shared by every session this cache created.
@@ -304,67 +384,66 @@ impl AnalysisCache {
 
     /// The core serving primitive: return the cached body for `key`, or
     /// compute it with `f` — at most once across all concurrent callers
-    /// of the same key (request coalescing). Successful bodies are
-    /// cached; errors are returned to every coalesced caller but not
-    /// cached (they are cheap to rediscover and keep the cache
-    /// all-success).
+    /// of the same key (request coalescing): a lookup, then the miss
+    /// resolved, on one thread. Successful bodies are cached; errors
+    /// are returned to every coalesced caller but not cached (they are
+    /// cheap to rediscover and keep the cache all-success).
     pub fn get_or_compute(
         &self,
         key: CacheKey,
         f: impl FnOnce() -> Result<String, ServiceError>,
     ) -> Result<Arc<String>, ServiceError> {
-        let (slot, is_leader) = {
-            let mut guard = self.lock();
-            let state = &mut *guard;
-            let tick = state.tick();
-            let bodies = &mut state.entries.entry(key.digest).or_default().bodies;
-            match bodies.entry(key.kind) {
-                MapEntry::Occupied(mut found) => {
-                    let body = found.get_mut();
-                    if let Some(Ok(value)) = body.slot.get() {
-                        body.last_used = tick;
-                        state.stats.hits += 1;
-                        return Ok(Arc::clone(value));
-                    }
-                    // Follower: a leader is computing this very key.
-                    state.stats.coalesced += 1;
-                    (Arc::clone(&body.slot), false)
-                }
-                MapEntry::Vacant(vacant) => {
-                    state.stats.misses += 1;
-                    state.stats.computations += 1;
-                    let slot = Arc::new(Slot::new());
-                    vacant.insert(Body {
-                        slot: Arc::clone(&slot),
-                        cost: 0,
-                        last_used: tick,
-                    });
-                    (slot, true)
-                }
-            }
-        };
-        // A trace span only past the hit fast path: a hit is one map
-        // probe under the lock, below what span timing resolves, and the
-        // hot path must not pay two clock reads for it. A "cache" span
-        // in a trace therefore *means* the cache had to work (coalesced
-        // wait or compute).
-        let _span = tpn_obs::trace::span("cache");
-        if !is_leader {
-            return slot.wait().clone();
+        match self.lookup(key) {
+            Lookup::Hit(body) => Ok(body),
+            Lookup::Miss(flight) => flight.resolve(f),
         }
-        // The guard fills the slot (and unblocks followers with an
-        // error) even if `f` panics.
-        let guard = LeaderGuard {
-            cache: self,
-            key,
-            slot,
-        };
-        let result = f().map(Arc::new);
-        self.publish(key, &guard.slot, result.clone());
-        result
     }
 
-    /// Fill a leader's slot and settle it under the lock: a body whose
+    /// Look `key` up under one lock: the cached body, or this request's
+    /// [`Flight`] — as its leader when the lookup inserted the empty
+    /// slot (a miss), as a follower when another request had.
+    pub(crate) fn lookup(&self, key: CacheKey) -> Lookup {
+        let mut guard = self.lock();
+        let state = &mut *guard;
+        let tick = state.tick();
+        let bodies = &mut state.entries.entry(key.digest).or_default().bodies;
+        let (slot, lead) = match bodies.entry(key.kind) {
+            MapEntry::Occupied(mut found) => {
+                let body = found.get_mut();
+                if let Some(Ok(value)) = body.slot.result.get() {
+                    body.last_used = tick;
+                    state.stats.hits += 1;
+                    return Lookup::Hit(Arc::clone(value));
+                }
+                // Follower: another request leads this very key.
+                state.stats.coalesced += 1;
+                (Arc::clone(&body.slot), false)
+            }
+            MapEntry::Vacant(vacant) => {
+                state.stats.misses += 1;
+                state.stats.computations += 1;
+                let slot = Arc::new(Slot::default());
+                vacant.insert(Body {
+                    slot: Arc::clone(&slot),
+                    cost: 0,
+                    last_used: tick,
+                });
+                (slot, true)
+            }
+        };
+        drop(guard);
+        Lookup::Miss(Flight {
+            shared: Arc::clone(&self.shared),
+            key,
+            slot,
+            lead,
+            owns: false,
+        })
+    }
+}
+
+impl Shared {
+    /// Fill a claimed slot and settle it under the lock: a body whose
     /// cost fits the budget is admitted, evicting least-recently-used
     /// bodies as needed; an error or an oversized body is withdrawn, so
     /// the next request recomputes. (Admitting a body bigger than the
@@ -376,15 +455,15 @@ impl AnalysisCache {
             .ok()
             .map(|body| body.len() + ENTRY_OVERHEAD)
             .filter(|&cost| cost <= self.byte_budget);
-        // Not `lock()`: this also runs in the leader guard's `Drop`,
+        // Not a panicking lock: this also runs in `Flight`'s `Drop`,
         // which must not panic. With the lock poisoned the map cannot be
         // settled, but filling the slot still wakes every follower.
         let Ok(mut guard) = self.state.lock() else {
-            let _ = slot.set(result);
+            let _ = slot.result.set(result);
             return;
         };
         let state = &mut *guard;
-        let _ = slot.set(result);
+        let _ = slot.result.set(result);
         let tick = state.tick();
         let Some(entry) = state.entries.get_mut(&key.digest) else {
             return;
@@ -407,7 +486,9 @@ impl AnalysisCache {
             }
         }
     }
+}
 
+impl AnalysisCache {
     /// A counter and occupancy snapshot.
     pub fn stats(&self) -> CacheStats {
         let state = self.lock();
@@ -587,6 +668,50 @@ mod tests {
         if let Err(e) = follower {
             assert!(e.to_string().contains("panicked"), "{e}");
         }
+    }
+
+    #[test]
+    fn a_follower_computes_while_its_leader_is_still_queued() {
+        let cache = with_budget(1 << 20);
+        // The leader looked up (say, on the listener's reactor) but its
+        // job has not started.
+        let Lookup::Miss(leader) = cache.lookup(key(5)) else {
+            panic!("first lookup must miss");
+        };
+        // A follower must not wait on a computation nobody is running:
+        // with one worker, the queued leader would never start.
+        let body = cache
+            .get_or_compute(key(5), || Ok("follower".into()))
+            .unwrap();
+        assert_eq!(*body, "follower");
+        let led = leader
+            .resolve(|| panic!("the follower already computed"))
+            .unwrap();
+        assert!(Arc::ptr_eq(&led, &body));
+        let s = cache.stats();
+        assert_eq!((s.misses, s.computations, s.coalesced), (1, 1, 1));
+        assert_eq!(s.entries, 1);
+    }
+
+    #[test]
+    fn a_leader_dropped_unrun_releases_its_followers() {
+        let cache = with_budget(1 << 20);
+        let Lookup::Miss(leader) = cache.lookup(key(6)) else {
+            panic!("first lookup must miss");
+        };
+        let Lookup::Miss(follower) = cache.lookup(key(6)) else {
+            panic!("the slot is in flight");
+        };
+        // The leader's job was refused: its flight settles the slot.
+        drop(leader);
+        let e = follower
+            .resolve(|| panic!("the dropped leader claimed the slot"))
+            .unwrap_err();
+        assert!(e.to_string().contains("panicked"), "{e}");
+        // Nothing was cached; the next request computes afresh.
+        assert_eq!(cache.stats().entries, 0);
+        cache.get_or_compute(key(6), || Ok("fresh".into())).unwrap();
+        assert_eq!(cache.stats().computations, 2);
     }
 
     #[test]

@@ -49,11 +49,12 @@ use tpn_net::{parse_tpn, NetDigest, TimedPetriNet, TimingAssignment};
 use tpn_obs::alert::AlertEngine;
 use tpn_obs::log::RequestLog;
 use tpn_obs::series::SeriesRing;
+use tpn_obs::trace::Detached;
 use tpn_session::{Session, SessionOptions, STAGES};
 
 use crate::alerts::{self, AlertsConfig, Notifier, NotifyCounters, Silence};
 use crate::analysis::{run_with_session, RequestKind, ServiceError};
-use crate::cache::{AnalysisCache, CacheKey};
+use crate::cache::{AnalysisCache, CacheKey, Flight, Lookup};
 use crate::history;
 use crate::json::{error_body, error_object, JsonWriter};
 use crate::metrics::{
@@ -68,9 +69,13 @@ use crate::whatif::WhatifSpec;
 /// Server and cache sizing.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Worker threads handling connections.
+    /// Worker threads of the pool that runs requests. The listener's
+    /// reactor answers body-cache hits of the plain analysis routes
+    /// itself; every other request runs on one of these threads.
     pub threads: usize,
-    /// Bounded queue of accepted-but-unhandled connections.
+    /// Bounded queue of requests waiting for a pool worker — and, with
+    /// [`AioConfig::inflight`] at 0, the listener's in-flight budget.
+    /// Cache hits answered on the reactor never enter it.
     pub queue_cap: usize,
     /// The cache's byte budget for response bodies (`tpn serve
     /// --cache-bytes`). A body costs its length plus a fixed per-entry
@@ -358,27 +363,39 @@ impl Service {
     /// with the two clock reads this wrapper needs anyway, and the
     /// renderers synthesize the root line from it. `begin_rooted` only
     /// reserves depth 1 so collected spans nest under it.
+    ///
+    /// The listener splits this wrapper around an analysis request's
+    /// two halves ([`Service::front`], [`Service::back`]): the same
+    /// opening, the same guard, and the same recording, with the trace
+    /// carried across threads in between.
     fn observed(
         &self,
         endpoint: Endpoint,
         f: impl FnOnce() -> (u16, Arc<String>),
     ) -> (u16, Arc<String>) {
-        let rooted = self
-            .metrics
+        let rooted = self.observe_begin();
+        let (status, body) = guarded(f, panic_reply);
+        self.observe_end(endpoint, rooted, status, &body);
+        (status, body)
+    }
+
+    /// Open a request's observation: its start on the fast clock, if
+    /// metrics are on and this thread now collects its trace (`None`
+    /// makes [`Service::observe_end`] a no-op).
+    #[inline]
+    fn observe_begin(&self) -> Option<u64> {
+        self.metrics
             .enabled()
             .then(tpn_obs::clock::now_ns)
-            .filter(|&start_ns| tpn_obs::trace::begin_rooted(start_ns));
-        // A panicking request must still answer its client and close
-        // its trace: the epoll listener would otherwise wait forever
-        // for the completion, and this worker's collector would stay
-        // active, passing every later request through uncounted.
-        let (status, body) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
-            .unwrap_or_else(|_| {
-                let message = "the request handler panicked";
-                (500, Arc::new(error_object("internal", message)))
-            });
+            .filter(|&start_ns| tpn_obs::trace::begin_rooted(start_ns))
+    }
+
+    /// Close an observation [`Service::observe_begin`] opened on this
+    /// thread (or one [`trace::attach`](tpn_obs::trace::attach)ed to
+    /// it): record the request and end its trace.
+    fn observe_end(&self, endpoint: Endpoint, rooted: Option<u64>, status: u16, body: &str) {
         let Some(start_ns) = rooted else {
-            return (status, body);
+            return;
         };
         let end_ns = tpn_obs::clock::now_ns();
         let duration_ns = end_ns.saturating_sub(start_ns);
@@ -413,7 +430,6 @@ impl Service {
         if let Some(log) = &self.log {
             log.record(endpoint.name(), status, duration_ns, body.len());
         }
-        (status, body)
     }
 
     /// Add `n` to one service-owned counter.
@@ -449,17 +465,131 @@ impl Service {
     /// once per digest across concurrent callers). Returns the HTTP
     /// status and the JSON body — shared, not copied: cache hits hand
     /// out the cached `Arc` so the hot path never clones the body.
+    ///
+    /// The work splits at the one cache lookup. The *front half*
+    /// parses, digests and looks the body up under one lock; it ends
+    /// with the answer (a hit, or a parse error) or with the request's
+    /// flight — as its leader, when the lookup inserted the empty
+    /// slot, or as a follower of another request computing that key.
+    /// The *back half* computes and publishes the body, or waits for
+    /// it. Here both halves run in one observation on the caller's
+    /// thread; the listener runs the front half on its reactor, so a
+    /// hit never leaves it, and hands a flight to a pool worker.
     pub fn respond(&self, kind: RequestKind, body: &str) -> (u16, Arc<String>) {
         self.observed(Endpoint::of_kind(kind), || {
-            self.bump(Counter::Requests, 1);
-            legacy_reply(self.parse_net(body).and_then(|(digest, net)| {
-                // The body is looked up first: only a miss's leader
-                // resolves (or creates) the net's session.
-                self.cache.get_or_compute(CacheKey { digest, kind }, || {
-                    run_with_session(&self.cache.session_for(digest, net), kind)
-                })
-            }))
+            self.analysis_back(self.analysis_front(kind, body))
         })
+    }
+
+    /// The front half of [`Service::respond`]: count, parse, digest and
+    /// look the body up.
+    fn analysis_front(&self, kind: RequestKind, body: &str) -> Front {
+        self.bump(Counter::Requests, 1);
+        let (digest, net) = match self.parse_net(body) {
+            Ok(parsed) => parsed,
+            Err(e) => return Front::done(Err(e)),
+        };
+        // The body is looked up first: only a miss's leader resolves
+        // (or creates) the net's session.
+        match self.cache.lookup(CacheKey { digest, kind }) {
+            Lookup::Hit(body) => Front::Done(200, body),
+            Lookup::Miss(flight) => Front::Back(Analysis {
+                kind,
+                digest,
+                net,
+                flight,
+            }),
+        }
+    }
+
+    /// The back half of [`Service::respond`]: compute (or wait for) a
+    /// front half's missing body; an answered front half passes
+    /// through.
+    fn analysis_back(&self, front: Front) -> (u16, Arc<String>) {
+        let Analysis {
+            kind,
+            digest,
+            net,
+            flight,
+        } = match front {
+            Front::Done(status, body) => return (status, body),
+            Front::Back(analysis) => analysis,
+        };
+        legacy_reply(
+            flight.resolve(|| run_with_session(&self.cache.session_for(digest, net), kind)),
+        )
+    }
+
+    /// The front half of a `POST` analysis route, as the listener's
+    /// reactor runs it: the route's own checks, then
+    /// [`Service::respond`]'s front half, inside the request's
+    /// observation and under the same panic guard as every route. An
+    /// answered request is recorded here and its reply returned; a
+    /// miss or coalesced wait comes back as a [`Pending`] carrying its
+    /// still-open observation to [`Service::back`].
+    pub(crate) fn front(&self, req: &Request) -> Result<(u16, Arc<String>), Box<Pending>> {
+        let endpoint = endpoint_of_path(&req.path);
+        let rooted = self.observe_begin();
+        let front = guarded(
+            || self.analysis_route_front(req),
+            || {
+                let (status, body) = panic_reply();
+                Front::Done(status, body)
+            },
+        );
+        match front {
+            Front::Done(status, body) => {
+                self.observe_end(endpoint, rooted, status, &body);
+                Ok((status, body))
+            }
+            Front::Back(analysis) => Err(Box::new(Pending {
+                observation: rooted
+                    .and_then(|start_ns| Some((start_ns, tpn_obs::trace::detach()?))),
+                analysis,
+            })),
+        }
+    }
+
+    /// The back half of a [`Pending`] request, on a pool worker: resume
+    /// its trace, compute or wait, and record it — one request,
+    /// observed once, timed from the front half's start (so the pool
+    /// queue wait is in its duration).
+    pub(crate) fn back(&self, pending: Box<Pending>) -> (u16, Arc<String>) {
+        let Pending {
+            observation,
+            analysis,
+        } = *pending;
+        let endpoint = Endpoint::of_kind(analysis.kind);
+        // A worker thread collects nothing between jobs, so the attach
+        // succeeds; were it refused, the request would go unrecorded
+        // rather than close another request's trace.
+        let rooted = observation
+            .and_then(|(start_ns, trace)| tpn_obs::trace::attach(trace).then_some(start_ns));
+        let (status, body) = guarded(|| self.analysis_back(Front::Back(analysis)), panic_reply);
+        self.observe_end(endpoint, rooted, status, &body);
+        (status, body)
+    }
+
+    /// The checks a `POST` analysis route makes before
+    /// [`Service::respond`]'s front half: the kind and its query, the
+    /// simulation budget, a UTF-8 body.
+    fn analysis_route_front(&self, req: &Request) -> Front {
+        let kind = match analysis_kind(req) {
+            Ok(kind) => kind,
+            Err(e) => return Front::done(Err(e)),
+        };
+        if let RequestKind::Simulate { events, .. } = kind {
+            if events > self.config.max_sim_events {
+                return Front::done(Err(ServiceError::BadRequest(format!(
+                    "events {events} exceeds the limit {}",
+                    self.config.max_sim_events
+                ))));
+            }
+        }
+        match std::str::from_utf8(&req.body) {
+            Ok(text) => self.analysis_front(kind, text),
+            Err(_) => Front::Done(400, Arc::new(error_body("request body is not UTF-8"))),
+        }
     }
 
     /// Serve several analysis kinds for one `.tpn` body, parsing it
@@ -1135,6 +1265,75 @@ impl Service {
     }
 }
 
+/// Where an analysis request's front half left it. It only ever lives
+/// on the stack between the two halves; boxing the large variant would
+/// put an allocation on every in-process miss.
+#[allow(clippy::large_enum_variant)]
+enum Front {
+    /// Answered: a body-cache hit, or refused before the lookup.
+    Done(u16, Arc<String>),
+    /// A miss or a coalesced wait, for the back half.
+    Back(Analysis),
+}
+
+impl Front {
+    fn done(result: Result<Arc<String>, ServiceError>) -> Front {
+        let (status, body) = legacy_reply(result);
+        Front::Done(status, body)
+    }
+}
+
+/// What an analysis request's back half needs: the parsed net and its
+/// digest (a leader builds the session from them) and the flight.
+struct Analysis {
+    kind: RequestKind,
+    digest: NetDigest,
+    net: TimedPetriNet,
+    flight: Flight,
+}
+
+/// An analysis request whose front half ran on the listener's reactor
+/// ([`Service::front`]), on its way to a pool worker
+/// ([`Service::back`]): the back half's input plus the request's open
+/// observation — its start and its detached trace.
+/// Dropped unrun (the pool refused the job), its flight settles the
+/// slot and the request goes unrecorded, like a request the pool
+/// never ran.
+pub(crate) struct Pending {
+    observation: Option<(u64, Detached)>,
+    analysis: Analysis,
+}
+
+/// Run a request handler, turning a panic into `panicked()`'s reply. A
+/// panicking request must still answer its client and close its trace:
+/// the epoll listener would otherwise wait forever for the completion
+/// (or, on the reactor, die), and this thread's collector would stay
+/// active, passing every later request through uncounted.
+fn guarded<T>(f: impl FnOnce() -> T, panicked: impl FnOnce() -> T) -> T {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_or_else(|_| panicked())
+}
+
+/// The 500 reply to a panicked request.
+fn panic_reply() -> (u16, Arc<String>) {
+    let message = "the request handler panicked";
+    (500, Arc::new(error_object("internal", message)))
+}
+
+/// The plain analysis routes (`POST` with a `.tpn` body).
+const ANALYSES: [&str; 5] = [
+    "/analyze",
+    "/graph",
+    "/correctness",
+    "/invariants",
+    "/simulate",
+];
+
+/// Whether `req` is a `POST` to one of the plain analysis routes — the
+/// requests [`Service::front`] serves.
+pub(crate) fn is_analysis(req: &Request) -> bool {
+    req.method == "POST" && ANALYSES.contains(&req.path.as_str())
+}
+
 /// Render a result in the legacy routes' reply shape: 200 with the body
 /// on success, `{"error": "<prefix>: <message>"}` with the mapped
 /// status on failure.
@@ -1207,13 +1406,6 @@ fn endpoint_of_path(path: &str) -> Endpoint {
 /// Dispatch one request to its endpoint. Returns the status, the
 /// response content type, and the body.
 pub(crate) fn route(service: &Service, req: &Request) -> (u16, &'static str, Arc<String>) {
-    const ANALYSES: [&str; 5] = [
-        "/analyze",
-        "/graph",
-        "/correctness",
-        "/invariants",
-        "/simulate",
-    ];
     let json = |(status, body)| (status, JSON, body);
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => json(service.observed(Endpoint::Healthz, || {
@@ -1303,27 +1495,9 @@ pub(crate) fn route(service: &Service, req: &Request) -> (u16, &'static str, Arc
         }),
         ("POST", path) if ANALYSES.contains(&path) => {
             // The whole arm sits in one observation so kind-parse and
-            // budget-cap 400s are counted under the path's endpoint;
-            // the inner respond() call's own observation is suppressed
-            // by the nesting guard.
+            // budget-cap 400s are counted under the path's endpoint.
             json(service.observed(endpoint_of_path(path), || {
-                let kind = match analysis_kind(req) {
-                    Ok(kind) => kind,
-                    Err(e) => return (e.status(), Arc::new(error_body(&e.to_string()))),
-                };
-                if let RequestKind::Simulate { events, .. } = kind {
-                    if events > service.config.max_sim_events {
-                        let e = ServiceError::BadRequest(format!(
-                            "events {events} exceeds the limit {}",
-                            service.config.max_sim_events
-                        ));
-                        return (e.status(), Arc::new(error_body(&e.to_string())));
-                    }
-                }
-                match std::str::from_utf8(&req.body) {
-                    Ok(text) => service.respond(kind, text),
-                    Err(_) => (400, Arc::new(error_body("request body is not UTF-8"))),
-                }
+                service.analysis_back(service.analysis_route_front(req))
             }))
         }
         (_, path)

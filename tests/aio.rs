@@ -16,10 +16,10 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use common::{fig1_text, start_server_with};
+use common::{fig1_text, http, json_counter, start_server_with};
 use timed_petri::aio::http1::{Response, ResponseParser};
 use timed_petri::obs::validate::validate;
-use timed_petri::service::{AioConfig, ServerHandle, Service, ServiceConfig};
+use timed_petri::service::{AioConfig, Json, RequestKind, ServerHandle, Service, ServiceConfig};
 use tpn_bench::loadgen::{self, LoadConfig, RequestSpec};
 
 fn fixture_bytes(name: &str) -> Vec<u8> {
@@ -471,6 +471,190 @@ fn panicking_pipeline_answers_500_and_releases_its_connection() {
     assert_eq!(analyze_200_total(&text), before + K, "{text}");
     await_open(&service, baseline);
     epoll.shutdown();
+}
+
+// ---------------------------------------------------------------------
+// Body-cache hits answered on the reactor
+// ---------------------------------------------------------------------
+
+/// One keep-alive request, as raw bytes.
+fn keep_alive_request(target: &str, body: &str) -> Vec<u8> {
+    format!(
+        "POST {target} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .into_bytes()
+}
+
+#[test]
+fn inline_hits_answer_3000_pipelined_requests_in_order() {
+    // Each answered hit lets the reactor parse the connection's next
+    // pipelined request; answering it from inside that parse would
+    // recurse once per request the client sent ahead.
+    const N: usize = 3_000;
+    let (handle, addr, service) = epoll_server(AioConfig {
+        max_requests_per_conn: 10_000,
+        ..AioConfig::default()
+    });
+    let fig1 = fig1_text();
+    let (status, analyze) = service.respond(RequestKind::Analyze, &fig1);
+    assert_eq!(status, 200);
+    let (status, correctness) = service.respond(RequestKind::Correctness, &fig1);
+    assert_eq!(status, 200);
+    // Every tenth request asks for /correctness instead, so the order
+    // of the replies is observable.
+    let targets: Vec<&str> = (0..N)
+        .map(|i| {
+            if i % 10 == 9 {
+                "/correctness"
+            } else {
+                "/analyze"
+            }
+        })
+        .collect();
+
+    let mut client = KeepAlive::connect(addr);
+    let mut writer = client.stream.try_clone().expect("clone the socket");
+    let requests: Vec<Vec<u8>> = targets
+        .iter()
+        .map(|target| keep_alive_request(target, &fig1))
+        .collect();
+    let sender = std::thread::spawn(move || {
+        for batch in requests.chunks(100) {
+            writer.write_all(&batch.concat()).expect("send a batch");
+        }
+    });
+    for (i, target) in targets.iter().enumerate() {
+        let reply = client.read_response();
+        assert_eq!(reply.status, 200, "reply {i}");
+        assert!(!reply.close, "reply {i} closed the connection");
+        let want = if *target == "/analyze" {
+            &analyze
+        } else {
+            &correctness
+        };
+        assert_eq!(reply.body, want.as_bytes(), "reply {i} ({target})");
+    }
+    sender.join().expect("sender thread");
+    drop(client);
+
+    // The daemon still serves a fresh connection.
+    let (status, body) = http(addr, "POST", "/analyze", &fig1);
+    assert_eq!(status, 200);
+    assert_eq!(body, *analyze);
+    handle.shutdown();
+}
+
+#[test]
+fn inline_hit_is_not_stuck_behind_a_busy_pool() {
+    let (handle, addr, service) = start_server_with(ServiceConfig {
+        threads: 1,
+        ..ServiceConfig::default()
+    });
+    let fig1 = fig1_text();
+    let (status, analyze) = service.respond(RequestKind::Analyze, &fig1);
+    assert_eq!(status, 200);
+
+    // A simulation no cache holds, sized to keep the only worker busy
+    // for over a second in either build.
+    let events = if cfg!(debug_assertions) {
+        1_000_000
+    } else {
+        4_000_000
+    };
+    let slow_target = format!("/simulate?events={events}&seed=11");
+    let slow_started = Instant::now();
+    let slow = {
+        let fig1 = fig1.clone();
+        std::thread::spawn(move || http(addr, "POST", &slow_target, &fig1))
+    };
+    // The simulation's cache lookup has missed: its job is queued or
+    // running on the only worker.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while service.cache().stats().misses < 2 {
+        assert!(Instant::now() < deadline, "the simulation never arrived");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    let started = Instant::now();
+    let (status, body) = http(addr, "POST", "/analyze", &fig1);
+    let waited = started.elapsed();
+    assert_eq!(status, 200);
+    assert_eq!(body, *analyze);
+
+    let (status, _) = slow.join().expect("slow client");
+    let slow_took = slow_started.elapsed();
+    assert_eq!(status, 200);
+    // Queued behind the simulation, the hit would wait out nearly all
+    // of it.
+    assert!(
+        waited < slow_took / 2,
+        "the hit took {waited:?}, the simulation {slow_took:?}"
+    );
+    handle.shutdown();
+}
+
+#[test]
+fn inline_hits_keep_observation_parity() {
+    let (handle, addr, _) = epoll_server(AioConfig::default());
+    let fig1 = fig1_text();
+    for _ in 0..4 {
+        assert_eq!(http(addr, "POST", "/analyze", &fig1).0, 200);
+    }
+
+    let (status, traces) = http(addr, "GET", "/debug/requests?n=4", "");
+    assert_eq!(status, 200);
+    let traces: Vec<Json> = traces
+        .lines()
+        .map(|line| Json::parse(line).expect("NDJSON line parses"))
+        .collect();
+    assert_eq!(traces.len(), 4, "{traces:?}");
+    let num = |doc: &Json, key: &str| -> u64 {
+        let value = doc.get(key).and_then(Json::as_num);
+        value.unwrap_or_else(|| panic!("{key}")).parse().unwrap()
+    };
+    let span_names = |doc: &Json| -> Vec<String> {
+        let spans = doc.get("spans").and_then(Json::as_arr).expect("spans");
+        spans
+            .iter()
+            .map(|s| s.get("name").and_then(Json::as_str).unwrap().to_string())
+            .collect()
+    };
+    for trace in &traces {
+        assert_eq!(
+            trace.get("endpoint").and_then(Json::as_str),
+            Some("analyze")
+        );
+        assert_eq!(num(trace, "status"), 200);
+    }
+    // Most recent first: three hits (the root and the parse, nothing
+    // else), then the miss, whose trace crossed to a pool worker.
+    for hit in &traces[..3] {
+        assert_eq!(span_names(hit), ["analyze", "parse"]);
+    }
+    let miss = &traces[3];
+    let names = span_names(miss);
+    for name in ["parse", "cache", "session", "trg", "rates", "render"] {
+        assert!(names.iter().any(|n| n == name), "{name} in {names:?}");
+    }
+    let spans = miss.get("spans").and_then(Json::as_arr).unwrap();
+    let top_level: u64 = spans
+        .iter()
+        .filter(|s| num(s, "depth") == 2)
+        .map(|s| num(s, "duration_ns"))
+        .sum();
+    assert!(
+        num(miss, "duration_ns") >= top_level,
+        "the miss's duration covers its spans: {miss:?}"
+    );
+
+    let (_, stats) = http(addr, "GET", "/stats", "");
+    assert_eq!(json_counter(&stats, "hits"), 3, "{stats}");
+    assert_eq!(json_counter(&stats, "misses"), 1, "{stats}");
+    assert_eq!(json_counter(&stats, "computations"), 1, "{stats}");
+    let (_, metrics) = http(addr, "GET", "/metrics", "");
+    assert_eq!(analyze_200_total(&metrics), 4, "{metrics}");
+    handle.shutdown();
 }
 
 // ---------------------------------------------------------------------
