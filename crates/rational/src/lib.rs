@@ -21,10 +21,12 @@
 //! is exact for every pair of values: when the `i128` cross products
 //! overflow it compares them as 256-bit products.
 
+mod digits;
 mod error;
 mod parse;
 mod rational;
 
+pub use digits::{push_fixed, push_i128, push_u64};
 pub use error::{ArithmeticError, ParseRationalError};
 pub use rational::Rational;
 

@@ -7,6 +7,7 @@ use std::iter::{Product, Sum};
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 use std::str::FromStr;
 
+use crate::digits::MAX_RATIONAL_LEN;
 use crate::error::ArithmeticError;
 use crate::gcd;
 
@@ -390,13 +391,11 @@ impl fmt::Debug for Rational {
     }
 }
 
+/// `n/d`, or `n` when integral, written by the digit kernel in one
+/// `write_str`: formatter flags (width, fill, precision) are ignored.
 impl fmt::Display for Rational {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.den == 1 {
-            write!(f, "{}", self.num)
-        } else {
-            write!(f, "{}/{}", self.num, self.den)
-        }
+        f.write_str(self.render(&mut [0; MAX_RATIONAL_LEN]))
     }
 }
 

@@ -2,9 +2,12 @@
 //! subdomain where checked arithmetic succeeds) and parsing round-trips,
 //! and — near the `i128` ceiling — the kernel agrees with a textbook
 //! reference, `Ord` is exact and decimal rendering never saturates.
+//! The digit kernel (`Display`, the JSON writer's numbers and its
+//! fixed-point decimals) must equal std formatting byte for byte.
 
 use proptest::prelude::*;
 use tpn_rational::{gcd, Rational};
+use tpn_service::json::JsonWriter;
 
 /// Small-component rationals so products of several of them stay well
 /// within `i128` and the checked ops never fail.
@@ -431,4 +434,170 @@ fn decimal_string_is_exact_past_the_scaling_range() {
     );
     assert_eq!(Rational::new(-1, 3000).to_decimal_string(3), "0.000");
     assert_eq!(Rational::new(999, 1000).to_decimal_string(2), "1.00");
+}
+
+// ---------------------------------------------------------------------
+// Digit-kernel oracle: every number the kernel writes must equal std
+// formatting of the same value — `Rational`'s `Display` against its
+// components through `{}`, and the JSON writer's `uint`, `int`,
+// `rational` and `fixed` against `{}` and `{:.6}`.
+// ---------------------------------------------------------------------
+
+/// `r` as std formats its components: `n/d`, or `n` when integral.
+fn std_rational(r: Rational) -> String {
+    if r.denom() == 1 {
+        format!("{}", r.numer())
+    } else {
+        format!("{}/{}", r.numer(), r.denom())
+    }
+}
+
+/// One value written into a JSON array by `write`, brackets stripped.
+fn json_value(write: impl FnOnce(&mut JsonWriter)) -> String {
+    let mut w = JsonWriter::new();
+    w.begin_array();
+    write(&mut w);
+    w.end_array();
+    let doc = w.finish();
+    doc[1..doc.len() - 1].to_string()
+}
+
+/// Check every kernel surface on `n` (and `n` as the numerator and
+/// the denominator of a rational).
+fn check_integer(n: i128) -> Result<(), TestCaseError> {
+    prop_assert_eq!(json_value(|w| w.int(n)), format!("{n}"));
+    if let Ok(u) = u64::try_from(n) {
+        prop_assert_eq!(json_value(|w| w.uint(u)), format!("{u}"));
+    }
+    let r = Rational::from_int(n);
+    prop_assert_eq!(r.to_string(), format!("{n}"));
+    prop_assert_eq!(json_value(|w| w.rational(&r)), format!("\"{n}\""));
+    for d in [3, 7, 10, 1_000_000_007, i128::MAX] {
+        if let Ok(r) = Rational::checked_new(n, d) {
+            check_rational(r)?;
+            if let Ok(recip) = r.checked_recip() {
+                check_rational(recip)?;
+            }
+        }
+    }
+    Ok(())
+}
+
+fn check_rational(r: Rational) -> Result<(), TestCaseError> {
+    let want = std_rational(r);
+    prop_assert_eq!(r.to_string(), want.clone());
+    prop_assert_eq!(json_value(|w| w.rational(&r)), format!("\"{want}\""));
+    Ok(())
+}
+
+/// The boundaries of the kernel: small values, both sides of every
+/// power of ten (the limb radix 10¹⁹ and the 39-digit 10³⁸ included),
+/// the `u64` edge where a second limb starts, and the `i128` extremes.
+fn kernel_boundaries() -> Vec<i128> {
+    let mut values = vec![
+        0,
+        9,
+        10,
+        99,
+        100,
+        i128::from(u64::MAX),
+        i128::from(u64::MAX) + 1,
+        i128::MAX,
+        i128::MIN + 1,
+        -i128::MAX,
+    ];
+    for k in 0..=38 {
+        let p = 10i128.pow(k);
+        values.extend([p - 1, p, p + 1]);
+    }
+    let negated: Vec<i128> = values.iter().map(|v| -v).collect();
+    values.extend(negated);
+    values
+}
+
+#[test]
+fn digit_kernel_matches_std_on_boundaries() {
+    for n in kernel_boundaries() {
+        check_integer(n).unwrap_or_else(|e| panic!("{n}: {e:?}"));
+    }
+    check_integer(i128::MIN).unwrap();
+    // Pairs of boundaries as numerator and denominator.
+    for n in kernel_boundaries() {
+        for d in kernel_boundaries().into_iter().filter(|&d| d > 0) {
+            let r = Rational::checked_new(n, d).expect("d > 0");
+            check_rational(r).unwrap_or_else(|e| panic!("{n}/{d}: {e:?}"));
+        }
+    }
+}
+
+/// `x` as `JsonWriter::fixed` writes it, and as `{:.digits$}` does.
+fn fixed_pair(x: f64, digits: usize) -> (String, String) {
+    (json_value(|w| w.fixed(x, digits)), format!("{x:.digits$}"))
+}
+
+#[test]
+fn fixed_matches_std_on_ties_and_edges() {
+    // Exact binary ties round half to even: 1/128 = 0.0078125.
+    for k in 0..=30 {
+        let x = 1.0 / f64::from(1u32 << k);
+        for digits in 0..=9 {
+            let (got, want) = fixed_pair(x, digits);
+            assert_eq!(got, want, "2^-{k} to {digits}");
+            let (got, want) = fixed_pair(-x, digits);
+            assert_eq!(got, want, "-2^-{k} to {digits}");
+        }
+    }
+    for x in [
+        0.0,
+        -0.0,
+        0.0000005,
+        0.0000015,
+        0.9999995,
+        1.0000005,
+        0.001772,
+        4503599627370495.5,
+        9007199254740993.0,
+        9.223372036854775e18,
+        9.3e18,
+        1e300,
+        f64::MIN_POSITIVE,
+        f64::from_bits(1),
+        f64::MAX,
+    ] {
+        let (got, want) = fixed_pair(x, 6);
+        assert_eq!(got, want, "{x:e}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    #[test]
+    fn display_matches_std(x in near_ceiling()) {
+        let Some(x) = x else { return Ok(()); };
+        check_rational(x)?;
+    }
+
+    #[test]
+    fn json_integers_match_std(n in component(), hi in any::<u64>(), lo in any::<u64>()) {
+        check_integer(n)?;
+        let u = hi >> (lo % 64);
+        prop_assert_eq!(json_value(|w| w.uint(u)), format!("{u}"));
+        let wide = ((u128::from(hi) << 64) | u128::from(lo)) as i128;
+        check_integer(wide)?;
+    }
+
+    #[test]
+    fn fixed_matches_std(bits in any::<u64>(), num in any::<u64>(), den in 1u64..1_000_000, digits in 0usize..=9) {
+        // Any finite bit pattern, and quotients like the analysis's
+        // throughput approximations.
+        let x = f64::from_bits(bits);
+        if x.is_finite() {
+            let (got, want) = fixed_pair(x, digits);
+            prop_assert_eq!(got, want);
+        }
+        let q = (num % 1_000_000) as f64 / den as f64;
+        let (got, want) = fixed_pair(q, digits);
+        prop_assert_eq!(got, want);
+    }
 }

@@ -11,8 +11,10 @@
 
 use std::fmt;
 
+use tpn_core::DecisionGraph;
 use tpn_net::{invariant, PlaceId, TimedPetriNet, TransId};
 use tpn_rational::Rational;
+use tpn_reach::{NumericDomain, StateId};
 use tpn_session::{Session, SessionOptions};
 use tpn_sim::{simulate, SimOptions};
 
@@ -218,13 +220,51 @@ fn header(w: &mut JsonWriter, session: &Session, kind: RequestKind) {
     w.display(session.digest());
 }
 
+/// A state id, `s12`, as a string value — the bytes of its `Display`.
+fn state_id(w: &mut JsonWriter, s: StateId) {
+    w.id("s", s.index() as u64);
+}
+
+/// An `/analyze` document's size at most, up to name escapes: its
+/// fixed bytes, each edge and throughput entry with its names, and
+/// every rational at its longest rendering. The writer allocates this
+/// once; the cache trims a body to its length when it admits it.
+fn analyze_capacity(session: &Session, dg: &DecisionGraph<NumericDomain>) -> usize {
+    // A quoted rational: a sign, 39 + 39 digits and `/`.
+    const RATIONAL: usize = 82;
+    // `{"from":"s…","to":"s…",…,"fires":[]},` without its rationals.
+    const EDGE: usize = 96 + 4 * RATIONAL;
+    // `{"transition":"","exact":…,"approx":…},`: 6 decimals of a value
+    // below 2¹²⁸ take at most 46 bytes.
+    const THROUGHPUT: usize = 40 + RATIONAL + 46;
+    // Header, counts and `total_weight`.
+    const DOCUMENT: usize = 256 + RATIONAL;
+    let net = session.net();
+    let fired: usize = dg
+        .edges()
+        .iter()
+        .flat_map(|e| dg.fired(e))
+        .map(|&t| net.transition(t).name().len() + 3)
+        .sum();
+    let names: usize = net
+        .transitions()
+        .map(|t| net.transition(t).name().len())
+        .sum();
+    DOCUMENT
+        + net.name().len()
+        + dg.edges().len() * EDGE
+        + fired
+        + net.num_transitions() * THROUGHPUT
+        + names
+}
+
 fn analyze_json(session: &Session) -> Result<String, ServiceError> {
     let net = session.net();
     let trg = session.trg().map_err(err)?;
     let dg = session.decision_graph().map_err(err)?;
     let perf = session.performance().map_err(err)?;
 
-    let mut w = JsonWriter::new();
+    let mut w = JsonWriter::with_capacity(analyze_capacity(session, &dg));
     header(&mut w, session, RequestKind::Analyze);
     w.key("states");
     w.uint(trg.num_states() as u64);
@@ -237,9 +277,9 @@ fn analyze_json(session: &Session) -> Result<String, ServiceError> {
     for (i, e) in dg.edges().iter().enumerate() {
         w.begin_object();
         w.key("from");
-        w.display(dg.nodes()[e.from]);
+        state_id(&mut w, dg.nodes()[e.from]);
         w.key("to");
-        w.display(dg.nodes()[e.to]);
+        state_id(&mut w, dg.nodes()[e.to]);
         w.key("prob");
         w.rational(&e.prob);
         w.key("delay");
@@ -293,13 +333,13 @@ fn graph_json(session: &Session) -> Result<String, ServiceError> {
     w.key("decision_states");
     w.begin_array();
     for s in trg.decision_states() {
-        w.display(s);
+        state_id(&mut w, s);
     }
     w.end_array();
     w.key("terminal_states");
     w.begin_array();
     for s in trg.terminal_states() {
-        w.display(s);
+        state_id(&mut w, s);
     }
     w.end_array();
     w.key("state_table");
@@ -325,8 +365,8 @@ fn correctness_json(session: &Session) -> Result<String, ServiceError> {
     w.bool(report.deadlocks.is_empty());
     w.key("deadlocks");
     w.begin_array();
-    for s in &report.deadlocks {
-        w.display(s);
+    for &s in &report.deadlocks {
+        state_id(&mut w, s);
     }
     w.end_array();
     w.key("safe");

@@ -11,8 +11,10 @@
 //! never hold a session.
 //!
 //! - **Bodies** are evicted least-recently-used under one byte budget
-//!   (`--cache-bytes`). A body costs its length plus a fixed per-entry
-//!   overhead, and is admitted when that cost fits the budget.
+//!   (`--cache-bytes`). A body is admitted at capacity == length and
+//!   costs that plus a fixed per-entry overhead; it is admitted when
+//!   that cost fits the budget. An index of admitted bodies ordered by
+//!   last use makes an admission cost only its victims.
 //! - **Coalescing.** A body slot is a `OnceLock`, and the slot is its
 //!   own flight: the first request for a key (the leader) inserts an
 //!   empty slot; identical requests that arrive meanwhile (followers)
@@ -37,7 +39,7 @@
 //! lock and feed the server's `/stats` endpoint.
 
 use std::collections::hash_map::Entry as MapEntry;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
@@ -117,6 +119,8 @@ struct Body {
     slot: Arc<Slot>,
     /// Accounted bytes once admitted; 0 while in flight.
     cost: usize,
+    /// The tick of the last lookup or admission — once admitted, the
+    /// body's key in `State::lru`.
     last_used: u64,
 }
 
@@ -142,6 +146,9 @@ impl Entry {
 
 struct State {
     entries: HashMap<NetDigest, Entry>,
+    /// Every admitted body by its `last_used` tick, oldest first: the
+    /// body eviction order. Ticks are unique, so the index is exact.
+    lru: BTreeMap<u64, CacheKey>,
     /// The digests whose entry holds a session — the session victim
     /// search scans these, not every cached body.
     resident: Vec<NetDigest>,
@@ -158,32 +165,24 @@ impl State {
         self.clock
     }
 
-    /// Evict least-recently-used admitted bodies (never `keep`) until
-    /// the cache is back under `budget`. One scan + one sort, not a
-    /// scan per victim: the lock is held for O(n log n) in the worst
-    /// case, independent of how many bodies must go.
+    /// Evict least-recently-used admitted bodies (never `keep`, the
+    /// body just admitted and so the newest) until the cache is back
+    /// under `budget`: each victim is the index's first entry, so the
+    /// lock is held for O(log n) per victim.
     fn evict_over_budget(&mut self, budget: usize, keep: &CacheKey) {
-        if self.stats.bytes <= budget {
-            return;
-        }
-        let mut candidates: Vec<(u64, CacheKey)> = self
-            .entries
-            .iter()
-            .flat_map(|(&digest, entry)| {
-                entry
-                    .bodies
-                    .iter()
-                    .filter(|(_, body)| body.cost > 0)
-                    .map(move |(&kind, body)| (body.last_used, CacheKey { digest, kind }))
-            })
-            .filter(|(_, key)| key != keep)
-            .collect();
-        candidates.sort_unstable_by_key(|(used, _)| *used);
-        for (_, key) in candidates {
-            if self.stats.bytes <= budget {
-                break;
+        while self.stats.bytes > budget {
+            let Some(oldest) = self.lru.first_entry() else {
+                return;
+            };
+            if oldest.get() == keep {
+                return;
             }
+            let key = oldest.remove();
+            // Publishing (and so evicting) also runs in `Flight`'s
+            // `Drop`, which must not panic: an index entry without its
+            // body is only asserted in debug builds.
             let Some(entry) = self.entries.get_mut(&key.digest) else {
+                debug_assert!(false, "indexed body {key:?} has no entry");
                 continue;
             };
             if let Some(body) = entry.bodies.remove(&key.kind) {
@@ -275,8 +274,12 @@ impl Flight {
             return self.slot.result.wait().clone();
         }
         // If `f` panics, dropping `self` fills the slot (and unblocks
-        // followers with an error).
-        let result = f().map(Arc::new);
+        // followers with an error). A body is kept at capacity ==
+        // length, so the budget charges what it holds of the heap.
+        let result = f().map(|mut body| {
+            body.shrink_to_fit();
+            Arc::new(body)
+        });
         self.shared.publish(self.key, &self.slot, result.clone());
         result
     }
@@ -320,6 +323,7 @@ impl AnalysisCache {
             shared: Arc::new(Shared {
                 state: Mutex::new(State {
                     entries: HashMap::new(),
+                    lru: BTreeMap::new(),
                     resident: Vec::new(),
                     clock: 0,
                     stats: CacheStats::default(),
@@ -411,6 +415,9 @@ impl AnalysisCache {
             MapEntry::Occupied(mut found) => {
                 let body = found.get_mut();
                 if let Some(Ok(value)) = body.slot.result.get() {
+                    let indexed = state.lru.remove(&body.last_used);
+                    debug_assert_eq!(indexed, Some(key), "admitted bodies are indexed");
+                    state.lru.insert(tick, key);
                     body.last_used = tick;
                     state.stats.hits += 1;
                     return Lookup::Hit(Arc::clone(value));
@@ -453,7 +460,7 @@ impl Shared {
         let admitted = result
             .as_ref()
             .ok()
-            .map(|body| body.len() + ENTRY_OVERHEAD)
+            .map(|body| body.capacity() + ENTRY_OVERHEAD)
             .filter(|&cost| cost <= self.byte_budget);
         // Not a panicking lock: this also runs in `Flight`'s `Drop`,
         // which must not panic. With the lock poisoned the map cannot be
@@ -473,6 +480,7 @@ impl Shared {
                 if let Some(body) = entry.bodies.get_mut(&key.kind) {
                     body.cost = cost;
                     body.last_used = tick;
+                    state.lru.insert(tick, key);
                     state.stats.entries += 1;
                     state.stats.bytes += cost;
                 }
@@ -591,6 +599,57 @@ mod tests {
             })
             .unwrap();
         assert_eq!(recomputed.load(Ordering::Relaxed), 1, "B was evicted");
+    }
+
+    #[test]
+    fn hits_reorder_recency_before_eviction() {
+        // Budget fits three bodies.
+        let body = "x".repeat(200);
+        let cache = with_budget(3 * (200 + ENTRY_OVERHEAD) + 10);
+        let compute = |tag| {
+            cache.get_or_compute(key(tag), || Ok(body.clone())).unwrap();
+        };
+        let hit = |tag| {
+            cache
+                .get_or_compute(key(tag), || panic!("{tag} must be cached"))
+                .unwrap();
+        };
+        let resident = |tag| {
+            let state = cache.lock();
+            state.entries.contains_key(&key(tag).digest)
+        };
+        for tag in 1..=3 {
+            compute(tag);
+        }
+        // Admission order 1 < 2 < 3; hits make it 3 < 1 < 2.
+        hit(1);
+        hit(2);
+        compute(4);
+        assert!(!resident(3) && resident(1) && resident(2) && resident(4));
+        // 2 < 4 < 1 after this hit, so 5 evicts 2.
+        hit(1);
+        compute(5);
+        assert!(!resident(2) && resident(1) && resident(4) && resident(5));
+        let s = cache.stats();
+        assert_eq!((s.evictions, s.entries), (2, 3));
+        // The index holds exactly the admitted bodies, oldest first.
+        let state = cache.lock();
+        let order: Vec<CacheKey> = state.lru.values().copied().collect();
+        assert_eq!(order, vec![key(4), key(1), key(5)]);
+    }
+
+    #[test]
+    fn bodies_are_admitted_at_capacity_equal_to_length() {
+        let cache = with_budget(1 << 20);
+        let body = cache
+            .get_or_compute(key(1), || {
+                let mut body = String::with_capacity(32 << 10);
+                body.push_str("{\"kind\":\"analyze\"}");
+                Ok(body)
+            })
+            .unwrap();
+        assert_eq!(body.capacity(), body.len());
+        assert_eq!(cache.stats().bytes, body.len() + ENTRY_OVERHEAD);
     }
 
     #[test]

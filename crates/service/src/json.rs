@@ -4,18 +4,24 @@
 //! [`JsonWriter`] produces *compact* JSON — no whitespace, one line —
 //! so response bodies are cheap to compare byte-for-byte and embed as
 //! sub-objects of other documents (`tpn batch` relies on this). Comma
-//! placement is tracked by a container stack; string escaping covers
-//! the mandatory set (`"`+`\` plus control characters as `\u00XX`).
+//! placement is one flag, and the open containers are a bit stack (at
+//! most 64 deep); string escaping covers the mandatory set (`"`+`\`
+//! plus control characters as `\u00XX`).
 //!
 //! Numbers: integers are written exactly; [`tpn_rational::Rational`]
 //! values are written as their exact `"n/d"` string rendering (an
 //! `i128` numerator does not fit a JSON double), with a separate
 //! [`JsonWriter::fixed`] helper for 6-decimal approximations where a
-//! human-scale number is wanted.
+//! human-scale number is wanted. Integers, rationals and ids such as
+//! `s12` come from `tpn_rational`'s digit kernel, not `core::fmt`: the
+//! bytes are the same as `Display`'s, at the cost of the bytes
+//! themselves. A document's size is known roughly before it is
+//! written, so [`JsonWriter::with_capacity`] lets the caller allocate
+//! it once.
 
 use std::fmt::{self, Write as _};
 
-use tpn_rational::Rational;
+use tpn_rational::{push_fixed, push_i128, push_u64, Rational};
 
 /// Escape `s` as a JSON string literal, quotes included.
 pub fn escape(s: &str) -> String {
@@ -24,14 +30,24 @@ pub fn escape(s: &str) -> String {
     out
 }
 
+/// A byte that a JSON string literal must escape.
+fn needs_escape(b: u8) -> bool {
+    b < 0x20 || b == b'"' || b == b'\\'
+}
+
 /// Append `s` to `out` as a JSON string literal, quotes included.
 /// Runs of bytes that need no escaping are copied whole; a string with
-/// none (every key and almost every value) is one copy.
+/// none (every key and almost every value) is one scan and one copy.
 fn escape_into(out: &mut String, s: &str) {
     out.push('"');
+    if !s.bytes().any(needs_escape) {
+        out.push_str(s);
+        out.push('"');
+        return;
+    }
     let mut start = 0;
     for (i, &b) in s.as_bytes().iter().enumerate() {
-        if b >= 0x20 && b != b'"' && b != b'\\' {
+        if !needs_escape(b) {
             continue;
         }
         // `b` is ASCII, so `i` falls on a char boundary.
@@ -52,13 +68,6 @@ fn escape_into(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// What container the writer is currently inside.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Frame {
-    Object,
-    Array,
-}
-
 /// An append-only compact-JSON builder.
 ///
 /// ```
@@ -76,8 +85,13 @@ enum Frame {
 #[derive(Default)]
 pub struct JsonWriter {
     out: String,
-    // (container, has at least one element/member)
-    stack: Vec<(Frame, bool)>,
+    /// One bit per open container, the innermost lowest: set for an
+    /// object, clear for an array.
+    objects: u64,
+    /// How many containers are open (at most 64).
+    depth: u32,
+    /// The next member or element follows a sibling: write a comma.
+    comma: bool,
     // `key()` was just written; the next value completes the member
     pending_key: bool,
 }
@@ -88,6 +102,15 @@ impl JsonWriter {
         JsonWriter::default()
     }
 
+    /// A fresh writer whose document buffer holds `bytes` before it
+    /// first grows.
+    pub fn with_capacity(bytes: usize) -> JsonWriter {
+        JsonWriter {
+            out: String::with_capacity(bytes),
+            ..JsonWriter::default()
+        }
+    }
+
     /// The finished document.
     ///
     /// # Panics
@@ -95,69 +118,82 @@ impl JsonWriter {
     /// bug, not an input error.
     pub fn finish(self) -> String {
         assert!(
-            self.stack.is_empty() && !self.pending_key,
+            self.depth == 0 && !self.pending_key,
             "unbalanced JSON writer"
         );
         self.out
     }
 
+    /// The innermost open container is an object.
+    fn in_object(&self) -> bool {
+        self.depth > 0 && self.objects & 1 == 1
+    }
+
     /// Separator bookkeeping before a value (or container opening).
     fn before_value(&mut self) {
-        if self.pending_key {
-            self.pending_key = false;
-            return;
+        debug_assert!(
+            self.pending_key || !self.in_object(),
+            "object members need key() before the value"
+        );
+        if self.comma {
+            self.out.push(',');
         }
-        if let Some((frame, has)) = self.stack.last_mut() {
-            debug_assert!(
-                *frame == Frame::Array,
-                "object members need key() before the value"
-            );
-            if *has {
-                self.out.push(',');
-            }
-            *has = true;
-        }
+        self.comma = true;
+        self.pending_key = false;
     }
 
     /// Start a member of the current object: writes `"k":`.
     pub fn key(&mut self, k: &str) {
-        let (frame, has) = self.stack.last_mut().expect("key() outside an object");
-        debug_assert!(*frame == Frame::Object, "key() inside an array");
-        if *has {
+        assert!(self.in_object(), "key() outside an object");
+        if self.comma {
             self.out.push(',');
         }
-        *has = true;
         escape_into(&mut self.out, k);
         self.out.push(':');
+        self.comma = false;
         self.pending_key = true;
+    }
+
+    /// Write `bracket` and push a container.
+    fn open(&mut self, bracket: char, object: bool) {
+        self.before_value();
+        assert!(self.depth < u64::BITS, "JSON nested deeper than 64");
+        self.out.push(bracket);
+        self.objects = self.objects << 1 | u64::from(object);
+        self.depth += 1;
+        self.comma = false;
+    }
+
+    /// Write `bracket` and pop a container.
+    fn close(&mut self, bracket: char, object: bool) {
+        debug_assert!(
+            self.depth > 0 && self.in_object() == object,
+            "{bracket} closes no open container of its kind"
+        );
+        self.out.push(bracket);
+        self.objects >>= 1;
+        self.depth -= 1;
+        self.comma = true;
     }
 
     /// Open `{`.
     pub fn begin_object(&mut self) {
-        self.before_value();
-        self.out.push('{');
-        self.stack.push((Frame::Object, false));
+        self.open('{', true);
     }
 
     /// Close `}`.
     pub fn end_object(&mut self) {
-        let popped = self.stack.pop();
-        debug_assert!(matches!(popped, Some((Frame::Object, _))));
-        self.out.push('}');
+        self.close('}', true);
     }
 
     /// Open `[`.
     pub fn begin_array(&mut self) {
-        self.before_value();
-        self.out.push('[');
-        self.stack.push((Frame::Array, false));
+        self.open('[', false);
     }
 
     /// Close `]`.
     pub fn end_array(&mut self) {
-        let popped = self.stack.pop();
-        debug_assert!(matches!(popped, Some((Frame::Array, _))));
-        self.out.push(']');
+        self.close(']', false);
     }
 
     /// A string value.
@@ -169,13 +205,24 @@ impl JsonWriter {
     /// An unsigned integer value.
     pub fn uint(&mut self, n: u64) {
         self.before_value();
-        let _ = write!(self.out, "{n}");
+        push_u64(&mut self.out, n);
     }
 
     /// A signed (possibly 128-bit) integer value.
     pub fn int(&mut self, n: i128) {
         self.before_value();
-        let _ = write!(self.out, "{n}");
+        push_i128(&mut self.out, n);
+    }
+
+    /// An id such as `s12` — `prefix` (which must need no escaping)
+    /// followed by `n`'s digits — as a string value.
+    pub fn id(&mut self, prefix: &str, n: u64) {
+        debug_assert!(!prefix.bytes().any(needs_escape));
+        self.before_value();
+        self.out.push('"');
+        self.out.push_str(prefix);
+        push_u64(&mut self.out, n);
+        self.out.push('"');
     }
 
     /// A boolean value.
@@ -188,7 +235,7 @@ impl JsonWriter {
     /// counterpart of the CLI's `{:.6}` throughput rendering.
     pub fn fixed(&mut self, x: f64, digits: usize) {
         self.before_value();
-        let _ = write!(self.out, "{x:.digits$}");
+        push_fixed(&mut self.out, x, digits);
     }
 
     /// A full-precision float: Rust's shortest round-trip rendering,
@@ -223,7 +270,10 @@ impl JsonWriter {
     /// string rendering.
     pub fn rational(&mut self, r: &Rational) {
         // Digits, '-' and '/' only: nothing to escape.
-        self.display(r);
+        self.before_value();
+        self.out.push('"');
+        r.push_to(&mut self.out);
+        self.out.push('"');
     }
 
     /// A string value written straight from `v`'s `Display`, with no
@@ -236,7 +286,7 @@ impl JsonWriter {
         debug_assert!(
             !self.out[start + 1..self.out.len() - 1]
                 .bytes()
-                .any(|b| b < 0x20 || b == b'"' || b == b'\\'),
+                .any(needs_escape),
             "display() given a value that needs escaping"
         );
     }
