@@ -31,20 +31,14 @@ pub(crate) const MAX_RATIONAL_LEN: usize = 1 + 39 + 1 + 39;
 
 /// `(n / 10¹⁹, n % 10¹⁹)`.
 ///
-/// Below 2⁸³, `n >> 19` fits a `u64` and 10¹⁹ = 2¹⁹·5¹⁹, so the quotient
-/// is one native division by 5¹⁹. Above, it is the high half of `n`
-/// times `R = ⌈2¹⁹⁰ / 10¹⁹⌉`, shifted right by 62. `R` exceeds
-/// 2¹⁹⁰ / 10¹⁹ by 0.44, so the estimate exceeds `n / 10¹⁹` by less than
-/// 0.44 · 2¹²⁸ / 2¹⁹⁰ < 10⁻¹⁹ — less than the distance from any
-/// non-integral `n / 10¹⁹` to the next integer — and its floor is the
-/// exact quotient for every `u128`.
+/// The quotient is the high half of `n` times `R = ⌈2¹⁹⁰ / 10¹⁹⌉`,
+/// shifted right by 62. `R` exceeds 2¹⁹⁰ / 10¹⁹ by 0.44, so the
+/// estimate exceeds `n / 10¹⁹` by less than 0.44 · 2¹²⁸ / 2¹⁹⁰ < 10⁻¹⁹
+/// — less than the distance from any non-integral `n / 10¹⁹` to the
+/// next integer — and its floor is the exact quotient for every `u128`.
 fn div_rem_limb(n: u128) -> (u128, u64) {
     const RECIPROCAL: u128 = 156_927_543_384_667_019_095_894_735_580_191_660_403;
-    let quot = if n >> 83 == 0 {
-        u128::from((n >> 19) as u64 / (LIMB >> 19))
-    } else {
-        mul_high(n, RECIPROCAL) >> 62
-    };
+    let quot = mul_high(n, RECIPROCAL) >> 62;
     // quot · 10¹⁹ <= n, and the difference is below 10¹⁹ < 2⁶⁴.
     (quot, (n - quot * u128::from(LIMB)) as u64)
 }

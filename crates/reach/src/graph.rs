@@ -53,15 +53,25 @@ use crate::{AnalysisDomain, ReachError, TimedState};
 pub struct StateId(pub(crate) u32);
 
 impl StateId {
+    /// What every rendering starts with: `StateId(12)` is `s12`.
+    const PREFIX: &'static str = "s";
+
     /// The raw index.
     pub fn index(self) -> usize {
         self.0 as usize
+    }
+
+    /// Append the id's rendering, `s12`, to `out` — the bytes of its
+    /// `Display`, without `core::fmt`.
+    pub fn push_to(self, out: &mut String) {
+        out.push_str(Self::PREFIX);
+        tpn_rational::push_u64(out, u64::from(self.0));
     }
 }
 
 impl std::fmt::Display for StateId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "s{}", self.0)
+        write!(f, "{}{}", Self::PREFIX, self.0)
     }
 }
 
@@ -904,6 +914,15 @@ mod tests {
 
     fn r(n: i128) -> Rational {
         Rational::from_int(n)
+    }
+
+    #[test]
+    fn state_id_push_to_matches_display() {
+        for i in [0, 7, 12, 99_999, u32::MAX] {
+            let mut out = String::from("x");
+            StateId(i).push_to(&mut out);
+            assert_eq!(out, format!("x{}", StateId(i)));
+        }
     }
 
     /// A 2-transition cycle: a → b → a, firing times 2 and 3.

@@ -14,7 +14,7 @@ use std::fmt;
 use tpn_core::DecisionGraph;
 use tpn_net::{invariant, PlaceId, TimedPetriNet, TransId};
 use tpn_rational::Rational;
-use tpn_reach::{NumericDomain, StateId};
+use tpn_reach::NumericDomain;
 use tpn_session::{Session, SessionOptions};
 use tpn_sim::{simulate, SimOptions};
 
@@ -220,11 +220,6 @@ fn header(w: &mut JsonWriter, session: &Session, kind: RequestKind) {
     w.display(session.digest());
 }
 
-/// A state id, `s12`, as a string value — the bytes of its `Display`.
-fn state_id(w: &mut JsonWriter, s: StateId) {
-    w.id("s", s.index() as u64);
-}
-
 /// An `/analyze` document's size at most, up to name escapes: its
 /// fixed bytes, each edge and throughput entry with its names, and
 /// every rational at its longest rendering. The writer allocates this
@@ -277,9 +272,9 @@ fn analyze_json(session: &Session) -> Result<String, ServiceError> {
     for (i, e) in dg.edges().iter().enumerate() {
         w.begin_object();
         w.key("from");
-        state_id(&mut w, dg.nodes()[e.from]);
+        w.state_id(dg.nodes()[e.from]);
         w.key("to");
-        state_id(&mut w, dg.nodes()[e.to]);
+        w.state_id(dg.nodes()[e.to]);
         w.key("prob");
         w.rational(&e.prob);
         w.key("delay");
@@ -333,13 +328,13 @@ fn graph_json(session: &Session) -> Result<String, ServiceError> {
     w.key("decision_states");
     w.begin_array();
     for s in trg.decision_states() {
-        state_id(&mut w, s);
+        w.state_id(s);
     }
     w.end_array();
     w.key("terminal_states");
     w.begin_array();
     for s in trg.terminal_states() {
-        state_id(&mut w, s);
+        w.state_id(s);
     }
     w.end_array();
     w.key("state_table");
@@ -366,7 +361,7 @@ fn correctness_json(session: &Session) -> Result<String, ServiceError> {
     w.key("deadlocks");
     w.begin_array();
     for &s in &report.deadlocks {
-        state_id(&mut w, s);
+        w.state_id(s);
     }
     w.end_array();
     w.key("safe");

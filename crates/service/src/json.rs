@@ -22,6 +22,7 @@
 use std::fmt::{self, Write as _};
 
 use tpn_rational::{push_fixed, push_i128, push_u64, Rational};
+use tpn_reach::StateId;
 
 /// Escape `s` as a JSON string literal, quotes included.
 pub fn escape(s: &str) -> String {
@@ -36,15 +37,11 @@ fn needs_escape(b: u8) -> bool {
 }
 
 /// Append `s` to `out` as a JSON string literal, quotes included.
-/// Runs of bytes that need no escaping are copied whole; a string with
-/// none (every key and almost every value) is one scan and one copy.
+/// Runs of bytes that need no escaping are copied whole, so a string
+/// with none (every key and almost every value) is one scan and one
+/// copy.
 fn escape_into(out: &mut String, s: &str) {
     out.push('"');
-    if !s.bytes().any(needs_escape) {
-        out.push_str(s);
-        out.push('"');
-        return;
-    }
     let mut start = 0;
     for (i, &b) in s.as_bytes().iter().enumerate() {
         if !needs_escape(b) {
@@ -214,14 +211,13 @@ impl JsonWriter {
         push_i128(&mut self.out, n);
     }
 
-    /// An id such as `s12` — `prefix` (which must need no escaping)
-    /// followed by `n`'s digits — as a string value.
-    pub fn id(&mut self, prefix: &str, n: u64) {
-        debug_assert!(!prefix.bytes().any(needs_escape));
+    /// A state id such as `s12` as a string value — the bytes of its
+    /// `Display`.
+    pub fn state_id(&mut self, s: StateId) {
+        // A letter and digits: nothing to escape.
         self.before_value();
         self.out.push('"');
-        self.out.push_str(prefix);
-        push_u64(&mut self.out, n);
+        s.push_to(&mut self.out);
         self.out.push('"');
     }
 
