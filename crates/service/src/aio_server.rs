@@ -61,8 +61,9 @@ use tpn_aio::timer::TimerWheel;
 use tpn_aio::wake::Waker;
 
 use crate::executor::ThreadPool;
-use crate::http::{is_analysis, route, AioConfig, Pending, Request, Service, JSON};
+use crate::http::{route, AioConfig, Pending, Request, Service, JSON};
 use crate::json::error_body;
+use crate::metrics::Route;
 
 /// Fixed poller tokens for the two non-connection descriptors. Slab
 /// tokens are `(generation << 32) | index` and reach these values only
@@ -515,8 +516,21 @@ impl Reactor {
             conn.close_after = req.close;
             conn.served += 1;
         }
-        let work = if is_analysis(&req) && req.body.len() <= INLINE_MAX_BODY {
-            match self.service.front(&req) {
+        // A small request to a plain analysis route runs its front half
+        // here: one table lookup decides.
+        let inline = match Route::at(&req.path) {
+            Some(&Route {
+                endpoint,
+                method,
+                kind: Some(kind),
+                ..
+            }) if method == req.method && req.body.len() <= INLINE_MAX_BODY => {
+                Some((endpoint, kind))
+            }
+            _ => None,
+        };
+        let work = match inline {
+            Some((endpoint, kind)) => match self.service.front(&req, endpoint, kind) {
                 Ok((status, body)) => {
                     self.ready.push_back(Completion {
                         token,
@@ -527,9 +541,8 @@ impl Reactor {
                     return;
                 }
                 Err(pending) => Work::Back(pending),
-            }
-        } else {
-            Work::Route(req)
+            },
+            None => Work::Route(req),
         };
         self.inflight += 1;
         if self.inflight >= self.budget {

@@ -27,8 +27,8 @@ use tpn_obs::alert::{AlertEngine, AlertRule, Cmp, Signal};
 
 use crate::history;
 use crate::json::JsonWriter;
-use crate::jsonval::Json;
-use crate::metrics::{Endpoint, ENDPOINTS};
+use crate::jsonval::{Json, JsonNumber};
+use crate::metrics::{Endpoint, Route, ROUTES};
 use crate::slo::SloConfig;
 
 /// Longest accepted `window_s` / `for_s` / `resolve_s` / silence TTL,
@@ -141,7 +141,7 @@ impl AlertsConfig {
         let doc = Json::parse(text).map_err(|e| format!("alerts config: {e}"))?;
         let mut cfg = AlertsConfig::default();
         if let Some(v) = doc.get("history") {
-            let n = parse_u64(v, "history")?;
+            let n = number::<u64>(v, "history")?;
             if n == 0 || n > 4_096 {
                 return Err(format!("alerts config: history {n} must be in 1..=4096"));
             }
@@ -177,12 +177,12 @@ impl AlertsConfig {
     pub fn bind(&self, slo: &SloConfig) -> Vec<AlertRule> {
         let mut rules: Vec<AlertRule> = Vec::new();
         if self.defaults {
-            for (i, endpoint) in ENDPOINTS.iter().enumerate() {
-                let Some(objective) = slo.objective_for(*endpoint) else {
+            for (i, route) in ROUTES.iter().enumerate() {
+                let Some(objective) = slo.objective_for(route.endpoint) else {
                     continue;
                 };
                 rules.push(AlertRule {
-                    name: format!("slo_burn:{}", endpoint.name()),
+                    name: format!("slo_burn:{}", route.label),
                     severity: "page".to_string(),
                     signal: Signal::BurnRate {
                         hist: history::endpoint_hist_col(i),
@@ -236,20 +236,12 @@ impl AlertsConfig {
     }
 }
 
-fn parse_u64(v: &Json, what: &str) -> Result<u64, String> {
-    v.as_num()
-        .and_then(|n| n.parse().ok())
-        .ok_or_else(|| format!("alerts config: {what} must be a non-negative integer"))
-}
-
-fn parse_f64(v: &Json, what: &str) -> Result<f64, String> {
-    v.as_num()
-        .and_then(|n| n.parse().ok())
-        .ok_or_else(|| format!("alerts config: {what} must be a number"))
+fn number<T: JsonNumber>(v: &Json, what: &str) -> Result<T, String> {
+    v.number(what).map_err(|e| format!("alerts config: {e}"))
 }
 
 fn parse_seconds(v: &Json, what: &str, min: u64) -> Result<u64, String> {
-    let n = parse_u64(v, what)?;
+    let n = number::<u64>(v, what)?;
     if n < min || n > MAX_SECONDS {
         return Err(format!(
             "alerts config: {what} {n} must be in {min}..={MAX_SECONDS}"
@@ -291,7 +283,7 @@ fn parse_webhook(v: &Json) -> Result<WebhookConfig, String> {
         retries: 3,
     };
     if let Some(q) = v.get("queue") {
-        let q = parse_u64(q, "webhook.queue")?;
+        let q = number::<u64>(q, "webhook.queue")?;
         if q == 0 || q > 4_096 {
             return Err(format!(
                 "alerts config: webhook.queue {q} must be in 1..=4096"
@@ -300,7 +292,7 @@ fn parse_webhook(v: &Json) -> Result<WebhookConfig, String> {
         cfg.queue = q as usize;
     }
     if let Some(r) = v.get("retries") {
-        let r = parse_u64(r, "webhook.retries")?;
+        let r = number::<u64>(r, "webhook.retries")?;
         if r > 10 {
             return Err(format!("alerts config: webhook.retries {r} must be <= 10"));
         }
@@ -364,7 +356,7 @@ fn parse_rule(v: &Json) -> Result<RuleSpec, String> {
                 format!("alerts config: rule {name:?}: unknown latency series {s:?}")
             })?;
             let q = match v.get("q") {
-                Some(q) => parse_f64(q, "q")?,
+                Some(q) => number::<f64>(q, "q")?,
                 None => 0.99,
             };
             if !(q > 0.0 && q < 1.0) {
@@ -379,9 +371,9 @@ fn parse_rule(v: &Json) -> Result<RuleSpec, String> {
             let e = v.get("endpoint").and_then(Json::as_str).ok_or_else(|| {
                 format!("alerts config: rule {name:?} (burn_rate) needs an \"endpoint\"")
             })?;
-            let endpoint = Endpoint::by_name(e)
+            let route = Route::labelled(e)
                 .ok_or_else(|| format!("alerts config: rule {name:?}: unknown endpoint {e:?}"))?;
-            SpecSignal::Burn(endpoint)
+            SpecSignal::Burn(route.endpoint)
         }
         other => {
             return Err(format!(
@@ -394,7 +386,7 @@ fn parse_rule(v: &Json) -> Result<RuleSpec, String> {
         let ms = v.get("threshold_ms").ok_or_else(|| {
             format!("alerts config: rule {name:?} (quantile) needs a \"threshold_ms\"")
         })?;
-        let ms = parse_f64(ms, "threshold_ms")?;
+        let ms = number::<f64>(ms, "threshold_ms")?;
         if !(ms > 0.0 && ms.is_finite()) {
             return Err(format!(
                 "alerts config: rule {name:?}: threshold_ms must be positive"
@@ -405,7 +397,7 @@ fn parse_rule(v: &Json) -> Result<RuleSpec, String> {
         let t = v
             .get("threshold")
             .ok_or_else(|| format!("alerts config: rule {name:?} needs a \"threshold\""))?;
-        let t = parse_f64(t, "threshold")?;
+        let t = number::<f64>(t, "threshold")?;
         if !t.is_finite() {
             return Err(format!(
                 "alerts config: rule {name:?}: threshold must be finite"
@@ -498,7 +490,7 @@ pub(crate) fn parse_silence(
         .get("ttl_s")
         .ok_or_else(|| "silence: \"ttl_s\" is required".to_string())?;
     let ttl =
-        parse_u64(ttl, "ttl_s").map_err(|_| "silence: ttl_s must be an integer".to_string())?;
+        number::<u64>(ttl, "ttl_s").map_err(|_| "silence: ttl_s must be an integer".to_string())?;
     if ttl == 0 || ttl > MAX_SECONDS {
         return Err(format!("silence: ttl_s {ttl} must be in 1..={MAX_SECONDS}"));
     }
@@ -808,7 +800,7 @@ mod tests {
     fn defaults_bind_one_burn_rule_per_objective() {
         let slo = SloConfig::default();
         let rules = AlertsConfig::default().bind(&slo);
-        // One rule per analysis endpoint, in ENDPOINTS order.
+        // One rule per analysis endpoint, in ROUTES order.
         let names: Vec<&str> = rules.iter().map(|r| r.name.as_str()).collect();
         assert_eq!(names[0], "slo_burn:analyze");
         assert_eq!(rules.len(), 9);

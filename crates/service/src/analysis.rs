@@ -9,7 +9,7 @@
 //! the sessionless convenience wrapper (one-shot session, default
 //! options).
 
-use std::fmt;
+use std::{fmt, mem};
 
 use tpn_core::DecisionGraph;
 use tpn_net::{invariant, PlaceId, TimedPetriNet, TransId};
@@ -19,10 +19,11 @@ use tpn_session::{Session, SessionOptions};
 use tpn_sim::{simulate, SimOptions};
 
 use crate::json::JsonWriter;
+use crate::metrics::{Endpoint, Route, ROUTES};
 
 /// Default event budget for `simulate` when the request does not name
-/// one — shared by the HTTP query parser, `tpn simulate` and
-/// `tpn batch` so the surfaces can never drift apart.
+/// one. The `/simulate` row of [`ROUTES`] carries it to every surface
+/// that names the kind, and `tpn simulate` uses it too.
 pub const DEFAULT_SIM_EVENTS: u64 = 1_000_000;
 
 /// Default PRNG seed for `simulate` (see [`DEFAULT_SIM_EVENTS`]).
@@ -84,17 +85,66 @@ pub enum RequestKind {
 }
 
 impl RequestKind {
-    /// The endpoint/subcommand name of this request kind.
-    pub fn name(&self) -> &'static str {
+    /// The plain analysis named `name`, at its defaults: the `kind` of
+    /// its route in [`ROUTES`].
+    pub fn named(name: &str) -> Option<RequestKind> {
+        Route::labelled(name)?.kind
+    }
+
+    /// The endpoint serving this kind: a plain analysis's route in
+    /// [`ROUTES`], or the endpoint taking a spec-carrying kind's spec.
+    pub fn endpoint(self) -> Endpoint {
+        let same = |k: RequestKind| mem::discriminant(&k) == mem::discriminant(&self);
         match self {
-            RequestKind::Analyze => "analyze",
-            RequestKind::Graph => "graph",
-            RequestKind::Correctness => "correctness",
-            RequestKind::Invariants => "invariants",
-            RequestKind::Simulate { .. } => "simulate",
-            RequestKind::Sweep { .. } => "sweep",
-            RequestKind::Optimize { .. } => "optimize",
-            RequestKind::Whatif { .. } => "whatif",
+            RequestKind::Sweep { .. } => Endpoint::Sweep,
+            RequestKind::Optimize { .. } => Endpoint::Optimize,
+            RequestKind::Whatif { .. } => Endpoint::Whatif,
+            _ => ROUTES
+                .iter()
+                .find(|r| r.kind.is_some_and(same))
+                .map_or(Endpoint::Other, |r| r.endpoint),
+        }
+    }
+
+    /// The kind's name on every surface: its endpoint's label.
+    pub fn name(self) -> &'static str {
+        self.endpoint().label()
+    }
+
+    /// The parameters this kind takes: simulate's event budget and
+    /// seed; none for the other plain kinds.
+    pub(crate) fn params(self) -> &'static [&'static str] {
+        match self {
+            RequestKind::Simulate { .. } => &["events", "seed"],
+            _ => &[],
+        }
+    }
+
+    /// This kind with each parameter `param` supplies by name; one it
+    /// leaves out keeps its value here.
+    pub(crate) fn with_params(
+        self,
+        mut param: impl FnMut(&str) -> Result<Option<u64>, ServiceError>,
+    ) -> Result<RequestKind, ServiceError> {
+        Ok(match self {
+            RequestKind::Simulate { events, seed } => RequestKind::Simulate {
+                events: param("events")?.unwrap_or(events),
+                seed: param("seed")?.unwrap_or(seed),
+            },
+            kind => kind,
+        })
+    }
+
+    /// This kind, or the 400 for a simulation over `max_sim_events` —
+    /// one request may not pin a worker on an unbounded computation.
+    pub(crate) fn within(self, max_sim_events: u64) -> Result<RequestKind, ServiceError> {
+        match self {
+            RequestKind::Simulate { events, .. } if events > max_sim_events => {
+                Err(ServiceError::BadRequest(format!(
+                    "events {events} exceeds the limit {max_sim_events}"
+                )))
+            }
+            kind => Ok(kind),
         }
     }
 }
@@ -210,10 +260,10 @@ fn err(e: impl fmt::Display) -> ServiceError {
 }
 
 /// Common document header: kind, net name, content digest.
-fn header(w: &mut JsonWriter, session: &Session, kind: RequestKind) {
+fn header(w: &mut JsonWriter, session: &Session, endpoint: Endpoint) {
     w.begin_object();
     w.key("kind");
-    w.string(kind.name());
+    w.string(endpoint.label());
     w.key("net");
     w.string(session.net().name());
     w.key("digest");
@@ -260,7 +310,7 @@ fn analyze_json(session: &Session) -> Result<String, ServiceError> {
     let perf = session.performance().map_err(err)?;
 
     let mut w = JsonWriter::with_capacity(analyze_capacity(session, &dg));
-    header(&mut w, session, RequestKind::Analyze);
+    header(&mut w, session, Endpoint::Analyze);
     w.key("states");
     w.uint(trg.num_states() as u64);
     w.key("decision_nodes");
@@ -320,7 +370,7 @@ fn graph_json(session: &Session) -> Result<String, ServiceError> {
     let net = session.net();
     let trg = session.trg().map_err(err)?;
     let mut w = JsonWriter::new();
-    header(&mut w, session, RequestKind::Graph);
+    header(&mut w, session, Endpoint::Graph);
     w.key("states");
     w.uint(trg.num_states() as u64);
     w.key("edges");
@@ -355,7 +405,7 @@ fn correctness_json(session: &Session) -> Result<String, ServiceError> {
     let trg = session.trg().map_err(err)?;
     let report = tpn_reach::analyze(&trg, net);
     let mut w = JsonWriter::new();
-    header(&mut w, session, RequestKind::Correctness);
+    header(&mut w, session, Endpoint::Correctness);
     w.key("deadlock_free");
     w.bool(report.deadlocks.is_empty());
     w.key("deadlocks");
@@ -385,7 +435,7 @@ fn correctness_json(session: &Session) -> Result<String, ServiceError> {
 fn invariants_json(session: &Session) -> String {
     let net = session.net();
     let mut w = JsonWriter::new();
-    header(&mut w, session, RequestKind::Invariants);
+    header(&mut w, session, Endpoint::Invariants);
     w.key("p_semiflows");
     w.begin_array();
     for f in invariant::p_semiflows(net) {
@@ -434,7 +484,7 @@ fn simulate_json(session: &Session, events: u64, seed: u64) -> Result<String, Se
     )
     .map_err(err)?;
     let mut w = JsonWriter::new();
-    header(&mut w, session, RequestKind::Simulate { events, seed });
+    header(&mut w, session, Endpoint::Simulate);
     w.key("events");
     w.uint(stats.events());
     w.key("seed");

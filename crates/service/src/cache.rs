@@ -256,11 +256,11 @@ pub(crate) struct Flight {
 
 impl Flight {
     /// Compute the body with `f`, or wait for the request computing
-    /// it: whichever request of the flight gets here first computes.
-    /// Successful bodies are admitted to the cache within the byte
-    /// budget.
+    /// it: whichever request of the flight gets here first computes
+    /// (and so owns the flight). Successful bodies are admitted to the
+    /// cache within the byte budget.
     pub(crate) fn resolve(
-        mut self,
+        &mut self,
         f: impl FnOnce() -> Result<String, ServiceError>,
     ) -> Result<Arc<String>, ServiceError> {
         // A trace span only past the hit fast path: a hit is one map
@@ -392,14 +392,20 @@ impl AnalysisCache {
     /// resolved, on one thread. Successful bodies are cached; errors
     /// are returned to every coalesced caller but not cached (they are
     /// cheap to rediscover and keep the cache all-success).
+    ///
+    /// A body comes with whether this call ran `f`: `false` is a hit,
+    /// from the cache or from a wait coalesced onto another request.
     pub fn get_or_compute(
         &self,
         key: CacheKey,
         f: impl FnOnce() -> Result<String, ServiceError>,
-    ) -> Result<Arc<String>, ServiceError> {
+    ) -> Result<(Arc<String>, bool), ServiceError> {
         match self.lookup(key) {
-            Lookup::Hit(body) => Ok(body),
-            Lookup::Miss(flight) => flight.resolve(f),
+            Lookup::Hit(body) => Ok((body, false)),
+            Lookup::Miss(mut flight) => {
+                let body = flight.resolve(f)?;
+                Ok((body, flight.owns))
+            }
         }
     }
 
@@ -541,12 +547,14 @@ mod tests {
     #[test]
     fn hit_after_miss_returns_same_body() {
         let cache = with_budget(1 << 20);
-        let a = cache
+        let (a, computed) = cache
             .get_or_compute(key(1), || Ok("body".to_string()))
             .unwrap();
-        let b = cache
+        assert!(computed, "a miss runs its computation");
+        let (b, computed) = cache
             .get_or_compute(key(1), || panic!("must not recompute"))
             .unwrap();
+        assert!(!computed, "a hit runs none");
         assert!(Arc::ptr_eq(&a, &b));
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.computations), (1, 1, 1));
@@ -641,7 +649,7 @@ mod tests {
     #[test]
     fn bodies_are_admitted_at_capacity_equal_to_length() {
         let cache = with_budget(1 << 20);
-        let body = cache
+        let (body, _) = cache
             .get_or_compute(key(1), || {
                 let mut body = String::with_capacity(32 << 10);
                 body.push_str("{\"kind\":\"analyze\"}");
@@ -656,7 +664,7 @@ mod tests {
     fn oversized_bodies_are_served_but_not_admitted() {
         let cache = with_budget(100);
         let big = "x".repeat(500);
-        let v = cache.get_or_compute(key(1), || Ok(big.clone())).unwrap();
+        let (v, _) = cache.get_or_compute(key(1), || Ok(big.clone())).unwrap();
         assert_eq!(*v, big, "caller still gets the body");
         let s = cache.stats();
         assert_eq!((s.entries, s.bytes), (0, 0), "not admitted: {s:?}");
@@ -698,9 +706,12 @@ mod tests {
                     .unwrap()
             }));
         }
-        let bodies: Vec<Arc<String>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        let bodies: Vec<(Arc<String>, bool)> =
+            handles.into_iter().map(|h| h.join().unwrap()).collect();
         assert_eq!(computed.load(Ordering::Relaxed), 1, "exactly one leader");
-        assert!(bodies.iter().all(|b| b.as_str() == "slow"));
+        assert!(bodies.iter().all(|(b, _)| b.as_str() == "slow"));
+        let ran = bodies.iter().filter(|(_, ran)| *ran).count();
+        assert_eq!(ran, 1, "only the leader reports its computation");
         let s = cache.stats();
         assert_eq!(s.computations, 1);
         assert_eq!(s.misses, 1);
@@ -734,15 +745,16 @@ mod tests {
         let cache = with_budget(1 << 20);
         // The leader looked up (say, on the listener's reactor) but its
         // job has not started.
-        let Lookup::Miss(leader) = cache.lookup(key(5)) else {
+        let Lookup::Miss(mut leader) = cache.lookup(key(5)) else {
             panic!("first lookup must miss");
         };
         // A follower must not wait on a computation nobody is running:
         // with one worker, the queued leader would never start.
-        let body = cache
+        let (body, computed) = cache
             .get_or_compute(key(5), || Ok("follower".into()))
             .unwrap();
         assert_eq!(*body, "follower");
+        assert!(computed, "the follower claimed the slot");
         let led = leader
             .resolve(|| panic!("the follower already computed"))
             .unwrap();
@@ -758,7 +770,7 @@ mod tests {
         let Lookup::Miss(leader) = cache.lookup(key(6)) else {
             panic!("first lookup must miss");
         };
-        let Lookup::Miss(follower) = cache.lookup(key(6)) else {
+        let Lookup::Miss(mut follower) = cache.lookup(key(6)) else {
             panic!("the slot is in flight");
         };
         // The leader's job was refused: its flight settles the slot.

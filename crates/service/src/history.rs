@@ -18,7 +18,7 @@ use tpn_obs::series::{Frame, SeriesRing, SeriesSchema};
 
 use crate::analysis::ServiceError;
 use crate::json::JsonWriter;
-use crate::metrics::{self, ServiceMetrics, StatsSnapshot, COUNTERS, ENDPOINTS};
+use crate::metrics::{self, ServiceMetrics, StatsSnapshot, COUNTERS, ROUTES};
 
 /// The gauge columns, in order: cache sizing, session count, then the
 /// `/proc/self` process gauges.
@@ -55,11 +55,11 @@ pub(crate) fn endpoint_hist_col(endpoint: usize) -> usize {
 /// The frame layout every service ring uses.
 pub(crate) fn schema() -> SeriesSchema {
     let mut counters: Vec<String> = COUNTERS.iter().map(|c| c.name.to_string()).collect();
-    counters.extend(ENDPOINTS.iter().map(|e| format!("err.{}", e.name())));
+    counters.extend(ROUTES.iter().map(|r| format!("err.{}", r.label)));
     SeriesSchema {
         counters,
         gauges: GAUGES.iter().map(|s| s.to_string()).collect(),
-        hists: ENDPOINTS.iter().map(|e| e.name().to_string()).collect(),
+        hists: ROUTES.iter().map(|r| r.label.to_string()).collect(),
     }
 }
 
@@ -72,7 +72,7 @@ pub(crate) fn collect_frame(
 ) -> Frame {
     let proc = tpn_obs::procinfo::sample();
     let mut counters = stats.counters.to_vec();
-    for (i, _) in ENDPOINTS.iter().enumerate() {
+    for (i, _) in ROUTES.iter().enumerate() {
         counters.push(metrics.errors_5xx(i));
     }
     Frame {
@@ -86,9 +86,9 @@ pub(crate) fn collect_frame(
             proc.open_fds as f64,
             proc.threads as f64,
         ],
-        hists: ENDPOINTS
+        hists: ROUTES
             .iter()
-            .map(|e| metrics.duration_snapshot(*e))
+            .map(|r| metrics.duration_snapshot(r.endpoint))
             .collect(),
     }
 }
@@ -273,7 +273,7 @@ pub(crate) fn history_json(
 
     w.key("endpoints");
     w.begin_object();
-    for (i, endpoint) in ENDPOINTS.iter().enumerate() {
+    for (i, route) in ROUTES.iter().enumerate() {
         let hist = endpoint_hist_col(i);
         let traffic: u64 = intervals
             .iter()
@@ -282,7 +282,7 @@ pub(crate) fn history_json(
         if traffic == 0 {
             continue;
         }
-        w.key(endpoint.name());
+        w.key(route.label);
         w.begin_object();
         if filter.keeps("req_s") {
             w.key("req_s");

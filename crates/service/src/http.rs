@@ -9,7 +9,10 @@
 //! [`ThreadPool`](crate::ThreadPool). On other targets the [`Service`]
 //! and the routes still build; there is no listener.
 //!
-//! Routes:
+//! Routes, in the order of the route table
+//! [`ROUTES`](crate::metrics::ROUTES), which declares each one once
+//! (its endpoint, method, path and label); dispatch, the labels and
+//! every kind parser derive from it:
 //!
 //! | method | path | body | reply |
 //! |---|---|---|---|
@@ -25,12 +28,15 @@
 //! | GET | `/healthz` | — | graded liveness: `ok` \| `degraded` \| `unhealthy` (503) with burn-rate reasons |
 //! | GET | `/stats` | — | cache/pool/sweep/optimize/whatif/artifact counters + process gauges |
 //! | GET | `/metrics` | — | Prometheus text exposition (counters + latency histograms) |
+//! | GET | `/debug/requests?n=K` | — | the K most recent request traces, NDJSON (K capped at the ring size) |
 //! | GET | `/metrics/history?window=W&step=S&series=A,B` | — | trailing-window rates and quantiles, columnar JSON |
 //! | GET | `/slo` | — | objectives and current multi-window burn rates per endpoint |
+//! | GET | `/debug/slow?n=K` | — | the K most recent objective-breaching traces, NDJSON (K capped at the ring size) |
 //! | GET | `/alerts` | — | alert rule states, transition history and active silences, columnar JSON |
 //! | POST | `/alerts/silence` | JSON: rule + TTL | create a TTL-bounded notification silence |
-//! | GET | `/debug/requests?n=K` | — | the K most recent request traces, NDJSON (K capped at the ring size) |
-//! | GET | `/debug/slow?n=K` | — | the K most recent objective-breaching traces, NDJSON (K capped at the ring size) |
+//!
+//! A path no row names is a 404; a row's path with any other method is
+//! a 405. Both are counted under the endpoint `other`.
 //!
 //! Status codes: 200 on success, 400 for malformed requests or `.tpn`
 //! parse errors, 404/405 for bad routes, 413 for oversized bodies, 422
@@ -40,7 +46,7 @@
 //! structured `{"code": …, "message": …}` object — the full mapping
 //! lives on [`ServiceError`].
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -58,8 +64,8 @@ use crate::cache::{AnalysisCache, CacheKey, Flight, Lookup};
 use crate::history;
 use crate::json::{error_body, error_object, JsonWriter};
 use crate::metrics::{
-    self, ConnStats, Counter, CounterDef, Endpoint, RequestTrace, ServiceMetrics, SlowTrace,
-    Source, StatsSnapshot, COUNTERS, ENDPOINTS,
+    self, ConnStats, Counter, CounterDef, Endpoint, RequestTrace, Route, ServiceMetrics, SlowTrace,
+    Source, StatsSnapshot, COUNTERS, ROUTES,
 };
 use crate::slo::{self, SloConfig};
 use crate::spec::Spec;
@@ -240,7 +246,7 @@ pub struct Service {
     /// Per-endpoint watchdog thresholds, precomputed from the SLO
     /// objectives: a request slower than its endpoint's entry is
     /// captured into the slow ring.
-    slow_threshold: [Option<u64>; ENDPOINTS.len()],
+    slow_threshold: [Option<u64>; ROUTES.len()],
     /// The alert evaluator, ticked by the sampler against each pushed
     /// frame. The mutex serializes ticks with `/alerts` renders; both
     /// sides hold it only for in-memory work.
@@ -290,8 +296,12 @@ impl Service {
             1
         };
         let ring = SeriesRing::new(history::schema(), ring_frames);
-        let slow_threshold =
-            std::array::from_fn(|i| config.slo.objective_for(ENDPOINTS[i]).map(|o| o.latency_ns));
+        let slow_threshold = std::array::from_fn(|i| {
+            config
+                .slo
+                .objective_for(ROUTES[i].endpoint)
+                .map(|o| o.latency_ns)
+        });
         let alerts = Mutex::new(config.alerts.engine(&config.slo));
         let notify = Arc::new(NotifyCounters::default());
         let notifier = if config.metrics {
@@ -402,7 +412,7 @@ impl Service {
         self.metrics.record(endpoint, status, duration_ns);
         tpn_obs::trace::end_with(|spans, annotations| {
             let header = RequestTrace {
-                endpoint: endpoint.name(),
+                endpoint: endpoint.label(),
                 status,
                 end_ns,
                 duration_ns,
@@ -428,7 +438,7 @@ impl Service {
             self.metrics.push_trace_copying(header, spans);
         });
         if let Some(log) = &self.log {
-            log.record(endpoint.name(), status, duration_ns, body.len());
+            log.record(endpoint.label(), status, duration_ns, body.len());
         }
     }
 
@@ -476,7 +486,7 @@ impl Service {
     /// thread; the listener runs the front half on its reactor, so a
     /// hit never leaves it, and hands a flight to a pool worker.
     pub fn respond(&self, kind: RequestKind, body: &str) -> (u16, Arc<String>) {
-        self.observed(Endpoint::of_kind(kind), || {
+        self.observed(kind.endpoint(), || {
             self.analysis_back(self.analysis_front(kind, body))
         })
     }
@@ -510,7 +520,7 @@ impl Service {
             kind,
             digest,
             net,
-            flight,
+            mut flight,
         } = match front {
             Front::Done(status, body) => return (status, body),
             Front::Back(analysis) => analysis,
@@ -520,18 +530,23 @@ impl Service {
         )
     }
 
-    /// The front half of a `POST` analysis route, as the listener's
-    /// reactor runs it: the route's own checks, then
-    /// [`Service::respond`]'s front half, inside the request's
-    /// observation and under the same panic guard as every route. An
-    /// answered request is recorded here and its reply returned; a
-    /// miss or coalesced wait comes back as a [`Pending`] carrying its
-    /// still-open observation to [`Service::back`].
-    pub(crate) fn front(&self, req: &Request) -> Result<(u16, Arc<String>), Box<Pending>> {
-        let endpoint = endpoint_of_path(&req.path);
+    /// The front half of a plain analysis route (`endpoint`, serving
+    /// `kind` at its defaults), as the listener's reactor runs it: the
+    /// route's own checks, then [`Service::respond`]'s front half,
+    /// inside the request's observation and under the same panic guard
+    /// as every route. An answered request is recorded here and its
+    /// reply returned; a miss or coalesced wait comes back as a
+    /// [`Pending`] carrying its still-open observation to
+    /// [`Service::back`].
+    pub(crate) fn front(
+        &self,
+        req: &Request,
+        endpoint: Endpoint,
+        kind: RequestKind,
+    ) -> Result<(u16, Arc<String>), Box<Pending>> {
         let rooted = self.observe_begin();
         let front = guarded(
-            || self.analysis_route_front(req),
+            || self.analysis_route_front(req, kind),
             || {
                 let (status, body) = panic_reply();
                 Front::Done(status, body)
@@ -559,7 +574,7 @@ impl Service {
             observation,
             analysis,
         } = *pending;
-        let endpoint = Endpoint::of_kind(analysis.kind);
+        let endpoint = analysis.kind.endpoint();
         // A worker thread collects nothing between jobs, so the attach
         // succeeds; were it refused, the request would go unrecorded
         // rather than close another request's trace.
@@ -570,25 +585,17 @@ impl Service {
         (status, body)
     }
 
-    /// The checks a `POST` analysis route makes before
-    /// [`Service::respond`]'s front half: the kind and its query, the
+    /// The checks a plain analysis route makes before
+    /// [`Service::respond`]'s front half: `kind`'s query parameters, the
     /// simulation budget, a UTF-8 body.
-    fn analysis_route_front(&self, req: &Request) -> Front {
-        let kind = match analysis_kind(req) {
+    fn analysis_route_front(&self, req: &Request, kind: RequestKind) -> Front {
+        let kind = match query_kind(req, kind, self.config.max_sim_events) {
             Ok(kind) => kind,
             Err(e) => return Front::done(Err(e)),
         };
-        if let RequestKind::Simulate { events, .. } = kind {
-            if events > self.config.max_sim_events {
-                return Front::done(Err(ServiceError::BadRequest(format!(
-                    "events {events} exceeds the limit {}",
-                    self.config.max_sim_events
-                ))));
-            }
-        }
-        match std::str::from_utf8(&req.body) {
+        match utf8_body(req) {
             Ok(text) => self.analysis_front(kind, text),
-            Err(_) => Front::Done(400, Arc::new(error_body("request body is not UTF-8"))),
+            Err((status, body)) => Front::Done(status, body),
         }
     }
 
@@ -606,7 +613,7 @@ impl Service {
                 kinds
                     .iter()
                     .map(|&kind| {
-                        self.observed(Endpoint::of_kind(kind), || {
+                        self.observed(kind.endpoint(), || {
                             legacy_reply(self.analysis_cached(&session, kind))
                         })
                     })
@@ -616,7 +623,7 @@ impl Service {
                 let reply = legacy_reply(Err(e));
                 kinds
                     .iter()
-                    .map(|&kind| self.observed(Endpoint::of_kind(kind), || reply.clone()))
+                    .map(|&kind| self.observed(kind.endpoint(), || reply.clone()))
                     .collect()
             }
         }
@@ -634,8 +641,27 @@ impl Service {
             digest: session.digest(),
             kind,
         };
-        self.cache
-            .get_or_compute(key, || run_with_session(session, kind))
+        let (body, _) = self
+            .cache
+            .get_or_compute(key, || run_with_session(session, kind))?;
+        Ok(body)
+    }
+
+    /// A spec-carrying body through the cache, counting a hit under
+    /// `hits`: a body from the cache or coalesced onto a concurrent
+    /// identical request — no computation ran for this request. An
+    /// error is never a hit: a follower of a failing leader got a 4xx.
+    fn cached_counting_hits(
+        &self,
+        key: CacheKey,
+        hits: Counter,
+        f: impl FnOnce() -> Result<String, ServiceError>,
+    ) -> Result<Arc<String>, ServiceError> {
+        let (body, computed) = self.cache.get_or_compute(key, f)?;
+        if !computed {
+            self.bump(hits, 1);
+        }
+        Ok(body)
     }
 
     /// Serve one parameter-sweep request. `body` is the spec object of
@@ -664,7 +690,6 @@ impl Service {
         spec: &crate::sweep::SweepSpec,
     ) -> Result<Arc<String>, ServiceError> {
         use crate::sweep::sweep_json;
-        use std::sync::atomic::AtomicBool;
 
         let spec_hash = spec.hash();
         metrics::annotate_spec(spec_hash);
@@ -672,23 +697,12 @@ impl Service {
             digest: session.digest(),
             kind: RequestKind::Sweep { spec: spec_hash },
         };
-        let computed = AtomicBool::new(false);
-        let result = self.cache.get_or_compute(key, || {
-            computed.store(true, Ordering::Relaxed);
+        self.cached_counting_hits(key, Counter::SweepHits, || {
             let (body, points) = sweep_json(session, spec)?;
             self.bump(Counter::SweepCompiles, 1);
             self.bump(Counter::SweepPoints, points);
             Ok(body)
-        });
-        if result.is_ok() && !computed.load(Ordering::Relaxed) {
-            // Served from the cache or coalesced onto a concurrent
-            // identical evaluation — either way, no evaluation ran for
-            // this request. Errors are deliberately not counted: a
-            // follower coalesced onto a failing leader got a 4xx, not a
-            // hit.
-            self.bump(Counter::SweepHits, 1);
-        }
-        result
+        })
     }
 
     /// Serve one parameter-synthesis request. `body` is the spec object
@@ -724,22 +738,14 @@ impl Service {
             digest: session.digest(),
             kind: RequestKind::Optimize { spec: spec_hash },
         };
-        let computed = AtomicBool::new(false);
-        let result = self.cache.get_or_compute(key, || {
-            computed.store(true, Ordering::Relaxed);
+        self.cached_counting_hits(key, Counter::OptimizeHits, || {
             let (body, certified) = optimize_json(session, spec)?;
             self.bump(Counter::OptimizeSolves, 1);
             if certified {
                 self.bump(Counter::OptimizeCertified, 1);
             }
             Ok(body)
-        });
-        if result.is_ok() && !computed.load(Ordering::Relaxed) {
-            // See sweep_cached: cache hit or successful coalescing,
-            // never an error follower.
-            self.bump(Counter::OptimizeHits, 1);
-        }
-        result
+        })
     }
 
     /// Serve one what-if batch. `body` is the spec object of
@@ -784,7 +790,7 @@ impl Service {
         let mut w = JsonWriter::new();
         w.begin_object();
         w.key("kind");
-        w.string("whatif");
+        w.string(Endpoint::Whatif.label());
         w.key("net");
         w.string(base.name());
         w.key("structural_digest");
@@ -854,9 +860,7 @@ impl Service {
                 spec: requests_hash,
             },
         };
-        let computed = AtomicBool::new(false);
-        let result = self.cache.get_or_compute(key, || {
-            computed.store(true, Ordering::Relaxed);
+        self.cached_counting_hits(key, Counter::WhatifHits, || {
             // An unknown attribute or a negative value is a 400.
             let perturbed = session
                 .net()
@@ -886,13 +890,7 @@ impl Service {
             w.end_array();
             w.end_object();
             Ok(w.finish())
-        });
-        if result.is_ok() && !computed.load(Ordering::Relaxed) {
-            // See sweep_cached: cache hit or successful coalescing,
-            // never an error follower.
-            self.bump(Counter::WhatifHits, 1);
-        }
-        result
+        })
     }
 
     /// Serve one `/v1` envelope: one net, many analyses, one shared
@@ -938,7 +936,7 @@ impl Service {
         let mut w = JsonWriter::new();
         w.begin_object();
         w.key("kind");
-        w.string("v1");
+        w.string(Endpoint::V1.label());
         w.key("net");
         w.string(session.net().name());
         w.key("digest");
@@ -1319,21 +1317,6 @@ fn panic_reply() -> (u16, Arc<String>) {
     (500, Arc::new(error_object("internal", message)))
 }
 
-/// The plain analysis routes (`POST` with a `.tpn` body).
-const ANALYSES: [&str; 5] = [
-    "/analyze",
-    "/graph",
-    "/correctness",
-    "/invariants",
-    "/simulate",
-];
-
-/// Whether `req` is a `POST` to one of the plain analysis routes — the
-/// requests [`Service::front`] serves.
-pub(crate) fn is_analysis(req: &Request) -> bool {
-    req.method == "POST" && ANALYSES.contains(&req.path.as_str())
-}
-
 /// Render a result in the legacy routes' reply shape: 200 with the body
 /// on success, `{"error": "<prefix>: <message>"}` with the mapped
 /// status on failure.
@@ -1381,41 +1364,84 @@ const PROMETHEUS: &str = "text/plain; version=0.0.4; charset=utf-8";
 /// Newline-delimited JSON — the `/debug/requests` body.
 const NDJSON: &str = "application/x-ndjson";
 
-/// Parse a `u64` query parameter, defaulting when absent.
+/// A `u64` query parameter, `None` when absent.
+fn query_param(req: &Request, name: &str) -> Result<Option<u64>, ServiceError> {
+    let Some((_, v)) = req.query.iter().find(|(k, _)| k == name) else {
+        return Ok(None);
+    };
+    v.parse()
+        .map(Some)
+        .map_err(|_| ServiceError::BadRequest(format!("bad {name} value {v:?}")))
+}
+
+/// A `u64` query parameter, defaulting when absent.
 fn query_u64(req: &Request, name: &str, default: u64) -> Result<u64, ServiceError> {
-    match req.query.iter().find(|(k, _)| k == name) {
-        None => Ok(default),
-        Some((_, v)) => v
-            .parse()
-            .map_err(|_| ServiceError::BadRequest(format!("bad {name} value {v:?}"))),
-    }
+    Ok(query_param(req, name)?.unwrap_or(default))
 }
 
-/// The endpoint label of an analysis path (`/analyze` → `analyze` …).
-fn endpoint_of_path(path: &str) -> Endpoint {
-    match path {
-        "/analyze" => Endpoint::Analyze,
-        "/graph" => Endpoint::Graph,
-        "/correctness" => Endpoint::Correctness,
-        "/invariants" => Endpoint::Invariants,
-        "/simulate" => Endpoint::Simulate,
-        _ => Endpoint::Other,
-    }
+/// A plain analysis route's kind: its `kind` with the parameters the
+/// query names, within the simulation budget.
+fn query_kind(
+    req: &Request,
+    kind: RequestKind,
+    max_sim_events: u64,
+) -> Result<RequestKind, ServiceError> {
+    kind.with_params(|name| query_param(req, name))?
+        .within(max_sim_events)
 }
 
-/// Dispatch one request to its endpoint. Returns the status, the
+/// The request body as text, or the 400 reply to one that is not UTF-8.
+fn utf8_body(req: &Request) -> Result<&str, (u16, Arc<String>)> {
+    std::str::from_utf8(&req.body)
+        .map_err(|_| (400, Arc::new(error_body("request body is not UTF-8"))))
+}
+
+/// Dispatch one request through [`ROUTES`]. Returns the status, the
 /// response content type, and the body.
 pub(crate) fn route(service: &Service, req: &Request) -> (u16, &'static str, Arc<String>) {
     let json = |(status, body)| (status, JSON, body);
-    match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/healthz") => json(service.observed(Endpoint::Healthz, || {
+    let Some(&Route {
+        endpoint,
+        method,
+        kind,
+        ..
+    }) = Route::at(&req.path)
+    else {
+        return json(service.observed(Endpoint::Other, || {
+            let message = format!("no such endpoint {}", req.path);
+            (404, Arc::new(error_body(&message)))
+        }));
+    };
+    if req.method != method {
+        return json(service.observed(Endpoint::Other, || {
+            let message = format!("method {} not allowed", req.method);
+            (405, Arc::new(error_body(&message)))
+        }));
+    }
+    if let Some(kind) = kind {
+        // One observation around the whole request, so kind-parse and
+        // budget-cap 400s are counted under the route's endpoint.
+        return json(service.observed(endpoint, || {
+            service.analysis_back(service.analysis_route_front(req, kind))
+        }));
+    }
+    // The `n` most recent traces of a ring of `cap`, as NDJSON.
+    let traces = |cap: usize, text: &dyn Fn(usize) -> String| {
+        let (status, body) = service.observed(endpoint, || {
+            let n = query_u64(req, "n", 16).map(|n| usize::try_from(n).unwrap_or(usize::MAX));
+            legacy_reply(n.map(|n| Arc::new(text(n.min(cap)))))
+        });
+        (status, if status == 200 { NDJSON } else { JSON }, body)
+    };
+    let document =
+        |f: &dyn Fn() -> String| json(service.observed(endpoint, || (200, Arc::new(f()))));
+    match endpoint {
+        Endpoint::Healthz => json(service.observed(endpoint, || {
             let (status, body) = service.healthz();
             (status, Arc::new(body))
         })),
-        ("GET", "/slo") => {
-            json(service.observed(Endpoint::Slo, || (200, Arc::new(service.slo_text()))))
-        }
-        ("GET", "/metrics/history") => json(service.observed(Endpoint::MetricsHistory, || {
+        Endpoint::Slo => document(&|| service.slo_text()),
+        Endpoint::MetricsHistory => json(service.observed(endpoint, || {
             let params =
                 query_u64(req, "window", 300).and_then(|w| Ok((w, query_u64(req, "step", 5)?)));
             let series = req
@@ -1423,131 +1449,38 @@ pub(crate) fn route(service: &Service, req: &Request) -> (u16, &'static str, Arc
                 .iter()
                 .find(|(k, _)| k == "series")
                 .map(|(_, v)| v.as_str());
-            match params.and_then(|(w, s)| service.history_text(w, s, series)) {
-                Ok(body) => (200, Arc::new(body)),
-                Err(e) => (e.status(), Arc::new(error_body(&e.to_string()))),
-            }
-        })),
-        ("GET", "/alerts") => {
-            json(service.observed(Endpoint::Alerts, || (200, Arc::new(service.alerts_text()))))
-        }
-        ("POST", "/alerts/silence") => json(service.observed(Endpoint::AlertsSilence, || {
-            match std::str::from_utf8(&req.body) {
-                Ok(text) => {
-                    let (status, body) = service.respond_silence(text);
-                    (status, Arc::new(body))
-                }
-                Err(_) => (400, Arc::new(error_body("request body is not UTF-8"))),
-            }
-        })),
-        ("GET", "/debug/slow") => {
-            let (status, body) =
-                service.observed(Endpoint::DebugSlow, || match query_u64(req, "n", 16) {
-                    Ok(n) => {
-                        let n = usize::try_from(n)
-                            .unwrap_or(usize::MAX)
-                            .min(metrics::SLOW_RING_CAP);
-                        (200, Arc::new(service.debug_slow_text(n)))
-                    }
-                    Err(e) => (e.status(), Arc::new(error_body(&e.to_string()))),
-                });
-            let content_type = if status == 200 { NDJSON } else { JSON };
-            (status, content_type, body)
-        }
-        ("GET", "/stats") => {
-            json(service.observed(Endpoint::Stats, || (200, Arc::new(service.stats_json()))))
-        }
-        ("GET", "/metrics") => {
-            let (status, body) = service.observed(Endpoint::Metrics, || {
-                (200, Arc::new(service.metrics_text()))
-            });
-            (status, PROMETHEUS, body)
-        }
-        ("GET", "/debug/requests") => {
-            let (status, body) =
-                service.observed(Endpoint::DebugRequests, || match query_u64(req, "n", 16) {
-                    Ok(n) => {
-                        let n = usize::try_from(n)
-                            .unwrap_or(usize::MAX)
-                            .min(metrics::TRACE_RING_CAP);
-                        (200, Arc::new(service.debug_requests_text(n)))
-                    }
-                    Err(e) => (e.status(), Arc::new(error_body(&e.to_string()))),
-                });
-            let content_type = if status == 200 { NDJSON } else { JSON };
-            (status, content_type, body)
-        }
-        ("POST", "/sweep") => json(match std::str::from_utf8(&req.body) {
-            Ok(text) => service.respond_sweep(text),
-            Err(_) => (400, Arc::new(error_body("request body is not UTF-8"))),
-        }),
-        ("POST", "/optimize") => json(match std::str::from_utf8(&req.body) {
-            Ok(text) => service.respond_optimize(text),
-            Err(_) => (400, Arc::new(error_body("request body is not UTF-8"))),
-        }),
-        ("POST", "/whatif") => json(match std::str::from_utf8(&req.body) {
-            Ok(text) => service.respond_whatif(text),
-            Err(_) => (400, Arc::new(error_body("request body is not UTF-8"))),
-        }),
-        ("POST", "/v1") => json(match std::str::from_utf8(&req.body) {
-            Ok(text) => service.respond_v1(text),
-            Err(_) => (400, Arc::new(error_body("request body is not UTF-8"))),
-        }),
-        ("POST", path) if ANALYSES.contains(&path) => {
-            // The whole arm sits in one observation so kind-parse and
-            // budget-cap 400s are counted under the path's endpoint.
-            json(service.observed(endpoint_of_path(path), || {
-                service.analysis_back(service.analysis_route_front(req))
-            }))
-        }
-        (_, path)
-            if ANALYSES.contains(&path)
-                || path == "/sweep"
-                || path == "/optimize"
-                || path == "/whatif"
-                || path == "/v1"
-                || path == "/healthz"
-                || path == "/stats"
-                || path == "/metrics"
-                || path == "/metrics/history"
-                || path == "/slo"
-                || path == "/alerts"
-                || path == "/alerts/silence"
-                || path == "/debug/requests"
-                || path == "/debug/slow" =>
-        {
-            json(service.observed(Endpoint::Other, || {
-                (
-                    405,
-                    Arc::new(error_body(&format!("method {} not allowed", req.method))),
-                )
-            }))
-        }
-        (_, path) => json(service.observed(Endpoint::Other, || {
-            (
-                404,
-                Arc::new(error_body(&format!("no such endpoint {path}"))),
+            legacy_reply(
+                params
+                    .and_then(|(w, s)| service.history_text(w, s, series))
+                    .map(Arc::new),
             )
         })),
-    }
-}
-
-fn analysis_kind(req: &Request) -> Result<RequestKind, ServiceError> {
-    Ok(match req.path.as_str() {
-        "/analyze" => RequestKind::Analyze,
-        "/graph" => RequestKind::Graph,
-        "/correctness" => RequestKind::Correctness,
-        "/invariants" => RequestKind::Invariants,
-        "/simulate" => RequestKind::Simulate {
-            events: query_u64(req, "events", crate::analysis::DEFAULT_SIM_EVENTS)?,
-            seed: query_u64(req, "seed", crate::analysis::DEFAULT_SIM_SEED)?,
-        },
-        other => {
-            return Err(ServiceError::BadRequest(format!(
-                "no such endpoint {other}"
-            )))
+        Endpoint::Alerts => document(&|| service.alerts_text()),
+        Endpoint::AlertsSilence => json(service.observed(endpoint, || match utf8_body(req) {
+            Ok(body) => {
+                let (status, body) = service.respond_silence(body);
+                (status, Arc::new(body))
+            }
+            Err(reply) => reply,
+        })),
+        Endpoint::DebugSlow => traces(metrics::SLOW_RING_CAP, &|n| service.debug_slow_text(n)),
+        Endpoint::Stats => document(&|| service.stats_json()),
+        Endpoint::Metrics => {
+            let (status, body) =
+                service.observed(endpoint, || (200, Arc::new(service.metrics_text())));
+            (status, PROMETHEUS, body)
         }
-    })
+        Endpoint::DebugRequests => {
+            traces(metrics::TRACE_RING_CAP, &|n| service.debug_requests_text(n))
+        }
+        Endpoint::Sweep => json(utf8_body(req).map_or_else(|e| e, |b| service.respond_sweep(b))),
+        Endpoint::Optimize => {
+            json(utf8_body(req).map_or_else(|e| e, |b| service.respond_optimize(b)))
+        }
+        Endpoint::Whatif => json(utf8_body(req).map_or_else(|e| e, |b| service.respond_whatif(b))),
+        Endpoint::V1 => json(utf8_body(req).map_or_else(|e| e, |b| service.respond_v1(b))),
+        _ => unreachable!("plain analyses are answered above; no path routes to `other`"),
+    }
 }
 
 #[cfg(test)]
@@ -1658,8 +1591,9 @@ mod tests {
             body: Vec::new(),
             close: false,
         };
+        let simulate = Route::at("/simulate").and_then(|r| r.kind).unwrap();
         assert_eq!(
-            analysis_kind(&req).unwrap(),
+            query_kind(&req, simulate, u64::MAX).unwrap(),
             RequestKind::Simulate {
                 events: 100,
                 seed: 7
@@ -1672,7 +1606,7 @@ mod tests {
             body: Vec::new(),
             close: false,
         };
-        assert!(analysis_kind(&bad).is_err());
+        assert!(query_kind(&bad, simulate, u64::MAX).is_err());
     }
 
     #[test]

@@ -95,6 +95,14 @@ impl Json {
         }
     }
 
+    /// This number as a `T`, or the message `"{what} must be …"` naming
+    /// what `T` holds: a non-number and a token `T` cannot hold alike.
+    pub fn number<T: JsonNumber>(&self, what: &str) -> Result<T, String> {
+        self.as_num()
+            .and_then(|n| n.parse().ok())
+            .ok_or_else(|| format!("{what} must be {}", T::EXPECTED))
+    }
+
     /// A short name of the variant, for error messages.
     pub fn kind(&self) -> &'static str {
         match self {
@@ -106,6 +114,20 @@ impl Json {
             Json::Obj(_) => "object",
         }
     }
+}
+
+/// A number type [`Json::number`] converts to.
+pub trait JsonNumber: std::str::FromStr {
+    /// What a value must be, for the conversion's error message.
+    const EXPECTED: &'static str;
+}
+
+impl JsonNumber for u64 {
+    const EXPECTED: &'static str = "a non-negative integer";
+}
+
+impl JsonNumber for f64 {
+    const EXPECTED: &'static str = "a number";
 }
 
 /// A parse failure with its byte offset.

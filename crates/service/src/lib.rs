@@ -93,8 +93,8 @@ pub use executor::{PoolClosed, ThreadPool};
 pub use http::{AioConfig, LogConfig, Service, ServiceConfig};
 pub use jsonval::Json;
 pub use metrics::{
-    ConnScalars, ConnStats, Endpoint, RequestTrace, ServiceMetrics, SlowTrace, SLOW_RING_CAP,
-    TRACE_RING_CAP,
+    ConnScalars, ConnStats, Endpoint, RequestTrace, Route, ServiceMetrics, SlowTrace, ROUTES,
+    SLOW_RING_CAP, TRACE_RING_CAP,
 };
 pub use optimize::{optimize_json, BoxAxisSpec, OptimizeSpec};
 pub use slo::{SloConfig, DEFAULT_OBJECTIVE};

@@ -35,143 +35,143 @@ use tpn_obs::trace::Span;
 use tpn_obs::Renderer;
 use tpn_session::{StageCounters, STAGES};
 
-use crate::analysis::RequestKind;
+use crate::analysis::{RequestKind, DEFAULT_SIM_EVENTS, DEFAULT_SIM_SEED};
 use crate::cache::CacheStats;
 use crate::json::JsonWriter;
 
-/// Every request surface the service distinguishes in its metrics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Every request surface the service distinguishes in its metrics: one
+/// variant per row of [`ROUTES`], in its order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Endpoint {
-    /// `POST /analyze` (and the `analyze` kind everywhere).
     Analyze,
-    /// `POST /graph`.
     Graph,
-    /// `POST /correctness`.
     Correctness,
-    /// `POST /invariants`.
     Invariants,
-    /// `POST /simulate`.
     Simulate,
-    /// `POST /sweep`.
     Sweep,
-    /// `POST /optimize`.
     Optimize,
-    /// `POST /whatif`.
     Whatif,
-    /// `POST /v1` (the envelope itself, not its sub-requests — those
-    /// are answered through the same cached paths but belong to the
-    /// envelope's trace).
+    /// The envelope itself, not its sub-requests: those are answered
+    /// through the same cached paths but belong to the envelope's trace.
     V1,
-    /// `GET /healthz`.
     Healthz,
-    /// `GET /stats`.
     Stats,
-    /// `GET /metrics`.
     Metrics,
-    /// `GET /debug/requests`.
     DebugRequests,
-    /// `GET /metrics/history`.
     MetricsHistory,
-    /// `GET /slo`.
     Slo,
-    /// `GET /debug/slow`.
     DebugSlow,
-    /// `GET /alerts`.
     Alerts,
-    /// `POST /alerts/silence`.
     AlertsSilence,
     /// Anything else: unknown paths (404) and disallowed methods (405).
     Other,
 }
 
-/// Every endpoint, in the fixed order `/metrics` renders.
-pub const ENDPOINTS: [Endpoint; 19] = [
-    Endpoint::Analyze,
-    Endpoint::Graph,
-    Endpoint::Correctness,
-    Endpoint::Invariants,
-    Endpoint::Simulate,
-    Endpoint::Sweep,
-    Endpoint::Optimize,
-    Endpoint::Whatif,
-    Endpoint::V1,
-    Endpoint::Healthz,
-    Endpoint::Stats,
-    Endpoint::Metrics,
-    Endpoint::DebugRequests,
-    Endpoint::MetricsHistory,
-    Endpoint::Slo,
-    Endpoint::DebugSlow,
-    Endpoint::Alerts,
-    Endpoint::AlertsSilence,
-    Endpoint::Other,
+/// One row of [`ROUTES`]: an endpoint, the request line that reaches
+/// it, and its label.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Route {
+    /// The endpoint the route's requests are counted under.
+    pub endpoint: Endpoint,
+    /// The one method the route answers; any other is a 405.
+    pub method: &'static str,
+    /// The request path, without its query.
+    pub path: &'static str,
+    /// The stable `endpoint` label value (metrics, the retention ring,
+    /// SLO and alert configs). A plain analysis's label is also its
+    /// kind name everywhere: the `"kind"` of its bodies, a `/v1` entry's
+    /// `kind`, a what-if request and a `tpn batch` KIND.
+    pub label: &'static str,
+    /// The plain analysis the route serves (a `.tpn` body, no spec),
+    /// with simulate's default events and seed.
+    pub kind: Option<RequestKind>,
+}
+
+const fn route(
+    endpoint: Endpoint,
+    method: &'static str,
+    path: &'static str,
+    label: &'static str,
+) -> Route {
+    Route {
+        endpoint,
+        method,
+        path,
+        label,
+        kind: None,
+    }
+}
+
+const fn plain(
+    endpoint: Endpoint,
+    path: &'static str,
+    label: &'static str,
+    kind: RequestKind,
+) -> Route {
+    Route {
+        kind: Some(kind),
+        ..route(endpoint, "POST", path, label)
+    }
+}
+
+/// The route table: every endpoint, in the fixed order `/metrics`
+/// renders and the retention ring's columns follow. Dispatch, the
+/// 404/405 split, the labels and every kind parser derive from it.
+#[rustfmt::skip]
+pub const ROUTES: [Route; 19] = [
+    plain(Endpoint::Analyze, "/analyze", "analyze", RequestKind::Analyze),
+    plain(Endpoint::Graph, "/graph", "graph", RequestKind::Graph),
+    plain(Endpoint::Correctness, "/correctness", "correctness", RequestKind::Correctness),
+    plain(Endpoint::Invariants, "/invariants", "invariants", RequestKind::Invariants),
+    plain(Endpoint::Simulate, "/simulate", "simulate", RequestKind::Simulate {
+        events: DEFAULT_SIM_EVENTS,
+        seed: DEFAULT_SIM_SEED,
+    }),
+    route(Endpoint::Sweep, "POST", "/sweep", "sweep"),
+    route(Endpoint::Optimize, "POST", "/optimize", "optimize"),
+    route(Endpoint::Whatif, "POST", "/whatif", "whatif"),
+    route(Endpoint::V1, "POST", "/v1", "v1"),
+    route(Endpoint::Healthz, "GET", "/healthz", "healthz"),
+    route(Endpoint::Stats, "GET", "/stats", "stats"),
+    route(Endpoint::Metrics, "GET", "/metrics", "metrics"),
+    route(Endpoint::DebugRequests, "GET", "/debug/requests", "debug_requests"),
+    route(Endpoint::MetricsHistory, "GET", "/metrics/history", "metrics_history"),
+    route(Endpoint::Slo, "GET", "/slo", "slo"),
+    route(Endpoint::DebugSlow, "GET", "/debug/slow", "debug_slow"),
+    route(Endpoint::Alerts, "GET", "/alerts", "alerts"),
+    route(Endpoint::AlertsSilence, "POST", "/alerts/silence", "alerts_silence"),
+    // No request line reaches this row: it counts the requests no row
+    // above matches.
+    route(Endpoint::Other, "", "", "other"),
 ];
 
+impl Route {
+    /// The route at `path`, whatever the method; `None` is a 404.
+    pub fn at(path: &str) -> Option<&'static Route> {
+        ROUTES[..Endpoint::Other.index()]
+            .iter()
+            .find(|r| r.path == path)
+    }
+
+    /// The route labelled `label`.
+    pub fn labelled(label: &str) -> Option<&'static Route> {
+        ROUTES.iter().find(|r| r.label == label)
+    }
+}
+
 impl Endpoint {
+    /// This endpoint's row of [`ROUTES`].
+    pub fn route(self) -> &'static Route {
+        &ROUTES[self.index()]
+    }
+
     /// The stable `endpoint` label value.
-    pub fn name(self) -> &'static str {
-        match self {
-            Endpoint::Analyze => "analyze",
-            Endpoint::Graph => "graph",
-            Endpoint::Correctness => "correctness",
-            Endpoint::Invariants => "invariants",
-            Endpoint::Simulate => "simulate",
-            Endpoint::Sweep => "sweep",
-            Endpoint::Optimize => "optimize",
-            Endpoint::Whatif => "whatif",
-            Endpoint::V1 => "v1",
-            Endpoint::Healthz => "healthz",
-            Endpoint::Stats => "stats",
-            Endpoint::Metrics => "metrics",
-            Endpoint::DebugRequests => "debug_requests",
-            Endpoint::MetricsHistory => "metrics_history",
-            Endpoint::Slo => "slo",
-            Endpoint::DebugSlow => "debug_slow",
-            Endpoint::Alerts => "alerts",
-            Endpoint::AlertsSilence => "alerts_silence",
-            Endpoint::Other => "other",
-        }
-    }
-
-    /// Whether this endpoint serves an analysis computation (the POST
-    /// surfaces the default SLO objective applies to), as opposed to a
-    /// read-only observability surface.
-    pub fn is_analysis(self) -> bool {
-        matches!(
-            self,
-            Endpoint::Analyze
-                | Endpoint::Graph
-                | Endpoint::Correctness
-                | Endpoint::Invariants
-                | Endpoint::Simulate
-                | Endpoint::Sweep
-                | Endpoint::Optimize
-                | Endpoint::Whatif
-                | Endpoint::V1
-        )
-    }
-
-    /// The endpoint with the given label value.
-    pub fn by_name(name: &str) -> Option<Endpoint> {
-        ENDPOINTS.iter().copied().find(|e| e.name() == name)
-    }
-
-    /// The endpoint serving a given analysis request kind.
-    pub fn of_kind(kind: RequestKind) -> Endpoint {
-        match kind {
-            RequestKind::Analyze => Endpoint::Analyze,
-            RequestKind::Graph => Endpoint::Graph,
-            RequestKind::Correctness => Endpoint::Correctness,
-            RequestKind::Invariants => Endpoint::Invariants,
-            RequestKind::Simulate { .. } => Endpoint::Simulate,
-            RequestKind::Sweep { .. } => Endpoint::Sweep,
-            RequestKind::Optimize { .. } => Endpoint::Optimize,
-            RequestKind::Whatif { .. } => Endpoint::Whatif,
-        }
+    pub fn label(self) -> &'static str {
+        self.route().label
     }
 
     pub(crate) fn index(self) -> usize {
-        // Discriminant order matches [`ENDPOINTS`] (pinned by a test
+        // Discriminant order matches [`ROUTES`] (pinned by a test
         // below), so the hot path's slot lookup is a plain cast
         // instead of a scan.
         self as usize
@@ -278,9 +278,9 @@ pub(crate) fn annotate_spec(spec: u128) {
 pub struct ServiceMetrics {
     enabled: bool,
     /// `requests[endpoint][status-slot]`, relaxed.
-    requests: [[AtomicU64; STATUSES.len() + 1]; ENDPOINTS.len()],
+    requests: [[AtomicU64; STATUSES.len() + 1]; ROUTES.len()],
     /// Request-duration histogram per endpoint.
-    durations: [Histogram; ENDPOINTS.len()],
+    durations: [Histogram; ROUTES.len()],
     /// Most recent completed request traces, oldest first.
     traces: Mutex<VecDeque<RequestTrace>>,
     /// Most recent objective-breaching request traces, oldest first —
@@ -728,7 +728,7 @@ pub(crate) struct StatsSnapshot {
 }
 
 /// Assemble the `GET /metrics` document. Families render in one fixed
-/// order, endpoints in [`ENDPOINTS`] order, stages in
+/// order, endpoints in [`ROUTES`] order, stages in
 /// [`STAGES`] order, statuses in [`STATUSES`] order — rendering the
 /// same state twice yields identical bytes. Zero-valued request
 /// counter series and empty per-endpoint histograms are omitted (the
@@ -778,16 +778,13 @@ pub(crate) fn render(
         "Requests served, by endpoint and HTTP status.",
         "counter",
     );
-    for endpoint in ENDPOINTS {
+    for route in &ROUTES {
         for slot in 0..=STATUSES.len() {
-            let n = metrics.requests_in_slot(endpoint.index(), slot);
+            let n = metrics.requests_in_slot(route.endpoint.index(), slot);
             if n > 0 {
                 r.sample_u64(
                     "tpn_requests_total",
-                    &[
-                        ("endpoint", endpoint.name()),
-                        ("status", status_label(slot)),
-                    ],
+                    &[("endpoint", route.label), ("status", status_label(slot))],
                     n,
                 );
             }
@@ -799,12 +796,12 @@ pub(crate) fn render(
         "Request latency by endpoint, wall clock from dispatch to response body.",
         "histogram",
     );
-    for endpoint in ENDPOINTS {
-        let snap = metrics.durations[endpoint.index()].snapshot();
+    for route in &ROUTES {
+        let snap = metrics.durations[route.endpoint.index()].snapshot();
         if snap.count() > 0 {
             r.histogram(
                 "tpn_request_duration_seconds",
-                &[("endpoint", endpoint.name())],
+                &[("endpoint", route.label)],
                 &snap,
             );
         }
@@ -1063,11 +1060,14 @@ mod tests {
 
     #[test]
     fn endpoint_indices_are_consistent() {
-        for (i, e) in ENDPOINTS.iter().enumerate() {
-            assert_eq!(e.index(), i);
+        for (i, route) in ROUTES.iter().enumerate() {
+            assert_eq!(route.endpoint.index(), i);
+            assert_eq!(Route::labelled(route.label), Some(route), "duplicate label");
+            if route.endpoint != Endpoint::Other {
+                assert_eq!(Route::at(route.path), Some(route), "duplicate path");
+            }
         }
-        let names: std::collections::HashSet<&str> = ENDPOINTS.iter().map(|e| e.name()).collect();
-        assert_eq!(names.len(), ENDPOINTS.len(), "duplicate endpoint label");
+        assert_eq!(Route::at(""), None, "no request line reaches `other`");
     }
 
     #[test]

@@ -47,7 +47,7 @@ use crate::analysis::ServiceError;
 use crate::json::JsonWriter;
 use crate::jsonval::Json;
 use crate::sweep::{
-    bad, rational_value, resolve_symbol, resolve_target, spec_hash, u64_value, TargetSpec, MAX_AXES,
+    bad, rational_value, resolve_symbol, resolve_target, spec_hash, TargetSpec, MAX_AXES,
 };
 
 /// Default multivariate seed-grid budget.
@@ -164,7 +164,7 @@ impl OptimizeSpec {
         let seed_points = match doc.get("seed_points") {
             None => DEFAULT_SEED_POINTS,
             Some(v) => {
-                let n = u64_value(v, "seed_points")?;
+                let n: u64 = v.number("seed_points").map_err(bad)?;
                 if n == 0 {
                     return Err(bad("seed_points must be at least 1"));
                 }

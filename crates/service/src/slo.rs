@@ -18,8 +18,8 @@ use tpn_obs::slo::{Health, Objective, WindowBurn};
 
 use crate::history::{endpoint_error_col, endpoint_hist_col};
 use crate::json::JsonWriter;
-use crate::jsonval::Json;
-use crate::metrics::{Endpoint, ENDPOINTS};
+use crate::jsonval::{Json, JsonNumber};
+use crate::metrics::{Endpoint, Route, ROUTES};
 
 /// The default objective applied to every analysis endpoint: p99
 /// under 250ms, at most 1% server errors.
@@ -68,7 +68,9 @@ impl SloConfig {
         if let Some((_, o)) = self.overrides.iter().rev().find(|(e, _)| *e == endpoint) {
             return *o;
         }
-        endpoint.is_analysis().then_some(self.default_objective)
+        // The analysis endpoints, the surfaces that compute, lead the
+        // route table up to `/v1`.
+        (endpoint <= Endpoint::V1).then_some(self.default_objective)
     }
 
     /// Parse an override document (`tpn serve --slo <file>`):
@@ -93,10 +95,10 @@ impl SloConfig {
         let doc = Json::parse(text).map_err(|e| format!("slo config: {e}"))?;
         let mut cfg = SloConfig::default();
         if let Some(v) = doc.get("fast_window_s") {
-            cfg.fast_window_s = parse_u64(v, "fast_window_s")?;
+            cfg.fast_window_s = number::<u64>(v, "fast_window_s")?;
         }
         if let Some(v) = doc.get("slow_window_s") {
-            cfg.slow_window_s = parse_u64(v, "slow_window_s")?;
+            cfg.slow_window_s = number::<u64>(v, "slow_window_s")?;
         }
         if cfg.fast_window_s == 0 || cfg.fast_window_s > cfg.slow_window_s {
             return Err(format!(
@@ -105,10 +107,10 @@ impl SloConfig {
             ));
         }
         if let Some(v) = doc.get("degraded_burn") {
-            cfg.degraded_burn = parse_f64(v, "degraded_burn")?;
+            cfg.degraded_burn = number::<f64>(v, "degraded_burn")?;
         }
         if let Some(v) = doc.get("unhealthy_burn") {
-            cfg.unhealthy_burn = parse_f64(v, "unhealthy_burn")?;
+            cfg.unhealthy_burn = number::<f64>(v, "unhealthy_burn")?;
         }
         // `is_nan` guards are explicit because `NaN <= 0.0` is false.
         if cfg.degraded_burn.is_nan()
@@ -128,8 +130,9 @@ impl SloConfig {
                 .as_obj()
                 .ok_or_else(|| "slo config: \"endpoints\" must be an object".to_string())?;
             for (name, v) in members {
-                let endpoint = Endpoint::by_name(name)
-                    .ok_or_else(|| format!("slo config: unknown endpoint {name:?}"))?;
+                let endpoint = Route::labelled(name)
+                    .ok_or_else(|| format!("slo config: unknown endpoint {name:?}"))?
+                    .endpoint;
                 let enabled = v.get("enabled").and_then(Json::as_bool).unwrap_or(true);
                 let objective = if enabled {
                     Some(parse_objective(v, cfg.default_objective, name)?)
@@ -143,16 +146,8 @@ impl SloConfig {
     }
 }
 
-fn parse_u64(v: &Json, what: &str) -> Result<u64, String> {
-    v.as_num()
-        .and_then(|n| n.parse().ok())
-        .ok_or_else(|| format!("slo config: {what} must be a non-negative integer"))
-}
-
-fn parse_f64(v: &Json, what: &str) -> Result<f64, String> {
-    v.as_num()
-        .and_then(|n| n.parse().ok())
-        .ok_or_else(|| format!("slo config: {what} must be a number"))
+fn number<T: JsonNumber>(v: &Json, what: &str) -> Result<T, String> {
+    v.number(what).map_err(|e| format!("slo config: {e}"))
 }
 
 /// Strictly inside (0, 1); false for NaN.
@@ -164,14 +159,14 @@ fn in_unit_interval(x: f64) -> bool {
 fn parse_objective(v: &Json, base: Objective, what: &str) -> Result<Objective, String> {
     let mut o = base;
     if let Some(ms) = v.get("latency_ms") {
-        let ms = parse_f64(ms, "latency_ms")?;
+        let ms = number::<f64>(ms, "latency_ms")?;
         if ms.is_nan() || ms <= 0.0 {
             return Err(format!("slo config: {what}.latency_ms must be positive"));
         }
         o.latency_ns = (ms * 1e6) as u64;
     }
     if let Some(t) = v.get("latency_target") {
-        o.latency_target = parse_f64(t, "latency_target")?;
+        o.latency_target = number::<f64>(t, "latency_target")?;
         if !in_unit_interval(o.latency_target) {
             return Err(format!(
                 "slo config: {what}.latency_target must be in (0, 1)"
@@ -179,7 +174,7 @@ fn parse_objective(v: &Json, base: Objective, what: &str) -> Result<Objective, S
         }
     }
     if let Some(t) = v.get("error_target") {
-        o.error_target = parse_f64(t, "error_target")?;
+        o.error_target = number::<f64>(t, "error_target")?;
         if !in_unit_interval(o.error_target) {
             return Err(format!("slo config: {what}.error_target must be in (0, 1)"));
         }
@@ -227,8 +222,8 @@ pub(crate) fn evaluate(config: &SloConfig, ring: &SeriesRing, now: &Frame) -> Sl
     let slow_start = ring.at_or_before(now.unix_ms.saturating_sub(config.slow_window_s * 1_000));
     let mut endpoints = Vec::new();
     let mut health = Health::Ok;
-    for (i, endpoint) in ENDPOINTS.iter().enumerate() {
-        let Some(objective) = config.objective_for(*endpoint) else {
+    for (i, route) in ROUTES.iter().enumerate() {
+        let Some(objective) = config.objective_for(route.endpoint) else {
             continue;
         };
         let fast = window_burn(&objective, now, fast_start.as_ref(), i);
@@ -236,7 +231,7 @@ pub(crate) fn evaluate(config: &SloConfig, ring: &SeriesRing, now: &Frame) -> Sl
         let graded = Health::grade(&fast, &slow, config.degraded_burn, config.unhealthy_burn);
         health = health.max(graded);
         endpoints.push(EndpointSlo {
-            endpoint: endpoint.name(),
+            endpoint: route.label,
             objective,
             fast,
             slow,

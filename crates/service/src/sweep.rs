@@ -189,12 +189,6 @@ pub(crate) fn rational_value(j: &Json, what: &str) -> Result<Rational, ServiceEr
         .map_err(|e| bad(format!("{what}: {e}")))
 }
 
-pub(crate) fn u64_value(j: &Json, what: &str) -> Result<u64, ServiceError> {
-    j.as_num()
-        .and_then(|n| n.parse::<u64>().ok())
-        .ok_or_else(|| bad(format!("{what} must be a non-negative integer")))
-}
-
 impl SweepSpec {
     /// Parse a spec from a JSON object. A `"net"` member is ignored
     /// here (the HTTP endpoint carries the net text in-body); any other
@@ -310,11 +304,11 @@ impl SweepSpec {
                         .ok_or_else(|| bad(format!("axis {symbol:?} is missing \"to\"")))?,
                     "to",
                 )?;
-                let steps = u64_value(
-                    a.get("steps")
-                        .ok_or_else(|| bad(format!("axis {symbol:?} is missing \"steps\"")))?,
-                    "steps",
-                )?;
+                let steps: u64 = a
+                    .get("steps")
+                    .ok_or_else(|| bad(format!("axis {symbol:?} is missing \"steps\"")))?
+                    .number("steps")
+                    .map_err(bad)?;
                 if steps == 0 {
                     return Err(bad(format!("axis {symbol:?} has zero steps")));
                 }

@@ -35,10 +35,11 @@
 //! 400; per-analysis failures surface as that entry's `status`/`body`
 //! without failing the siblings.
 
-use crate::analysis::{RequestKind, ServiceError, DEFAULT_SIM_EVENTS, DEFAULT_SIM_SEED};
+use crate::analysis::{RequestKind, ServiceError};
 use crate::jsonval::Json;
+use crate::metrics::{Endpoint, Route};
 use crate::optimize::OptimizeSpec;
-use crate::sweep::{bad, u64_value, SweepSpec};
+use crate::sweep::{bad, SweepSpec};
 use crate::whatif::WhatifSpec;
 
 /// Most analyses one envelope may carry.
@@ -63,9 +64,9 @@ impl V1Request {
     pub fn kind_name(&self) -> &'static str {
         match self {
             V1Request::Analysis(kind) => kind.name(),
-            V1Request::Sweep(_) => "sweep",
-            V1Request::Optimize(_) => "optimize",
-            V1Request::Whatif(_) => "whatif",
+            V1Request::Sweep(_) => Endpoint::Sweep.label(),
+            V1Request::Optimize(_) => Endpoint::Optimize.label(),
+            V1Request::Whatif(_) => Endpoint::Whatif.label(),
         }
     }
 }
@@ -115,6 +116,9 @@ pub fn parse_envelope(
     Ok((net_text, requests, trace))
 }
 
+/// One entry of the envelope. Its `kind` is the label of a plain
+/// analysis route or of a spec-carrying one; a plain kind takes its
+/// parameters as members, a spec-carrying kind its `spec`.
 fn parse_request(r: &Json, max_sim_events: u64) -> Result<V1Request, ServiceError> {
     let members = r
         .as_obj()
@@ -123,74 +127,49 @@ fn parse_request(r: &Json, max_sim_events: u64) -> Result<V1Request, ServiceErro
         .get("kind")
         .and_then(Json::as_str)
         .ok_or_else(|| bad("each request needs a \"kind\" string"))?;
-    let allowed: &[&str] = match kind {
-        "analyze" | "graph" | "correctness" | "invariants" => &["kind"],
-        "simulate" => &["kind", "events", "seed"],
-        "sweep" | "optimize" | "whatif" => &["kind", "spec"],
-        other => {
-            return Err(bad(format!(
-                "unknown request kind {other:?} (expected analyze, graph, correctness, \
+    let route = Route::labelled(kind)
+        .filter(|route| {
+            route.kind.is_some()
+                || matches!(
+                    route.endpoint,
+                    Endpoint::Sweep | Endpoint::Optimize | Endpoint::Whatif
+                )
+        })
+        .ok_or_else(|| {
+            bad(format!(
+                "unknown request kind {kind:?} (expected analyze, graph, correctness, \
                  invariants, simulate, sweep, optimize or whatif)"
-            )))
-        }
-    };
+            ))
+        })?;
+    let allowed = route.kind.map_or(&["spec"][..], RequestKind::params);
     for (k, _) in members {
-        if !allowed.contains(&k.as_str()) {
+        if k != "kind" && !allowed.contains(&k.as_str()) {
             return Err(bad(format!("unknown member {k:?} of a {kind} request")));
         }
     }
-    Ok(match kind {
-        "analyze" => V1Request::Analysis(RequestKind::Analyze),
-        "graph" => V1Request::Analysis(RequestKind::Graph),
-        "correctness" => V1Request::Analysis(RequestKind::Correctness),
-        "invariants" => V1Request::Analysis(RequestKind::Invariants),
-        "simulate" => {
-            let events = match r.get("events") {
-                None => DEFAULT_SIM_EVENTS,
-                Some(v) => u64_value(v, "events")?,
-            };
-            if events > max_sim_events {
-                return Err(bad(format!(
-                    "events {events} exceeds the limit {max_sim_events}"
-                )));
-            }
-            let seed = match r.get("seed") {
-                None => DEFAULT_SIM_SEED,
-                Some(v) => u64_value(v, "seed")?,
-            };
-            V1Request::Analysis(RequestKind::Simulate { events, seed })
-        }
-        "sweep" => {
-            let spec = r
-                .get("spec")
-                .ok_or_else(|| bad("a sweep request needs a \"spec\" object"))?;
-            if spec.get("net").is_some() {
-                return Err(bad("the net comes from the envelope's \"net\" member; \
-                     drop \"net\" from the sweep spec"));
-            }
-            V1Request::Sweep(SweepSpec::from_json(spec)?)
-        }
-        "optimize" => {
-            let spec = r
-                .get("spec")
-                .ok_or_else(|| bad("an optimize request needs a \"spec\" object"))?;
-            if spec.get("net").is_some() {
-                return Err(bad("the net comes from the envelope's \"net\" member; \
-                     drop \"net\" from the optimize spec"));
-            }
-            V1Request::Optimize(OptimizeSpec::from_json(spec)?)
-        }
-        "whatif" => {
-            let spec = r
-                .get("spec")
-                .ok_or_else(|| bad("a whatif request needs a \"spec\" object"))?;
-            if spec.get("net").is_some() {
-                return Err(bad("the net comes from the envelope's \"net\" member; \
-                     drop \"net\" from the whatif spec"));
-            }
-            V1Request::Whatif(WhatifSpec::from_json(spec)?)
-        }
-        _ => unreachable!("kind validated above"),
+    if let Some(plain) = route.kind {
+        let kind = plain
+            .with_params(|name| r.get(name).map(|v| v.number(name).map_err(bad)).transpose())?
+            .within(max_sim_events)?;
+        return Ok(V1Request::Analysis(kind));
+    }
+    let spec = r.get("spec").ok_or_else(|| {
+        let a = if kind.starts_with(['a', 'e', 'i', 'o', 'u']) {
+            "an"
+        } else {
+            "a"
+        };
+        bad(format!("{a} {kind} request needs a \"spec\" object"))
+    })?;
+    if spec.get("net").is_some() {
+        return Err(bad(format!(
+            "the net comes from the envelope's \"net\" member; drop \"net\" from the {kind} spec"
+        )));
+    }
+    Ok(match route.endpoint {
+        Endpoint::Sweep => V1Request::Sweep(SweepSpec::from_json(spec)?),
+        Endpoint::Optimize => V1Request::Optimize(OptimizeSpec::from_json(spec)?),
+        _ => V1Request::Whatif(WhatifSpec::from_json(spec)?),
     })
 }
 

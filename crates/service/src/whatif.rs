@@ -56,14 +56,6 @@ pub const MAX_PERTURBATIONS: usize = 256;
 /// Most analyses one what-if batch may run per perturbation.
 pub const MAX_WHATIF_REQUESTS: usize = 8;
 
-/// The analysis kinds a what-if batch may request.
-const ALLOWED_REQUESTS: [(&str, RequestKind); 4] = [
-    ("analyze", RequestKind::Analyze),
-    ("graph", RequestKind::Graph),
-    ("correctness", RequestKind::Correctness),
-    ("invariants", RequestKind::Invariants),
-];
-
 /// A parsed, validated what-if specification.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WhatifSpec {
@@ -107,10 +99,10 @@ impl WhatifSpec {
                     let name = n
                         .as_str()
                         .ok_or_else(|| bad("each request must be a kind name string"))?;
-                    let kind = ALLOWED_REQUESTS
-                        .iter()
-                        .find(|(k, _)| *k == name)
-                        .map(|(_, kind)| *kind)
+                    // Every plain analysis but simulate, which re-runs
+                    // from scratch by construction.
+                    let kind = RequestKind::named(name)
+                        .filter(|kind| !matches!(kind, RequestKind::Simulate { .. }))
                         .ok_or_else(|| {
                             bad(format!(
                                 "unknown whatif request kind {name:?} (expected analyze, \

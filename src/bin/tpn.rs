@@ -37,7 +37,8 @@ use std::process::ExitCode;
 use timed_petri::prelude::*;
 use tpn_net::invariant;
 use tpn_service::{
-    json, RequestKind, Service, ServiceConfig, DEFAULT_SIM_EVENTS, DEFAULT_SIM_SEED,
+    json, Endpoint, Json, RequestKind, Service, ServiceConfig, DEFAULT_SIM_EVENTS,
+    DEFAULT_SIM_SEED, ROUTES,
 };
 
 /// One subcommand's name, usage line and summary.
@@ -135,26 +136,16 @@ const COMMANDS: &[CommandHelp] = &[
     },
 ];
 
-/// The analysis kinds `tpn batch` accepts. One table drives both the
-/// usage line and the argument parser, so the help text cannot drift
-/// from what actually parses.
-const BATCH_KINDS: &[(&str, RequestKind)] = &[
-    ("analyze", RequestKind::Analyze),
-    ("graph", RequestKind::Graph),
-    ("correctness", RequestKind::Correctness),
-    ("invariants", RequestKind::Invariants),
-    (
-        "simulate",
-        RequestKind::Simulate {
-            events: DEFAULT_SIM_EVENTS,
-            seed: DEFAULT_SIM_SEED,
-        },
-    ),
-];
+/// The analysis kinds `tpn batch` accepts: the plain analyses of the
+/// service's route table, which also parses them
+/// ([`RequestKind::named`]), so the help text cannot drift from what
+/// actually parses.
+fn batch_kinds() -> impl Iterator<Item = &'static str> {
+    ROUTES.iter().filter(|r| r.kind.is_some()).map(|r| r.label)
+}
 
 fn batch_kind_list() -> String {
-    let names: Vec<&str> = BATCH_KINDS.iter().map(|(n, _)| *n).collect();
-    names.join("|")
+    batch_kinds().collect::<Vec<_>>().join("|")
 }
 
 fn command_help(name: &str) -> Option<&'static CommandHelp> {
@@ -499,7 +490,7 @@ fn run_spec_command(
     out: &mut dyn Write,
     cmd: &str,
     budget_flag: &str,
-    produce: impl FnOnce(&Session, &tpn_service::Json) -> Result<String, String>,
+    produce: impl FnOnce(&Session, &Json) -> Result<String, String>,
 ) -> Result<(), Failure> {
     let defaults = ServiceConfig::default();
     let mut threads = defaults.sweep_threads;
@@ -528,7 +519,7 @@ fn run_spec_command(
     };
     let net = load(net_path)?;
     let spec_text = std::fs::read_to_string(spec_path).map_err(|e| format!("{spec_path}: {e}"))?;
-    let doc = tpn_service::Json::parse(&spec_text).map_err(|e| format!("{spec_path}: {e}"))?;
+    let doc = Json::parse(&spec_text).map_err(|e| format!("{spec_path}: {e}"))?;
     if doc.get("net").is_some() {
         return Err(format!(
             "{spec_path}: the net comes from the <net.tpn> argument; drop the \"net\" member"
@@ -559,7 +550,7 @@ fn cmd_whatif(args: &[String], out: &mut dyn Write) -> Result<(), Failure> {
     };
     let net = load(net_path)?;
     let spec_text = std::fs::read_to_string(spec_path).map_err(|e| format!("{spec_path}: {e}"))?;
-    let doc = tpn_service::Json::parse(&spec_text).map_err(|e| format!("{spec_path}: {e}"))?;
+    let doc = Json::parse(&spec_text).map_err(|e| format!("{spec_path}: {e}"))?;
     if doc.get("net").is_some() {
         return Err(format!(
             "{spec_path}: the net comes from the <net.tpn> argument; drop the \"net\" member"
@@ -659,11 +650,19 @@ fn cmd_serve(args: &[String], out: &mut dyn Write) -> Result<(), Failure> {
     let service = std::sync::Arc::new(Service::new(config));
     let handle = tpn_service::spawn(service, addr).map_err(|e| format!("{addr}: {e}"))?;
     writeln!(out, "tpn-service listening on http://{}", handle.addr())?;
+    let paths = |method| {
+        let paths: Vec<&str> = ROUTES
+            .iter()
+            .filter(|r| r.method == method)
+            .map(|r| r.path)
+            .collect();
+        paths.join(" ")
+    };
     writeln!(
         out,
-        "endpoints: POST /v1 /analyze /graph /correctness /invariants /simulate /sweep /optimize \
-         /whatif /alerts/silence · GET /healthz /stats /metrics /metrics/history /slo /alerts \
-         /debug/requests /debug/slow"
+        "endpoints: POST {} · GET {}",
+        paths("POST"),
+        paths("GET")
     )?;
     handle.wait();
     Ok(())
@@ -673,6 +672,13 @@ fn cmd_serve(args: &[String], out: &mut dyn Write) -> Result<(), Failure> {
 #[cfg(not(target_os = "linux"))]
 fn cmd_serve(_args: &[String], _out: &mut dyn Write) -> Result<(), Failure> {
     Err("serve requires Linux (epoll)".to_string().into())
+}
+
+/// Fetch one endpoint's JSON document from a daemon.
+fn get_json(addr: &str, endpoint: Endpoint) -> Result<Json, String> {
+    let path = endpoint.route().path;
+    let body = http_get(addr, path)?;
+    Json::parse(&body).map_err(|e| format!("{addr}{path}: {e}"))
 }
 
 /// Fetch one path from a daemon over a single `Connection: close`
@@ -742,10 +748,9 @@ fn cmd_stats(args: &[String], out: &mut dyn Write) -> Result<(), Failure> {
     let addr = addr.ok_or_else(|| usage_of("stats"))?;
     let frame = || -> Result<String, String> {
         if raw_metrics {
-            return http_get(addr, "/metrics");
+            return http_get(addr, Endpoint::Metrics.route().path);
         }
-        let body = http_get(addr, "/stats")?;
-        let doc = tpn_service::Json::parse(&body).map_err(|e| format!("{addr}/stats: {e}"))?;
+        let doc = get_json(addr, Endpoint::Stats)?;
         let mut rows: Vec<(String, String)> = Vec::new();
         flatten_stats("", &doc, &mut rows)?;
         let table: Vec<Vec<String>> = rows.into_iter().map(|(k, v)| vec![k, v]).collect();
@@ -840,8 +845,7 @@ fn cmd_alerts(args: &[String], out: &mut dyn Write) -> Result<(), Failure> {
 
 /// Assemble one `tpn alerts` frame from a daemon's `/alerts` document.
 fn alerts_frame(addr: &str) -> Result<String, String> {
-    let body = http_get(addr, "/alerts")?;
-    let doc = tpn_service::Json::parse(&body).map_err(|e| format!("{addr}/alerts: {e}"))?;
+    let doc = get_json(addr, Endpoint::Alerts)?;
     let as_of_ms = json_f64(doc.get("as_of_ms")).unwrap_or(0.0);
     let firing = json_f64(doc.get("firing")).unwrap_or(0.0) as u64;
     let pending = json_f64(doc.get("pending")).unwrap_or(0.0) as u64;
@@ -907,7 +911,7 @@ fn alerts_frame(addr: &str) -> Result<String, String> {
         out.push_str("no alert rules configured\n");
     }
 
-    let history: &[tpn_service::Json] = doc
+    let history: &[Json] = doc
         .get("history")
         .and_then(|h| h.as_arr())
         .unwrap_or_default();
@@ -944,18 +948,15 @@ fn top_frame(addr: &str, window_s: u64, step_s: u64) -> Result<String, String> {
     // Only the leaf series the dashboard renders — the filter keeps the
     // transferred document small on daemons with many endpoints.
     let path = format!(
-        "/metrics/history?window={window_s}&step={step_s}\
-         &series=req_s,cache_hit_ratio,rss_bytes,err_s,p50_ns,p99_ns"
+        "{}?window={window_s}&step={step_s}\
+         &series=req_s,cache_hit_ratio,rss_bytes,err_s,p50_ns,p99_ns",
+        Endpoint::MetricsHistory.route().path
     );
     let history = http_get(addr, &path)?;
-    let history = tpn_service::Json::parse(&history).map_err(|e| format!("{addr}{path}: {e}"))?;
-    let stats_body = http_get(addr, "/stats")?;
-    let stats = tpn_service::Json::parse(&stats_body).map_err(|e| format!("{addr}/stats: {e}"))?;
-    let slo_body = http_get(addr, "/slo")?;
-    let slo = tpn_service::Json::parse(&slo_body).map_err(|e| format!("{addr}/slo: {e}"))?;
-    let alerts_body = http_get(addr, "/alerts")?;
-    let alerts =
-        tpn_service::Json::parse(&alerts_body).map_err(|e| format!("{addr}/alerts: {e}"))?;
+    let history = Json::parse(&history).map_err(|e| format!("{addr}{path}: {e}"))?;
+    let stats = get_json(addr, Endpoint::Stats)?;
+    let slo = get_json(addr, Endpoint::Slo)?;
+    let alerts = get_json(addr, Endpoint::Alerts)?;
 
     let status = slo.get("status").and_then(|s| s.as_str()).unwrap_or("?");
     let samples = json_f64(history.get("samples")).unwrap_or(0.0) as u64;
@@ -1028,9 +1029,8 @@ fn top_frame(addr: &str, window_s: u64, step_s: u64) -> Result<String, String> {
     out.push('\n');
 
     // Per-endpoint burn rates and health from /slo, keyed by name.
-    let slo_rows: &[tpn_service::Json] =
-        slo.get("endpoints").and_then(|e| e.as_arr()).unwrap_or(&[]);
-    let slo_of = |name: &str| -> Option<&tpn_service::Json> {
+    let slo_rows: &[Json] = slo.get("endpoints").and_then(|e| e.as_arr()).unwrap_or(&[]);
+    let slo_of = |name: &str| -> Option<&Json> {
         slo_rows
             .iter()
             .find(|row| row.get("endpoint").and_then(|e| e.as_str()) == Some(name))
@@ -1042,7 +1042,7 @@ fn top_frame(addr: &str, window_s: u64, step_s: u64) -> Result<String, String> {
     .iter()
     .map(|s| s.to_string())
     .collect()];
-    let empty: &[(String, tpn_service::Json)] = &[];
+    let empty: &[(String, Json)] = &[];
     let endpoints = history
         .get("endpoints")
         .and_then(|e| e.as_obj())
@@ -1101,7 +1101,7 @@ fn top_frame(addr: &str, window_s: u64, step_s: u64) -> Result<String, String> {
 
 /// The worst of an `/slo` endpoint row's latency and error burns over
 /// one window (`"fast"` or `"slow"`).
-fn worst_burn(row: Option<&tpn_service::Json>, window: &str) -> Option<f64> {
+fn worst_burn(row: Option<&Json>, window: &str) -> Option<f64> {
     let w = row?.get(window)?;
     let latency = json_f64(w.get("latency_burn"));
     let error = json_f64(w.get("error_burn"));
@@ -1169,12 +1169,12 @@ fn aligned_table(rows: &[Vec<String>]) -> String {
 }
 
 /// A JSON number as f64 (`None` for nulls and non-numbers).
-fn json_f64(v: Option<&tpn_service::Json>) -> Option<f64> {
+fn json_f64(v: Option<&Json>) -> Option<f64> {
     v?.as_num()?.parse().ok()
 }
 
 /// A JSON array of numbers-or-nulls as a sample column.
-fn float_col(v: Option<&tpn_service::Json>) -> Vec<Option<f64>> {
+fn float_col(v: Option<&Json>) -> Vec<Option<f64>> {
     v.and_then(|a| a.as_arr())
         .map(|arr| arr.iter().map(|x| json_f64(Some(x))).collect())
         .unwrap_or_default()
@@ -1229,11 +1229,7 @@ fn sparkline(values: &[Option<f64>]) -> String {
 
 /// Flatten a `/stats` document into dotted `name → value` rows,
 /// preserving the server's member order.
-fn flatten_stats(
-    prefix: &str,
-    doc: &tpn_service::Json,
-    rows: &mut Vec<(String, String)>,
-) -> Result<(), String> {
+fn flatten_stats(prefix: &str, doc: &Json, rows: &mut Vec<(String, String)>) -> Result<(), String> {
     let members = doc
         .as_obj()
         .ok_or_else(|| format!("unexpected /stats shape at {prefix:?}"))?;
@@ -1244,7 +1240,7 @@ fn flatten_stats(
             format!("{prefix}.{key}")
         };
         match value {
-            tpn_service::Json::Obj(_) => flatten_stats(&name, value, rows)?,
+            Json::Obj(_) => flatten_stats(&name, value, rows)?,
             other => {
                 let rendered = match other.as_num() {
                     Some(n) => n.to_string(),
@@ -1268,20 +1264,15 @@ fn flatten_stats(
 /// across files too, thanks to the service's shared cache.
 fn cmd_batch(args: &[String], out: &mut dyn Write) -> Result<(), Failure> {
     let dir = args.first().ok_or_else(|| usage_of("batch"))?;
-    let kind_names: Vec<&str> = if args.len() > 1 {
-        args[1..].iter().map(String::as_str).collect()
-    } else {
-        vec!["analyze"]
-    };
-    let mut kinds = Vec::with_capacity(kind_names.len());
-    for name in &kind_names {
+    let mut kinds = Vec::with_capacity(args.len());
+    for name in &args[1..] {
         kinds.push(
-            BATCH_KINDS
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, kind)| *kind)
+            RequestKind::named(name)
                 .ok_or_else(|| format!("unknown analysis {name:?}\n{}", usage_of("batch")))?,
         );
+    }
+    if kinds.is_empty() {
+        kinds.push(RequestKind::Analyze);
     }
     let mut files: Vec<std::path::PathBuf> = std::fs::read_dir(dir)
         .map_err(|e| format!("{dir}: {e}"))?
@@ -1400,8 +1391,9 @@ mod tests {
     #[test]
     fn batch_usage_names_every_accepted_kind() {
         let usage = usage_of("batch");
-        for (name, _) in BATCH_KINDS {
+        for name in batch_kinds() {
             assert!(usage.contains(name), "{name} missing from {usage:?}");
+            assert!(RequestKind::named(name).is_some(), "{name} does not parse");
         }
     }
 }
