@@ -516,19 +516,11 @@ impl Reactor {
             conn.close_after = req.close;
             conn.served += 1;
         }
-        // A small request to a plain analysis route runs its front half
-        // here: one table lookup decides.
-        let inline = match Route::at(&req.path) {
-            Some(&Route {
-                endpoint,
-                method,
-                kind: Some(kind),
-                ..
-            }) if method == req.method && req.body.len() <= INLINE_MAX_BODY => {
-                Some((endpoint, kind))
-            }
-            _ => None,
-        };
+        // One table lookup: a small request to a plain analysis route
+        // runs its front half here.
+        let inline = Route::at(&req.path)
+            .filter(|r| r.method == req.method && req.body.len() <= INLINE_MAX_BODY)
+            .and_then(|r| Some((r.endpoint, r.kind?)));
         let work = match inline {
             Some((endpoint, kind)) => match self.service.front(&req, endpoint, kind) {
                 Ok((status, body)) => {

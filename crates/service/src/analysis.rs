@@ -120,32 +120,26 @@ impl RequestKind {
         }
     }
 
-    /// This kind with each parameter `param` supplies by name; one it
-    /// leaves out keeps its value here.
+    /// This kind with each parameter `param` supplies by name (one it
+    /// leaves out keeps its value here), or the 400 for a simulation
+    /// over `max_sim_events`: one request may not pin a worker on an
+    /// unbounded computation.
     pub(crate) fn with_params(
         self,
+        max_sim_events: u64,
         mut param: impl FnMut(&str) -> Result<Option<u64>, ServiceError>,
     ) -> Result<RequestKind, ServiceError> {
-        Ok(match self {
-            RequestKind::Simulate { events, seed } => RequestKind::Simulate {
-                events: param("events")?.unwrap_or(events),
-                seed: param("seed")?.unwrap_or(seed),
-            },
-            kind => kind,
-        })
-    }
-
-    /// This kind, or the 400 for a simulation over `max_sim_events` —
-    /// one request may not pin a worker on an unbounded computation.
-    pub(crate) fn within(self, max_sim_events: u64) -> Result<RequestKind, ServiceError> {
-        match self {
-            RequestKind::Simulate { events, .. } if events > max_sim_events => {
-                Err(ServiceError::BadRequest(format!(
-                    "events {events} exceeds the limit {max_sim_events}"
-                )))
-            }
-            kind => Ok(kind),
+        let RequestKind::Simulate { events, seed } = self else {
+            return Ok(self);
+        };
+        let events = param("events")?.unwrap_or(events);
+        let seed = param("seed")?.unwrap_or(seed);
+        if events > max_sim_events {
+            return Err(ServiceError::BadRequest(format!(
+                "events {events} exceeds the limit {max_sim_events}"
+            )));
         }
+        Ok(RequestKind::Simulate { events, seed })
     }
 }
 

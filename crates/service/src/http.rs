@@ -296,12 +296,8 @@ impl Service {
             1
         };
         let ring = SeriesRing::new(history::schema(), ring_frames);
-        let slow_threshold = std::array::from_fn(|i| {
-            config
-                .slo
-                .objective_for(ROUTES[i].endpoint)
-                .map(|o| o.latency_ns)
-        });
+        let slow_threshold =
+            ROUTES.map(|r| config.slo.objective_for(r.endpoint).map(|o| o.latency_ns));
         let alerts = Mutex::new(config.alerts.engine(&config.slo));
         let notify = Arc::new(NotifyCounters::default());
         let notifier = if config.metrics {
@@ -589,7 +585,8 @@ impl Service {
     /// [`Service::respond`]'s front half: `kind`'s query parameters, the
     /// simulation budget, a UTF-8 body.
     fn analysis_route_front(&self, req: &Request, kind: RequestKind) -> Front {
-        let kind = match query_kind(req, kind, self.config.max_sim_events) {
+        let max = self.config.max_sim_events;
+        let kind = match kind.with_params(max, |name| query_param(req, name)) {
             Ok(kind) => kind,
             Err(e) => return Front::done(Err(e)),
         };
@@ -641,10 +638,9 @@ impl Service {
             digest: session.digest(),
             kind,
         };
-        let (body, _) = self
-            .cache
-            .get_or_compute(key, || run_with_session(session, kind))?;
-        Ok(body)
+        self.cache
+            .get_or_compute(key, || run_with_session(session, kind))
+            .map(|(body, _)| body)
     }
 
     /// A spec-carrying body through the cache, counting a hit under
@@ -1379,17 +1375,6 @@ fn query_u64(req: &Request, name: &str, default: u64) -> Result<u64, ServiceErro
     Ok(query_param(req, name)?.unwrap_or(default))
 }
 
-/// A plain analysis route's kind: its `kind` with the parameters the
-/// query names, within the simulation budget.
-fn query_kind(
-    req: &Request,
-    kind: RequestKind,
-    max_sim_events: u64,
-) -> Result<RequestKind, ServiceError> {
-    kind.with_params(|name| query_param(req, name))?
-        .within(max_sim_events)
-}
-
 /// The request body as text, or the 400 reply to one that is not UTF-8.
 fn utf8_body(req: &Request) -> Result<&str, (u16, Arc<String>)> {
     std::str::from_utf8(&req.body)
@@ -1593,7 +1578,9 @@ mod tests {
         };
         let simulate = Route::at("/simulate").and_then(|r| r.kind).unwrap();
         assert_eq!(
-            query_kind(&req, simulate, u64::MAX).unwrap(),
+            simulate
+                .with_params(u64::MAX, |name| query_param(&req, name))
+                .unwrap(),
             RequestKind::Simulate {
                 events: 100,
                 seed: 7
@@ -1606,7 +1593,9 @@ mod tests {
             body: Vec::new(),
             close: false,
         };
-        assert!(query_kind(&bad, simulate, u64::MAX).is_err());
+        assert!(simulate
+            .with_params(u64::MAX, |name| query_param(&bad, name))
+            .is_err());
     }
 
     #[test]

@@ -118,7 +118,7 @@ const fn plain(
 /// renders and the retention ring's columns follow. Dispatch, the
 /// 404/405 split, the labels and every kind parser derive from it.
 #[rustfmt::skip]
-pub const ROUTES: [Route; 19] = [
+pub static ROUTES: [Route; 19] = [
     plain(Endpoint::Analyze, "/analyze", "analyze", RequestKind::Analyze),
     plain(Endpoint::Graph, "/graph", "graph", RequestKind::Graph),
     plain(Endpoint::Correctness, "/correctness", "correctness", RequestKind::Correctness),

@@ -148,9 +148,9 @@ fn parse_request(r: &Json, max_sim_events: u64) -> Result<V1Request, ServiceErro
         }
     }
     if let Some(plain) = route.kind {
-        let kind = plain
-            .with_params(|name| r.get(name).map(|v| v.number(name).map_err(bad)).transpose())?
-            .within(max_sim_events)?;
+        let kind = plain.with_params(max_sim_events, |name| {
+            r.get(name).map(|v| v.number(name).map_err(bad)).transpose()
+        })?;
         return Ok(V1Request::Analysis(kind));
     }
     let spec = r.get("spec").ok_or_else(|| {

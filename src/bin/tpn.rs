@@ -37,8 +37,8 @@ use std::process::ExitCode;
 use timed_petri::prelude::*;
 use tpn_net::invariant;
 use tpn_service::{
-    json, Endpoint, Json, RequestKind, Service, ServiceConfig, DEFAULT_SIM_EVENTS,
-    DEFAULT_SIM_SEED, ROUTES,
+    json, Endpoint, RequestKind, Service, ServiceConfig, DEFAULT_SIM_EVENTS, DEFAULT_SIM_SEED,
+    ROUTES,
 };
 
 /// One subcommand's name, usage line and summary.
@@ -490,7 +490,7 @@ fn run_spec_command(
     out: &mut dyn Write,
     cmd: &str,
     budget_flag: &str,
-    produce: impl FnOnce(&Session, &Json) -> Result<String, String>,
+    produce: impl FnOnce(&Session, &tpn_service::Json) -> Result<String, String>,
 ) -> Result<(), Failure> {
     let defaults = ServiceConfig::default();
     let mut threads = defaults.sweep_threads;
@@ -519,7 +519,7 @@ fn run_spec_command(
     };
     let net = load(net_path)?;
     let spec_text = std::fs::read_to_string(spec_path).map_err(|e| format!("{spec_path}: {e}"))?;
-    let doc = Json::parse(&spec_text).map_err(|e| format!("{spec_path}: {e}"))?;
+    let doc = tpn_service::Json::parse(&spec_text).map_err(|e| format!("{spec_path}: {e}"))?;
     if doc.get("net").is_some() {
         return Err(format!(
             "{spec_path}: the net comes from the <net.tpn> argument; drop the \"net\" member"
@@ -550,7 +550,7 @@ fn cmd_whatif(args: &[String], out: &mut dyn Write) -> Result<(), Failure> {
     };
     let net = load(net_path)?;
     let spec_text = std::fs::read_to_string(spec_path).map_err(|e| format!("{spec_path}: {e}"))?;
-    let doc = Json::parse(&spec_text).map_err(|e| format!("{spec_path}: {e}"))?;
+    let doc = tpn_service::Json::parse(&spec_text).map_err(|e| format!("{spec_path}: {e}"))?;
     if doc.get("net").is_some() {
         return Err(format!(
             "{spec_path}: the net comes from the <net.tpn> argument; drop the \"net\" member"
@@ -675,10 +675,10 @@ fn cmd_serve(_args: &[String], _out: &mut dyn Write) -> Result<(), Failure> {
 }
 
 /// Fetch one endpoint's JSON document from a daemon.
-fn get_json(addr: &str, endpoint: Endpoint) -> Result<Json, String> {
+fn get_json(addr: &str, endpoint: Endpoint) -> Result<tpn_service::Json, String> {
     let path = endpoint.route().path;
     let body = http_get(addr, path)?;
-    Json::parse(&body).map_err(|e| format!("{addr}{path}: {e}"))
+    tpn_service::Json::parse(&body).map_err(|e| format!("{addr}{path}: {e}"))
 }
 
 /// Fetch one path from a daemon over a single `Connection: close`
@@ -911,7 +911,7 @@ fn alerts_frame(addr: &str) -> Result<String, String> {
         out.push_str("no alert rules configured\n");
     }
 
-    let history: &[Json] = doc
+    let history: &[tpn_service::Json] = doc
         .get("history")
         .and_then(|h| h.as_arr())
         .unwrap_or_default();
@@ -953,7 +953,7 @@ fn top_frame(addr: &str, window_s: u64, step_s: u64) -> Result<String, String> {
         Endpoint::MetricsHistory.route().path
     );
     let history = http_get(addr, &path)?;
-    let history = Json::parse(&history).map_err(|e| format!("{addr}{path}: {e}"))?;
+    let history = tpn_service::Json::parse(&history).map_err(|e| format!("{addr}{path}: {e}"))?;
     let stats = get_json(addr, Endpoint::Stats)?;
     let slo = get_json(addr, Endpoint::Slo)?;
     let alerts = get_json(addr, Endpoint::Alerts)?;
@@ -1029,8 +1029,9 @@ fn top_frame(addr: &str, window_s: u64, step_s: u64) -> Result<String, String> {
     out.push('\n');
 
     // Per-endpoint burn rates and health from /slo, keyed by name.
-    let slo_rows: &[Json] = slo.get("endpoints").and_then(|e| e.as_arr()).unwrap_or(&[]);
-    let slo_of = |name: &str| -> Option<&Json> {
+    let slo_rows: &[tpn_service::Json] =
+        slo.get("endpoints").and_then(|e| e.as_arr()).unwrap_or(&[]);
+    let slo_of = |name: &str| -> Option<&tpn_service::Json> {
         slo_rows
             .iter()
             .find(|row| row.get("endpoint").and_then(|e| e.as_str()) == Some(name))
@@ -1042,7 +1043,7 @@ fn top_frame(addr: &str, window_s: u64, step_s: u64) -> Result<String, String> {
     .iter()
     .map(|s| s.to_string())
     .collect()];
-    let empty: &[(String, Json)] = &[];
+    let empty: &[(String, tpn_service::Json)] = &[];
     let endpoints = history
         .get("endpoints")
         .and_then(|e| e.as_obj())
@@ -1101,7 +1102,7 @@ fn top_frame(addr: &str, window_s: u64, step_s: u64) -> Result<String, String> {
 
 /// The worst of an `/slo` endpoint row's latency and error burns over
 /// one window (`"fast"` or `"slow"`).
-fn worst_burn(row: Option<&Json>, window: &str) -> Option<f64> {
+fn worst_burn(row: Option<&tpn_service::Json>, window: &str) -> Option<f64> {
     let w = row?.get(window)?;
     let latency = json_f64(w.get("latency_burn"));
     let error = json_f64(w.get("error_burn"));
@@ -1169,12 +1170,12 @@ fn aligned_table(rows: &[Vec<String>]) -> String {
 }
 
 /// A JSON number as f64 (`None` for nulls and non-numbers).
-fn json_f64(v: Option<&Json>) -> Option<f64> {
+fn json_f64(v: Option<&tpn_service::Json>) -> Option<f64> {
     v?.as_num()?.parse().ok()
 }
 
 /// A JSON array of numbers-or-nulls as a sample column.
-fn float_col(v: Option<&Json>) -> Vec<Option<f64>> {
+fn float_col(v: Option<&tpn_service::Json>) -> Vec<Option<f64>> {
     v.and_then(|a| a.as_arr())
         .map(|arr| arr.iter().map(|x| json_f64(Some(x))).collect())
         .unwrap_or_default()
@@ -1229,7 +1230,11 @@ fn sparkline(values: &[Option<f64>]) -> String {
 
 /// Flatten a `/stats` document into dotted `name → value` rows,
 /// preserving the server's member order.
-fn flatten_stats(prefix: &str, doc: &Json, rows: &mut Vec<(String, String)>) -> Result<(), String> {
+fn flatten_stats(
+    prefix: &str,
+    doc: &tpn_service::Json,
+    rows: &mut Vec<(String, String)>,
+) -> Result<(), String> {
     let members = doc
         .as_obj()
         .ok_or_else(|| format!("unexpected /stats shape at {prefix:?}"))?;
@@ -1240,7 +1245,7 @@ fn flatten_stats(prefix: &str, doc: &Json, rows: &mut Vec<(String, String)>) -> 
             format!("{prefix}.{key}")
         };
         match value {
-            Json::Obj(_) => flatten_stats(&name, value, rows)?,
+            tpn_service::Json::Obj(_) => flatten_stats(&name, value, rows)?,
             other => {
                 let rendered = match other.as_num() {
                     Some(n) => n.to_string(),

@@ -20,7 +20,7 @@ use std::process::Command;
 use std::time::Duration;
 
 use common::{fig1_text, fixture_dir, http, json_counter, start_server};
-use timed_petri::service::json::escape;
+use timed_petri::service::{self, json::escape};
 
 /// Every route: method, path and `endpoint` label.
 const ROUTES: [(&str, &str, &str); 18] = [
@@ -59,6 +59,22 @@ const UNKNOWN: [&str; 8] = [
     "/metrics/history/x",
     "/other",
 ];
+
+#[test]
+fn the_service_declares_exactly_these_routes() {
+    let declared: Vec<(&str, &str, &str)> = service::ROUTES
+        .iter()
+        .filter(|r| r.endpoint != service::Endpoint::Other)
+        .map(|r| (r.method, r.path, r.label))
+        .collect();
+    assert_eq!(declared, ROUTES);
+    let plain: Vec<&str> = service::ROUTES
+        .iter()
+        .filter(|r| r.kind.is_some())
+        .map(|r| r.label)
+        .collect();
+    assert_eq!(plain, PLAIN);
+}
 
 /// One `Connection: close` exchange: status, `Content-Type` and body.
 fn exchange(addr: SocketAddr, method: &str, target: &str) -> (u16, String, String) {
