@@ -10,7 +10,7 @@
 //! and the routes still build; there is no listener.
 //!
 //! Routes, in the order of the route table
-//! [`ROUTES`](crate::metrics::ROUTES), which declares each one once
+//! [`ROUTES`], which declares each one once
 //! (its endpoint, method, path and label); dispatch, the labels and
 //! every kind parser derive from it:
 //!

@@ -17,7 +17,7 @@
 //! | [`whatif`] | what-if batches: one base net, many timing perturbations |
 //! | [`v1`] | the unified `POST /v1` envelope: many analyses, one session |
 //! | [`cache`] | the one cache keyed by [`tpn_net::NetDigest`]: each net's [`tpn_session::Session`] and response bodies, LRU, with request coalescing |
-//! | [`metrics`] | per-endpoint latency histograms, `GET /metrics` exposition, request-trace ring |
+//! | [`metrics`] | the route table [`ROUTES`], per-endpoint latency histograms, `GET /metrics` exposition, request-trace ring |
 //! | [`history`] | time-series retention ring + the `GET /metrics/history` document |
 //! | [`slo`] | per-endpoint objectives, burn-rate health, `GET /slo` and the graded `/healthz` |
 //! | [`alerts`] | declarative alert rules over the retention ring, `GET /alerts`, silences, webhook notifier |

@@ -25,6 +25,12 @@
 //! ring schema and frames all iterate it. Adding a service-owned
 //! counter takes a `Counter` variant, one row, and its increment site
 //! (`Service::bump`).
+//!
+//! [`ROUTES`] is the same for routes: one row per [`Endpoint`] with its
+//! method, path and label, and the [`RequestKind`] of a plain analysis.
+//! Dispatch, the 404/405 split, the metric labels and every parser of
+//! a kind name read it. Adding a route takes an `Endpoint` variant, one
+//! row, and its handler in `http::route`.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
